@@ -192,9 +192,10 @@ def assemble_report(
       difference from the classical piece.
     * HighTempAsymptotic: quantum column is the bare log term, so the total
       matches `heat_high_temp_total` exactly.
-    * ExactQuadrature: total and classical from quadrature (transfer mode
-      `mode`), quantum as their difference; tolerance failures downgrade to
-      warnings carrying the achieved error estimate.
+    * ExactQuadrature: total from quadrature and classical from the exact
+      rational integral (both in transfer mode `mode`), quantum as their
+      difference; a quadrature tolerance failure downgrades to a warning
+      carrying the achieved error estimate.
     """
     regime = classify_regime(p, s, b, safety_factor=safety_factor)
     warnings: list[str] = []
@@ -227,13 +228,7 @@ def assemble_report(
         except ToleranceNotMetError as exc:
             qt = exc.value
             warnings.append(f"total quadrature estimate {exc.estimate:.3e} above tolerance")
-        try:
-            qc = p.kb * (b.T1 - b.T2) * classical_integral(p, mode, q)
-        except ToleranceNotMetError as exc:
-            qc = p.kb * (b.T1 - b.T2) * exc.value
-            warnings.append(
-                f"classical quadrature estimate {exc.estimate:.3e} above tolerance"
-            )
+        qc = p.kb * (b.T1 - b.T2) * classical_integral(p, mode)
         qq = qt - qc
     else:
         raise ValueError(f"unknown method: {method!r}")

@@ -13,11 +13,14 @@ classical piece k_b (T1 - T2) Int f12 and a quantum remainder
     Qdot_q = -(i hbar / 2 pi) Int_-inf^inf domega omega f12(omega)
              * [psi(1 - i beta2 hbar omega/2pi) - psi(1 - i beta1 hbar omega/2pi)],
 
-which is evaluated here on the half line through its real even part.  All
-three integrals use log-graded panels spanning the dynamical scales, with each
-panel handled by adaptive Gauss-Kronrod quadrature; the thermal integral is
+which is evaluated here on the half line through its real even part.  The
+classical integral Int_0^inf f12 needs no quadrature: f12 is rational with
+stable poles, so it is computed exactly from the mode-polynomial coefficients.
+The two thermal integrals use log-graded panels spanning the dynamical scales,
+with each panel handled by adaptive Gauss-Kronrod quadrature; the total is
 truncated where the Bose factors are exponentially dead and the truncation
-bound is folded into the error estimate.
+bound is folded into the error estimate.  `_f12_integral` keeps the panel
+quadrature of f12 itself as an independent check on the exact route.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 
 from .model import BathPair, CircuitParams, derive_scales
-from .response import TransferMode, transfer_f12
+from .response import TransferMode, transfer_f12, u_pm_coefficients
 from .special import digamma
 
 
@@ -208,23 +211,68 @@ def _f12_integral(
     return _integrate_panels(integrand, edges, q, with_infinite_tail=infinite)
 
 
+def _integer_coefficients(coeffs: tuple[float, ...]) -> tuple[list[int], int]:
+    """Integers n_i and a power of two d with coeffs[i] == n_i / d exactly."""
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    d = max(den for _, den in ratios)
+    return [num * (d // den) for num, den in ratios], d
+
+
+def _h2_norm_squared(a: list[int], b: int) -> float:
+    """(1/2 pi) Int_-inf^inf |B(i omega)/A(i omega)|^2 domega for B(s) = b s.
+
+    `a` holds the integer coefficients of a stable A of degree n >= 2,
+    highest power first.  Astrom's table algorithm (Introduction to
+    Stochastic Control Theory, 1970, ch. 5) lowers deg A one Routh step at a
+    time and adds beta^2/(2 alpha) per step; for B(s) = b s only the step
+    that reaches degree 2 has beta != 0, which leaves b^2/(2 f_{n-2} f_{n-1})
+    with f the first column of the Routh array of A.  In Hurwitz minors
+    that is b^2 Delta_{n-3}/(2 Delta_{n-1}).  The rows are built
+    fraction-free, each divided exactly by the minor two rows back (the
+    subresultant recurrence), so the integers stay short and the final
+    division is the only rounding.  In floating point the same recursion
+    loses up to eight digits when two lightly damped poles nearly coincide,
+    as they do at small M/L with a weakly damped resonance.
+    """
+    if len(a) == 3:
+        return b * b / (2 * a[0] * a[1])
+    prev, cur = a[0::2], a[1::2]
+    delta = [1, 1, a[1]]  # Delta_{-1} := 1, Delta_0 := 1, Delta_1
+    while len(delta) < len(a):  # through Delta_{n-1}
+        cur = cur + [0] * (len(prev) - len(cur))
+        prev, cur = cur, [
+            (cur[0] * prev[i + 1] - prev[0] * cur[i + 1]) // delta[-3]
+            for i in range(len(prev) - 1)
+        ]
+        delta.append(cur[0])
+    return b * b * delta[-3] / (2 * delta[-1])
+
+
 def classical_integral(
     p: CircuitParams,
     mode: TransferMode = TransferMode.EXACT_CUBIC,
-    q: QuadratureConfig | None = None,
 ) -> float:
     """Integral of the transfer function: Int_0^inf f12(omega) domega.
 
     The classical (equipartition) heat current is k_b (T1 - T2) times this
-    value.  The integrand decays only algebraically, so the far tail is
-    handled by semi-infinite adaptive quadrature rather than truncation.
+    value.  f12 = (2/pi) omega_c^4 (R M/A)^2 |H(i omega)|^2 with the rational
+    H(s) = s/(u_plus(s) u_minus(s)), whose denominator is stable, so the
+    integral is 2 omega_c^4 (R M/A)^2 times the squared H2 norm of H.  That
+    norm is computed without quadrature, in exact integer arithmetic on the
+    floating-point mode-polynomial coefficients, and rounded once.
     """
-    if q is None:
-        q = QuadratureConfig()
     if p.M == 0.0:
         return 0.0
-    value, estimate = _f12_integral(p, mode, q)
-    return _check_tolerance(value, estimate, q)
+    up, d_plus = _integer_coefficients(u_pm_coefficients("plus", p, mode))
+    um, d_minus = _integer_coefficients(u_pm_coefficients("minus", p, mode))
+    a = [0] * (len(up) + len(um) - 1)
+    for i, x in enumerate(up):
+        for j, y in enumerate(um):
+            a[i + j] += x * y
+    A = p.L * p.L - p.M * p.M
+    # a is (d_plus d_minus) u_plus u_minus, so B(s) = s takes the same factor
+    h2 = _h2_norm_squared(a, d_plus * d_minus)
+    return 2.0 * p.omega_c**4 * (p.R * p.M / A) ** 2 * h2
 
 
 def quantum_integral(

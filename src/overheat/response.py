@@ -41,8 +41,10 @@ class TransferMode(Enum):
 _BRANCH_SIGNS = {"plus": 1.0, "minus": -1.0}
 
 
-def u_pm(s: complex, branch: str, p: CircuitParams, mode: TransferMode) -> complex:
-    """Mode polynomial u_pm(s) for the plus or minus flux normal mode.
+def u_pm_coefficients(
+    branch: str, p: CircuitParams, mode: TransferMode
+) -> tuple[float, ...]:
+    """Coefficients of the mode polynomial u_pm, highest power first.
 
     Exact cubic form: (s^3 + omega_c s^2)/gamma + (omega_pm + omega_c) s
     + omega_pm omega_c, with gamma = 1/(R C).  The overdamped form keeps only
@@ -52,10 +54,53 @@ def u_pm(s: complex, branch: str, p: CircuitParams, mode: TransferMode) -> compl
     if sign is None:
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     w = p.R / (p.L + sign * p.M)  # omega_pm
-    linear = (w + p.omega_c) * s + w * p.omega_c
+    linear = (w + p.omega_c, w * p.omega_c)
     if mode is TransferMode.OVERDAMPED_LINEAR:
         return linear
-    return p.R * p.C * (s * s * s + p.omega_c * s * s) + linear
+    rc = p.R * p.C
+    return (rc, rc * p.omega_c) + linear
+
+
+def u_pm(s: complex, branch: str, p: CircuitParams, mode: TransferMode) -> complex:
+    """Mode polynomial u_pm(s) for the plus or minus flux normal mode.
+
+    Horner evaluation of `u_pm_coefficients`.
+    """
+    value = 0j
+    for c in u_pm_coefficients(branch, p, mode):
+        value = value * s + c
+    return value
+
+
+def _modulus_on_axis(coeffs: tuple[float, ...], omega: float) -> float:
+    """|u(i omega)| from the coefficients of a linear or cubic mode polynomial.
+
+    Real and imaginary parts are summed separately in real arithmetic, so a
+    huge omega gives inf rather than the nan that complex products of inf
+    and 0 produce.
+    """
+    if len(coeffs) == 2:
+        c, d = coeffs
+        return math.hypot(d, omega * c)
+    a, b, c, d = coeffs
+    z = -omega * omega
+    return math.hypot(b * z + d, omega * (a * z + c))
+
+
+def _response_entries(s: complex, p: CircuitParams) -> tuple[complex, float, complex]:
+    """Diagonal, off-diagonal and determinant of C s^2 + gamma(s) s + Linv.
+
+    Raises ZeroDivisionError at s = -omega_c (kernel pole) and
+    ArithmeticError if the determinant underflows to zero.
+    """
+    A = p.L * p.L - p.M * p.M
+    kernel = (p.omega_c / (s + p.omega_c)) / p.R
+    diag = p.C * s * s + kernel * s + p.L / A
+    off = p.M / A
+    det = diag * diag - off * off
+    if det == 0:
+        raise ArithmeticError(f"singular charge response at s = {s!r}")
+    return diag, off, det
 
 
 def g12(s: complex, p: CircuitParams) -> complex:
@@ -66,13 +111,7 @@ def g12(s: complex, p: CircuitParams) -> complex:
     check on `u_pm`.  Raises ZeroDivisionError at s = -omega_c (kernel pole)
     and ArithmeticError if the determinant underflows to zero.
     """
-    A = p.L * p.L - p.M * p.M
-    kernel = (p.omega_c / (s + p.omega_c)) / p.R
-    diag = p.C * s * s + kernel * s + p.L / A
-    off = p.M / A
-    det = diag * diag - off * off
-    if det == 0:
-        raise ArithmeticError(f"singular charge response at s = {s!r}")
+    _, off, det = _response_entries(s, p)
     # inverse of [[diag, off], [off, diag]] has off-diagonal -off/det
     return -off / det
 
@@ -80,20 +119,21 @@ def g12(s: complex, p: CircuitParams) -> complex:
 def transfer_f12(omega: float, p: CircuitParams, mode: TransferMode) -> float:
     """Heat transfer function f12(omega) in the factorized mode form.
 
-    Computed from |u_plus(i omega) u_minus(i omega)|^2 instead of squaring
+    Computed from |u_plus(i omega)| |u_minus(i omega)| instead of squaring
     g12 directly; the factorized polynomials are numerically stable across
     the full overdamped range where the direct determinant suffers
-    cancellation.  Nonnegative for all real omega and even in omega.
+    cancellation.  The ratio omega omega_c^2 / |u_plus u_minus| is formed
+    factor by factor before squaring, so f12 decays to 0 instead of
+    overflowing at large omega.  Nonnegative for all real omega and even in
+    omega.
     """
     A = p.L * p.L - p.M * p.M
-    s = complex(0.0, omega)
-    up = u_pm(s, "plus", p, mode)
-    um = u_pm(s, "minus", p, mode)
-    denom = abs(up * um) ** 2
-    if denom == 0.0:
+    up = _modulus_on_axis(u_pm_coefficients("plus", p, mode), omega)
+    um = _modulus_on_axis(u_pm_coefficients("minus", p, mode), omega)
+    if up == 0.0 or um == 0.0:
         raise ArithmeticError(f"mode polynomials vanish at omega = {omega!r}")
-    num = (2.0 / math.pi) * (omega * p.omega_c * p.omega_c) ** 2
-    return num * (p.R * p.M / A) ** 2 / denom
+    ratio = (omega / up) * (p.omega_c * p.omega_c / um)
+    return (2.0 / math.pi) * (p.R * p.M / A) ** 2 * ratio * ratio
 
 
 def _coupling_matrices(omega: float, p: CircuitParams):
@@ -108,14 +148,7 @@ def _coupling_matrices(omega: float, p: CircuitParams):
 
 def _green_matrix(omega: float, p: CircuitParams) -> np.ndarray:
     """Full 2x2 Green's function at s = i*omega via closed-form inversion."""
-    A = p.L * p.L - p.M * p.M
-    s = complex(0.0, omega)
-    kernel = (p.omega_c / (s + p.omega_c)) / p.R
-    diag = p.C * s * s + kernel * s + p.L / A
-    off = p.M / A
-    det = diag * diag - off * off
-    if det == 0:
-        raise ArithmeticError(f"singular charge response at omega = {omega!r}")
+    diag, off, det = _response_entries(complex(0.0, omega), p)
     return np.array([[diag, -off], [-off, diag]]) / det
 
 

@@ -15,6 +15,7 @@ from overheat import (
     heat_classical,
     heat_exact,
     heat_quantum,
+    preset_specs,
     quantum_integral,
     transfer_f12,
 )
@@ -34,6 +35,31 @@ def overdamped_draw(rng, gamma_exponent=(2.0, 8.0)):
     if abs(T1 - T2) < 0.05 * max(T1, T2):
         T2 = 0.5 * T1
     return p, BathPair.from_temperatures(T1, T2)
+
+
+def mpmath_classical_integral(mp, p, mode):
+    """Int_0^inf f12 as a 60-digit residue sum over the left-half-plane poles.
+
+    With H(s) = s/(u_plus(s) u_minus(s)), Int_0^inf |H(i omega)|^2 domega is
+    pi times the sum of the residues of H(s) H(-s) at the roots of u_plus u_minus.
+    """
+    with mp.workdps(60):
+        R, L, C, M, wc = (mp.mpf(v) for v in (p.R, p.L, p.C, p.M, p.omega_c))
+        polys = []
+        for w in (R / (L + M), R / (L - M)):
+            linear = [w + wc, w * wc]
+            polys.append(linear if mode is LINEAR else [R * C, R * C * wc] + linear)
+        total = mp.mpf(0)
+        for u, other in (polys, polys[::-1]):
+            du = [c * (len(u) - 1 - k) for k, c in enumerate(u[:-1])]
+            for r in mp.polyroots(u, maxsteps=200, extraprec=200):
+                denom = (
+                    mp.polyval(du, r) * mp.polyval(other, r)
+                    * mp.polyval(u, -r) * mp.polyval(other, -r)
+                )
+                total += -r * r / denom
+        f12_scale = (2 / mp.pi) * wc**4 * (R * M / (L * L - M * M)) ** 2
+        return float(f12_scale * mp.pi * mp.re(total))
 
 
 class TestQuadratureConfig:
@@ -125,6 +151,34 @@ class TestClassicalIntegral:
         expected = 0.5 * 0.25 * (5.0 / 6.0) * (100.0 / 119.0)
         value = classical_integral(circuit, LINEAR)
         assert value == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+    @pytest.mark.parametrize("m_over_l", [1e-4, 0.5, 0.99])
+    @pytest.mark.parametrize("gamma_over_omega_d", [0.01, 1.0, 1e3, 1e5, 1e6])
+    def test_matches_mpmath_residues(self, gamma_over_omega_d, m_over_l, mode):
+        # 60-digit residue sum over the roots of each mode polynomial; the
+        # slow cutoff omega_c = 0.3 gives the weakly damped, nearly coincident
+        # resonances that defeat floating-point Routh recursions
+        mp = pytest.importorskip("mpmath")
+        for omega_c in (0.3, 5.0):
+            p = CircuitParams(
+                R=2.0, L=2.0, C=1.0 / (2.0 * gamma_over_omega_d), M=2.0 * m_over_l,
+                omega_c=omega_c,
+            )
+            expected = mpmath_classical_integral(mp, p, mode)
+            assert classical_integral(p, mode) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+    def test_matches_panel_quadrature_on_fig2_grid(self, mode):
+        spec = preset_specs("fig2")[0]
+        q = QuadratureConfig()
+        for x in spec.grid.values():
+            p = CircuitParams(
+                R=spec.R, L=spec.L, C=1.0 / (spec.R * x * (spec.R / spec.L)), M=spec.M,
+                omega_c=spec.omega_c,
+            )
+            reference, _ = _f12_integral(p, mode, q)
+            assert classical_integral(p, mode) == pytest.approx(reference, rel=1e-9)
 
     def test_split_additivity(self, circuit):
         rng = np.random.default_rng(71)

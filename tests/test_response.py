@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overheat import CircuitParams, TransferMode, g12, trace_f12, transfer_f12, u_pm
 from overheat.response import _coupling_matrices, _green_matrix
@@ -105,6 +107,29 @@ class TestTransferF12:
             w = math.exp(rng.uniform(-4, 6))
             for mode in TransferMode:
                 assert transfer_f12(w, p, mode) >= 0.0
+
+    def test_decays_without_overflow(self, circuit):
+        # |u_plus u_minus|^2 overflows long before f12 underflows, so f12 must
+        # be formed as a ratio first: finite, nonnegative and decaying
+        for mode in TransferMode:
+            reference = transfer_f12(1e27, circuit, mode)
+            for w in (1e28, 1e77, 1e200, 1e300):
+                value = transfer_f12(w, circuit, mode)
+                assert math.isfinite(value)
+                assert 0.0 <= value <= reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        logs=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+        m_over_l=st.floats(0.0, 0.999),
+        omega=st.floats(0.0, 1.7e308),
+    )
+    def test_finite_and_nonnegative_everywhere(self, logs, m_over_l, omega):
+        R, L, C, wc = (math.exp(v) for v in logs)
+        p = CircuitParams(R=R, L=L, C=C, M=m_over_l * L, omega_c=wc)
+        for mode in TransferMode:
+            value = transfer_f12(omega, p, mode)
+            assert math.isfinite(value) and value >= 0.0
 
     def test_mode_convergence_with_damping(self):
         # sup relative deviation over the thermal window shrinks as gamma grows
