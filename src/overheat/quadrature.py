@@ -13,18 +13,23 @@ classical piece k_b (T1 - T2) Int f12 and a quantum remainder
     Qdot_q = -(i hbar / 2 pi) Int_-inf^inf domega omega f12(omega)
              * [psi(1 - i beta2 hbar omega/2pi) - psi(1 - i beta1 hbar omega/2pi)],
 
-which is evaluated here on the half line through its real even part.  The
-classical integral Int_0^inf f12 needs no quadrature: f12 is rational with
-stable poles, so it is computed exactly from the mode-polynomial coefficients.
-The two thermal integrals use log-graded panels spanning the dynamical scales,
-with each panel handled by adaptive Gauss-Kronrod quadrature; the total is
-truncated where the Bose factors are exponentially dead and the truncation
-bound is folded into the error estimate.  `_f12_integral` keeps the panel
-quadrature of f12 itself as an independent check on the exact route.
+which is an integral up the imaginary axis of s = i omega.  Neither piece
+needs quadrature.  f12 is rational with stable poles, so the classical
+integral Int_0^inf f12 is computed exactly from the mode-polynomial
+coefficients.  psi(1 - beta hbar s/2pi) is analytic in the left half plane,
+so closing the contour there turns the quantum remainder into a sum of
+digammas at the left-half-plane poles of f12 (see `quantum_integral`).  The
+total current itself, `heat_exact`, is the quadrature that checks both: it
+uses log-graded panels spanning the dynamical scales, with each panel handled
+by adaptive Gauss-Kronrod quadrature; the total is truncated where the Bose
+factors are exponentially dead and the truncation bound is folded into the
+error estimate.  `_f12_integral` keeps the panel quadrature of f12 itself as
+an independent check on the exact classical route.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -176,17 +181,13 @@ def heat_exact(
     return _check_tolerance(value, estimate + tail_bound, q)
 
 
-def _f12_edges(p: CircuitParams, mode: TransferMode, extra_scale: float = 0.0):
+def _f12_edges(p: CircuitParams, mode: TransferMode):
     """Master panel grid covering all algebraic structure of f12."""
     s = derive_scales(p)
-    anchors = [abs(s.lambda_minus), p.omega_c, extra_scale]
+    anchors = [abs(s.lambda_minus), p.omega_c]
     if mode is TransferMode.EXACT_CUBIC:
         anchors.append(math.sqrt(s.gamma * (s.omega_minus + p.omega_c)))
-    inner_hi = 100.0 * max(anchors)
-    inner_lo = abs(s.lambda_plus) / 100.0
-    if extra_scale > 0.0:
-        inner_lo = min(inner_lo, extra_scale / 100.0)
-    return _panel_edges(inner_lo, inner_hi)
+    return _panel_edges(abs(s.lambda_plus) / 100.0, 100.0 * max(anchors))
 
 
 def _f12_integral(
@@ -275,45 +276,194 @@ def classical_integral(
     return 2.0 * p.omega_c**4 * (p.R * p.M / A) ** 2 * h2
 
 
+def _horner(coeffs: tuple[float, ...], s):
+    """Value and derivative at s of the polynomial with `coeffs`, highest power first."""
+    value = slope = 0.0
+    for c in coeffs:
+        slope = slope * s + value
+        value = value * s + c
+    return value, slope
+
+
+def _mode_roots(coeffs: tuple[float, ...]) -> list[complex]:
+    """Roots of a linear or cubic mode polynomial, all in the left half plane.
+
+    The coefficients are positive, so the cubic has a real root in
+    (-bound, 0), with bound Fujiwara's bound on the root moduli.  It is found
+    by Newton steps kept inside a shrinking sign-change bracket, deflated
+    away, and the quadratic left over is solved in the cancellation-free
+    form; every root is then polished by Newton on the original cubic.
+    """
+    if len(coeffs) == 2:
+        return [complex(-coeffs[1] / coeffs[0])]
+    a, b, c, d = coeffs
+    lo = -2.0 * max(b / a, math.sqrt(c / a), (0.5 * d / a) ** (1.0 / 3.0))
+    hi = x = 0.0
+    for _ in range(200):
+        value, slope = _horner(coeffs, x)
+        if value == 0.0:
+            break
+        if value > 0.0:
+            hi = x
+        else:
+            lo = x
+        step = x - value / slope if slope else lo
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if step == x:
+            break
+        x = step
+    # s^3 + (b/a) s^2 + (c/a) s + d/a = (s - x)(s^2 + e s + f)
+    e, f = b / a + x, -d / (a * x)
+    disc = e * e - 4.0 * f
+    if disc >= 0.0:
+        t = -0.5 * (e + math.copysign(math.sqrt(disc), e))
+        pair = [complex(t), complex(f / t)]
+    else:
+        upper = complex(-0.5 * e, 0.5 * math.sqrt(-disc))
+        pair = [upper, upper.conjugate()]
+    roots = [_polish(coeffs, z) for z in [complex(x)] + pair]
+    if disc < 0.0:
+        roots[2] = roots[1].conjugate()
+    return roots
+
+
+def _polish(coeffs: tuple[float, ...], z: complex) -> complex:
+    """Up to three Newton steps on the polynomial, each kept only if it lowers |value|.
+
+    Near a double root the slope is tiny and a step can jump far away, so a
+    step that does not improve on the current estimate ends the polishing.
+    """
+    value, slope = _horner(coeffs, z)
+    for _ in range(3):
+        if not slope:
+            break
+        step = z - value / slope
+        step_value, step_slope = _horner(coeffs, step)
+        if not abs(step_value) < abs(value):
+            break
+        z, value, slope = step, step_value, step_slope
+    return z
+
+
+# Roots nearer each other than this fraction of their distance from the
+# imaginary axis are summed as one cluster: root by root, their residues
+# would grow like the inverse of the gap and cancel.
+_CLUSTER_GAP = 0.1
+# The trapezoidal sum over a circle converges like ratio**n, where ratio is the
+# circle radius over the reach of the nearest singularity outside it; n is
+# chosen to bring that under double-precision rounding.
+_LOG_ROUNDING = math.log(2.0**-53)
+
+
+def _centre_and_spread(points: list[complex]) -> tuple[complex, float]:
+    """Mean of the points and their largest distance from it."""
+    centre = sum(points) / len(points)
+    return centre, max(abs(z - centre) for z in points)
+
+
+def _clusters(roots: list[complex]) -> list[list[int]]:
+    """Group root indices so that each group sits well apart from the rest.
+
+    A root joins a group when it is nearer the group's centre than four times
+    the group's spread, or than `_CLUSTER_GAP` of the centre's distance from
+    the imaginary axis; groups grow until no root does.
+    """
+    groups = [[k] for k in range(len(roots))]
+    merged = True
+    while merged:
+        merged = False
+        for g in groups:
+            centre, spread = _centre_and_spread([roots[k] for k in g])
+            near = max(4.0 * spread, -_CLUSTER_GAP * centre.real)
+            other = next(
+                (h for h in groups if h is not g and any(abs(roots[k] - centre) < near for k in h)),
+                None,
+            )
+            if other is not None:
+                g.extend(other)
+                groups.remove(other)
+                merged = True
+                break
+    return groups
+
+
 def quantum_integral(
     p: CircuitParams,
     b: BathPair,
     mode: TransferMode = TransferMode.EXACT_CUBIC,
-    q: QuadratureConfig | None = None,
 ) -> float:
-    """Quantum part of the heat current by quadrature of the digamma integrand.
+    """Quantum part of the heat current as a residue sum over the poles of f12.
 
-    Evaluates -(i hbar/2 pi) Int_-inf^inf omega f12 [psi(1 - i beta2 hbar
-    omega/2pi) - psi(1 - i beta1 hbar omega/2pi)] domega through its real
-    half-line form
+    With s = i omega and f12 = K omega^2/(D(s) D(-s)), where
+    K = (2/pi) omega_c^4 (R M/A)^2 and D = u_plus u_minus, the quantum part
 
-        (hbar/pi) Int_0^inf omega f12 [Im psi(1 + i beta1 hbar omega/2pi)
-                                       - Im psi(1 + i beta2 hbar omega/2pi)],
+        -(i hbar/2 pi) Int_-inf^inf omega f12 [psi(1 - i beta2 hbar omega/2pi)
+                                              - psi(1 - i beta1 hbar omega/2pi)] domega
 
-    the conjugate-symmetric combination of the full-line integrand.  Negative
-    for T1 > T2: it is the low-temperature correction that cancels part of
-    the classical current.  Satisfies heat_exact = k_b (T1 - T2) *
-    classical_integral + quantum_integral identically.
+    is an integral up the imaginary s axis.  psi(1 - c s), with
+    c_j = beta_j hbar/2pi, is analytic for Re s < 0, so closing the contour
+    there gives
+
+        hbar K Sum_s s^3/(D'(s) D(-s)) [psi(1 - c2 s) - psi(1 - c1 s) - ln(c2/c1)]
+
+    over the left-half-plane roots s of D.  The log subtraction changes
+    nothing on the axis, where s^3/(D(s) D(-s)) is odd, but makes the
+    bracket vanish at large |s|: without it the OverdampedLinear integrand
+    leaves a contribution on the closing arc.  At a root of u_pm,
+    D'(s) = +/- u_pm'(s) delta (s + omega_c), from u_minus - u_plus =
+    delta (s + omega_c) with delta = omega_minus - omega_plus = 2 R M/A.
+    Roots closer together than a fraction of their distance from the axis
+    (a repeated root, or the roots of u_plus and u_minus at small M/L) are
+    summed as one trapezoidal contour integral around their cluster.
+
+    Negative for T1 > T2: it is the low-temperature correction that cancels
+    part of the classical current.  Satisfies heat_exact = k_b (T1 - T2) *
+    classical_integral + quantum_integral identically; exactly 0 at
+    T1 == T2 and M == 0, and exactly odd under T1 <-> T2.
     """
-    if q is None:
-        q = QuadratureConfig()
     if b.T1 == b.T2 or p.M == 0.0:
         return 0.0
 
-    omega_th = b.thermal_frequency(p.hbar)
     c1 = b.beta1 * p.hbar / (2.0 * math.pi)
     c2 = b.beta2 * p.hbar / (2.0 * math.pi)
-    scale = p.hbar / math.pi
+    # ln c2 - ln c1 rather than ln(c2/c1) keeps the sum exactly odd in T1 <-> T2
+    log_ratio = math.log(c2) - math.log(c1)
+    A = p.L * p.L - p.M * p.M
+    delta = 2.0 * p.R * p.M / A
+    polys = (u_pm_coefficients("plus", p, mode), u_pm_coefficients("minus", p, mode))
 
-    def integrand(w: float) -> float:
-        if w <= 0.0:
-            return 0.0
-        d = (
-            digamma(complex(1.0, c1 * w)).imag
-            - digamma(complex(1.0, c2 * w)).imag
+    def weight(s: complex) -> complex:
+        """s^3 [psi(1 - c2 s) - psi(1 - c1 s) - ln(c2/c1)]/D(-s)."""
+        bracket = (digamma(1.0 - c2 * s) - digamma(1.0 - c1 * s)) - log_ratio
+        return s**3 * bracket / (_horner(polys[0], -s)[0] * _horner(polys[1], -s)[0])
+
+    roots, slopes = [], []
+    for sign, coeffs in zip((1.0, -1.0), polys):
+        for s in _mode_roots(coeffs):
+            roots.append(s)
+            slopes.append(sign * _horner(coeffs, s)[1] * delta * (s + p.omega_c))
+
+    total = 0j
+    for group in _clusters(roots):
+        if len(group) == 1:
+            k = group[0]
+            total += weight(roots[k]) / slopes[k]
+            continue
+        centre, spread = _centre_and_spread([roots[k] for k in group])
+        reach = min(
+            [-centre.real]
+            + [abs(s - centre) for k, s in enumerate(roots) if k not in group]
         )
-        return scale * w * transfer_f12(w, p, mode) * d
-
-    edges = _f12_edges(p, mode, extra_scale=omega_th)
-    value, estimate = _integrate_panels(integrand, edges, q, with_infinite_tail=True)
-    return _check_tolerance(value, estimate, q)
+        if spread >= reach:
+            raise ArithmeticError(f"pole cluster at {centre!r} reaches the imaginary axis")
+        ratio = max(math.sqrt(spread / reach), 0.125)
+        n = math.ceil(_LOG_ROUNDING / math.log(ratio))
+        radius = ratio * reach
+        for j in range(n):
+            offset = radius * cmath.exp(2j * math.pi * j / n)
+            s = centre + offset
+            D = _horner(polys[0], s)[0] * _horner(polys[1], s)[0]
+            total += weight(s) / D * offset / n
+    K = (2.0 / math.pi) * p.omega_c**4 * (p.R * p.M / A) ** 2
+    return p.hbar * K * total.real

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overheat import (
     BathPair,
@@ -44,11 +47,8 @@ def mpmath_classical_integral(mp, p, mode):
     pi times the sum of the residues of H(s) H(-s) at the roots of u_plus u_minus.
     """
     with mp.workdps(60):
-        R, L, C, M, wc = (mp.mpf(v) for v in (p.R, p.L, p.C, p.M, p.omega_c))
-        polys = []
-        for w in (R / (L + M), R / (L - M)):
-            linear = [w + wc, w * wc]
-            polys.append(linear if mode is LINEAR else [R * C, R * C * wc] + linear)
+        R, L, M, wc = (mp.mpf(v) for v in (p.R, p.L, p.M, p.omega_c))
+        polys = mode_polynomials(mp, p, mode)
         total = mp.mpf(0)
         for u, other in (polys, polys[::-1]):
             du = [c * (len(u) - 1 - k) for k, c in enumerate(u[:-1])]
@@ -60,6 +60,60 @@ def mpmath_classical_integral(mp, p, mode):
                 total += -r * r / denom
         f12_scale = (2 / mp.pi) * wc**4 * (R * M / (L * L - M * M)) ** 2
         return float(f12_scale * mp.pi * mp.re(total))
+
+
+def mode_polynomials(mp, p, mode):
+    """u_plus and u_minus as mpmath coefficient lists, highest power first."""
+    R, L, C, M, wc = (mp.mpf(v) for v in (p.R, p.L, p.C, p.M, p.omega_c))
+    polys = []
+    for w in (R / (L + M), R / (L - M)):
+        linear = [w + wc, w * wc]
+        polys.append(linear if mode is LINEAR else [R * C, R * C * wc] + linear)
+    return polys
+
+
+def mpmath_quantum_integral(mp, p, b, mode):
+    """quantum_integral as a 50-digit residue sum over the left-half-plane poles.
+
+    hbar K Sum_s s^3/(D'(s) D(-s)) [psi(1 - c2 s) - psi(1 - c1 s) - ln(c2/c1)]
+    over the roots s of D = u_plus u_minus, with c_j = beta_j hbar/2 pi and
+    K = (2/pi) omega_c^4 (R M/A)^2.
+    """
+    with mp.workdps(50):
+        R, L, M, wc, hbar = (mp.mpf(v) for v in (p.R, p.L, p.M, p.omega_c, p.hbar))
+        c1, c2 = (mp.mpf(beta) * hbar / (2 * mp.pi) for beta in (b.beta1, b.beta2))
+        polys = mode_polynomials(mp, p, mode)
+        total = mp.mpf(0)
+        for u, other in (polys, polys[::-1]):
+            du = [c * (len(u) - 1 - k) for k, c in enumerate(u[:-1])]
+            for s in mp.polyroots(u, maxsteps=200, extraprec=200):
+                d_prime = mp.polyval(du, s) * mp.polyval(other, s)
+                d_minus = mp.polyval(u, -s) * mp.polyval(other, -s)
+                bracket = mp.digamma(1 - c2 * s) - mp.digamma(1 - c1 * s) - mp.log(c2 / c1)
+                total += s**3 / (d_prime * d_minus) * bracket
+        K = (2 / mp.pi) * wc**4 * (R * M / (L * L - M * M)) ** 2
+        return float(hbar * K * mp.re(total))
+
+
+def split_error(p, b, mode):
+    """|heat_exact - k_b (T1 - T2) classical - quantum| over |k_b dT classical| + |quantum|.
+
+    None where heat_exact itself misses its tolerance.
+    """
+    try:
+        total = heat_exact(p, b, mode)
+    except ToleranceNotMetError:
+        return None
+    classical = p.kb * (b.T1 - b.T2) * classical_integral(p, mode)
+    quantum = quantum_integral(p, b, mode)
+    return abs(total - classical - quantum) / (abs(classical) + abs(quantum))
+
+
+def u_plus_discriminant(gamma, p):
+    """Discriminant of the monic cubic u_plus/RC at charge relaxation rate gamma."""
+    w = p.R / (p.L + p.M)
+    B, C, D = p.omega_c, gamma * (w + p.omega_c), gamma * w * p.omega_c
+    return 18 * B * C * D - 4 * B**3 * D + B * B * C * C - 4 * C**3 - 27 * D * D
 
 
 class TestQuadratureConfig:
@@ -216,6 +270,105 @@ class TestQuantumIntegral:
                 cl = p.kb * (b.T1 - b.T2) * classical_integral(p, mode)
                 qu = quantum_integral(p, b, mode)
                 assert cl + qu == pytest.approx(total, rel=1e-7)
+
+    @pytest.mark.parametrize("temperatures", [(2.0, 1.0), (0.05, 0.02)])
+    @pytest.mark.parametrize("gamma_over_omega_d", [1e3, 1e6])
+    def test_split_where_resonance_is_sharp(self, gamma_over_omega_d, temperatures):
+        # M/L = 0.99 with a slow cutoff: a weakly damped resonance far narrower
+        # than any quadrature panel
+        p = CircuitParams(
+            R=2.0, L=2.0, C=1.0 / (2.0 * gamma_over_omega_d), M=1.98, omega_c=0.3
+        )
+        b = BathPair.from_temperatures(*temperatures)
+        assert split_error(p, b, CUBIC) <= 1e-9
+
+    @pytest.mark.parametrize("temperatures", [(2.0, 1.0), (0.05, 0.02)])
+    @pytest.mark.parametrize("gamma_bracket", [(2.0, 3.0), (3.0, 5.0)])
+    def test_split_at_repeated_root(self, gamma_bracket, temperatures):
+        # gamma bisected onto a zero of the discriminant of u_plus, where two of
+        # its roots merge and the residues at each diverge with opposite signs
+        shape = CircuitParams(R=2.0, L=2.0, C=1.0, M=1.0, omega_c=15.0)
+        lo, hi = gamma_bracket
+        sign_lo = u_plus_discriminant(lo, shape) > 0.0
+        assert (u_plus_discriminant(hi, shape) > 0.0) != sign_lo
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if (u_plus_discriminant(mid, shape) > 0.0) == sign_lo:
+                lo = mid
+            else:
+                hi = mid
+        p = CircuitParams(R=2.0, L=2.0, C=1.0 / (2.0 * lo), M=1.0, omega_c=15.0)
+        b = BathPair.from_temperatures(*temperatures)
+        assert split_error(p, b, CUBIC) <= 1e-9
+
+    def test_split_accuracy_grid(self):
+        # 1e-9 of the split scale where the modes are well separated; the
+        # nearly coincident resonances of small M/L inherit the rounding of
+        # omega_pm, so 1e-7 there
+        worst = {}
+        for ratio, m_over_l, omega_c, temperatures, mode in itertools.product(
+            [0.01, 1.0, 1e3, 1e5, 1e6], [1e-6, 1e-4, 1e-2, 0.5, 0.99], [0.3, 5.0],
+            [(2.0, 1.0), (0.05, 0.02), (0.02, 0.01), (50.0, 10.0)], [LINEAR, CUBIC],
+        ):
+            p = CircuitParams(
+                R=2.0, L=2.0, C=1.0 / (2.0 * ratio), M=2.0 * m_over_l, omega_c=omega_c
+            )
+            error = split_error(p, BathPair.from_temperatures(*temperatures), mode)
+            if error is not None:
+                worst[m_over_l] = max(worst.get(m_over_l, 0.0), error)
+        assert worst.keys() == {1e-6, 1e-4, 1e-2, 0.5, 0.99}
+        for m_over_l, error in worst.items():
+            assert error <= (1e-9 if m_over_l >= 1e-2 else 1e-7), (m_over_l, error)
+
+    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+    @pytest.mark.parametrize(
+        "gamma_over_omega_d, m_over_l, omega_c, temperatures",
+        [
+            (0.01, 0.5, 5.0, (2.0, 1.0)),
+            (1.0, 0.2, 0.3, (0.05, 0.02)),
+            (1e3, 0.99, 0.3, (0.05, 0.02)),
+            (1e4, 0.5, 5.0, (50.0, 10.0)),
+            (1e5, 1e-2, 5.0, (0.02, 0.01)),
+            (1e6, 0.7, 30.0, (1.0, 3.0)),
+        ],
+    )
+    def test_matches_mpmath_residues(
+        self, gamma_over_omega_d, m_over_l, omega_c, temperatures, mode
+    ):
+        mp = pytest.importorskip("mpmath")
+        p = CircuitParams(
+            R=2.0, L=2.0, C=1.0 / (2.0 * gamma_over_omega_d), M=2.0 * m_over_l,
+            omega_c=omega_c,
+        )
+        b = BathPair.from_temperatures(*temperatures)
+        expected = mpmath_quantum_integral(mp, p, b, mode)
+        assert quantum_integral(p, b, mode) == pytest.approx(expected, rel=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log_ratio=st.floats(-2.0, 6.0),
+        m_over_l=st.floats(1e-3, 0.99),
+        omega_c=st.floats(0.1, 100.0),
+        log_temperatures=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        mode=st.sampled_from([LINEAR, CUBIC]),
+    )
+    def test_finite_odd_and_zero_at_equilibrium(
+        self, log_ratio, m_over_l, omega_c, log_temperatures, mode
+    ):
+        def circuit(m):
+            return CircuitParams(
+                R=2.0, L=2.0, C=1.0 / (2.0 * 10.0**log_ratio), M=m, omega_c=omega_c
+            )
+
+        p = circuit(2.0 * m_over_l)
+        T1, T2 = (10.0**v for v in log_temperatures)
+        b = BathPair.from_temperatures(T1, T2)
+        value = quantum_integral(p, b, mode)
+        assert math.isfinite(value)
+        swapped = quantum_integral(p, BathPair.from_temperatures(T2, T1), mode)
+        assert swapped == pytest.approx(-value, rel=1e-12, abs=0.0)
+        assert quantum_integral(p, BathPair.from_temperatures(T1, T1), mode) == 0.0
+        assert quantum_integral(circuit(0.0), b, mode) == 0.0
 
     def test_integrand_conjugate_symmetry(self, circuit, baths):
         # the full-line integrand satisfies F(-omega) = conj(F(omega)), which
