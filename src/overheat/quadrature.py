@@ -20,11 +20,13 @@ coefficients.  psi(1 - beta hbar s/2pi) is analytic in the left half plane,
 so closing the contour there turns the quantum remainder into a sum of
 digammas at the left-half-plane poles of f12 (see `quantum_integral`).  The
 total current itself, `heat_exact`, is the quadrature that checks both: it
-uses log-graded panels spanning the dynamical scales, with each panel handled
-by adaptive Gauss-Kronrod quadrature; the total is truncated where the Bose
-factors are exponentially dead and the truncation bound is folded into the
-error estimate.  `_f12_integral` keeps the panel quadrature of f12 itself as
-an independent check on the exact classical route.
+uses log-graded panels spanning the dynamical scales and QUADPACK's 21-point
+Gauss-Kronrod rule (qk21) with its error estimate, evaluated in numpy on the
+nodes of all panels at once.  Intervals that miss their panel's tolerance are
+subdivided, all in one batch per round, up to `max_subdivisions` intervals
+per panel.  The total is truncated where the Bose factors are exponentially
+dead and the truncation bound is folded into the error estimate.  Nothing
+here needs scipy; the tests keep the scipy panel quadrature as a reference.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
+import numpy as np
 
 from .model import BathPair, CircuitParams, derive_scales
 from .response import TransferMode, transfer_f12, u_pm_coefficients
@@ -44,6 +46,7 @@ from .special import digamma
 class QuadratureConfig:
     """Tolerances and truncation controls for the frequency integrals.
 
+    max_subdivisions caps the intervals of each panel of `heat_exact`.
     tail_cut_multiplier sets where the thermally cut integral is truncated,
     in units of the larger of the thermal frequency and the fast mode rate.
     """
@@ -84,11 +87,12 @@ class ToleranceNotMetError(RuntimeError):
         self.target = target
 
 
-def _bose(x: float) -> float:
-    """Occupation 1/(e^x - 1) for x > 0, safe against overflow."""
-    if x > 700.0:
-        return math.exp(-x)  # underflows to 0 gracefully
-    return 1.0 / math.expm1(x)
+def _bose(x):
+    """Occupation 1/(e^x - 1) for x > 0, elementwise, safe against overflow.
+
+    Written as e^-x/(1 - e^-x), which underflows to 0 instead of overflowing.
+    """
+    return np.exp(-x) / -np.expm1(-x)
 
 
 def _panel_edges(inner_lo: float, inner_hi: float) -> list[float]:
@@ -103,28 +107,101 @@ def _panel_edges(inner_lo: float, inner_hi: float) -> list[float]:
     return edges
 
 
+# QUADPACK's qk21 rule on [-1, 1]: the 21 Kronrod nodes (the 10 Gauss nodes
+# and 11 more), the Kronrod weights, and the Gauss weights, which are zero at
+# the nodes the Gauss rule does not use.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208067221370, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338, 0.0,
+)
+_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_KRONROD = np.array(_WGK[:-1] + _WGK[::-1])
+_GAUSS = np.array(_WG[:-1] + _WG[::-1])
+_EPS = np.finfo(float).eps
+# An interval that misses its share of the tolerance is cut in four, two
+# bisections in one round: each round costs far more in numpy calls than in
+# integrand evaluations, so halving the rounds is worth the extra nodes.
+_PIECES = 4
+_PIECE_EDGES = np.linspace(0.0, 1.0, _PIECES + 1)
+
+
+def _qk21(integrand, a: np.ndarray, b: np.ndarray):
+    """qk21 on every interval (a[i], b[i]) from one call of the integrand.
+
+    Returns the Kronrod values, QUADPACK's error estimates and their rounding
+    floors 50 eps Int |f|, below which subdivision gains nothing.
+    """
+    half = 0.5 * (b - a)
+    nodes = (a + half)[:, None] + half[:, None] * _NODES
+    f = integrand(nodes.ravel()).reshape(nodes.shape)
+    kronrod = np.dot(f, _KRONROD)
+    error = np.abs(kronrod - np.dot(f, _GAUSS)) * half
+    resasc = np.dot(np.abs(f - 0.5 * kronrod[:, None]), _KRONROD) * half
+    floor = 50.0 * _EPS * np.dot(np.abs(f), _KRONROD) * half
+    # resasc == 0 means f is equal at all nodes: scaled is 0 or nan, fmax keeps the floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, 200.0 * error / resasc) ** 1.5
+    return kronrod * half, np.fmax(scaled, floor), floor
+
+
 def _integrate_panels(
-    integrand, edges: list[float], q: QuadratureConfig, with_infinite_tail: bool
+    integrand, edges: list[float], q: QuadratureConfig
 ) -> tuple[float, float]:
-    """Sum adaptive quadrature over consecutive panels, in fixed order."""
+    """Integral over [edges[0], edges[-1]] and its error estimate, panel by panel.
+
+    Each panel between consecutive edges starts as one qk21 interval and must
+    meet tol = max(abs_tol/(panels + 2), max(0.05 rel_tol, 1e-14) |panel|)
+    on its own.  Every round cuts, in each panel that misses tol, the
+    intervals whose error exceeds their share tol/(intervals in the panel),
+    and evaluates all new pieces in one batch.  A panel stops when that cut
+    would take it past `q.max_subdivisions` intervals, and an interval
+    stops at its rounding floor, so the work is bounded whether or not the
+    tolerance is met.
+    """
     epsrel = max(q.rel_tol * 0.05, 1e-14)
     epsabs = q.abs_tol / (len(edges) + 1)
-    values, errors = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err = quad(
-            integrand, a, b, epsabs=epsabs, epsrel=epsrel, limit=q.max_subdivisions,
-            full_output=1,
-        )[:2]
-        values.append(val)
-        errors.append(err)
-    if with_infinite_tail:
-        val, err = quad(
-            integrand, edges[-1], math.inf,
-            epsabs=epsabs, epsrel=epsrel, limit=q.max_subdivisions, full_output=1,
-        )[:2]
-        values.append(val)
-        errors.append(err)
-    return math.fsum(values), math.fsum(errors)
+    n_panels = len(edges) - 1
+    a = np.array(edges[:-1])
+    b = np.array(edges[1:])
+    panel = np.arange(n_panels)
+    value, error, floor = _qk21(integrand, a, b)
+    while True:
+        counts = np.bincount(panel, minlength=n_panels)
+        tol = np.maximum(epsabs, epsrel * np.abs(np.bincount(panel, value, n_panels)))
+        missed = np.bincount(panel, error, n_panels) > tol
+        share = np.where(missed, tol / counts, np.inf)
+        split = (error > share[panel]) & (error > floor)
+        grown = counts + (_PIECES - 1) * np.bincount(panel, split, n_panels)
+        split &= (grown <= q.max_subdivisions)[panel]
+        if not split.any():
+            return math.fsum(value.tolist()), math.fsum(error.tolist())
+        keep = ~split
+        cuts = a[split, None] + (b[split] - a[split])[:, None] * _PIECE_EDGES
+        lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+        new_value, new_error, new_floor = _qk21(integrand, lo, hi)
+        a = np.concatenate([a[keep], lo])
+        b = np.concatenate([b[keep], hi])
+        panel = np.concatenate([panel[keep], np.repeat(panel[split], _PIECES)])
+        value = np.concatenate([value[keep], new_value])
+        error = np.concatenate([error[keep], new_error])
+        floor = np.concatenate([floor[keep], new_floor])
 
 
 def _check_tolerance(value: float, estimate: float, q: QuadratureConfig) -> float:
@@ -143,10 +220,14 @@ def heat_exact(
     """Steady-state heat current out of bath 1 by direct quadrature.
 
     Valid for any parameters, overdamped or not; this is the reference
-    against which the closed forms are checked.  Returns 0.0 exactly at
-    equilibrium (T1 == T2) and for decoupled loops (M == 0).  Raises
-    `ToleranceNotMetError` (carrying the best estimate) when the summed
-    panel errors plus the truncation bound exceed the requested tolerance.
+    against which the closed forms are checked.  The integrand is summed by
+    batched qk21 over log-graded panels from 0 to the cut, every node of a
+    round in one numpy array (see `_integrate_panels`); each panel is
+    subdivided adaptively up to `q.max_subdivisions` intervals.  Returns
+    0.0 exactly at equilibrium (T1 == T2) and for decoupled loops (M == 0).
+    Raises `ToleranceNotMetError` (carrying the best estimate) when the
+    summed interval errors plus the truncation bound exceed the requested
+    tolerance.
     """
     if q is None:
         q = QuadratureConfig()
@@ -161,15 +242,12 @@ def heat_exact(
     c2 = b.beta2 * p.hbar
     half_hbar = 0.5 * p.hbar
 
-    def integrand(w: float) -> float:
-        if w <= 0.0:
-            return 0.0  # coth difference ~ 2 k_b (T1 - T2)/(hbar w), integrand ~ w
+    def integrand(w: np.ndarray) -> np.ndarray:
+        # qk21 nodes are interior, so w > 0 and the Bose factors are finite
         thermal = 2.0 * (_bose(c1 * w) - _bose(c2 * w))
         return half_hbar * w * transfer_f12(w, p, mode) * thermal
 
-    value, estimate = _integrate_panels(
-        integrand, _panel_edges(inner_lo, cut), q, with_infinite_tail=False
-    )
+    value, estimate = _integrate_panels(integrand, _panel_edges(inner_lo, cut), q)
     # beyond the cut, omega*f12 decreases and the Bose difference is bounded by
     # the hotter bath's occupation, so the discarded tail is under
     # hbar * cut * f12(cut) * exp(-beta_min hbar cut)/(beta_min hbar)
@@ -179,37 +257,6 @@ def heat_exact(
         beta_min * (1.0 - math.exp(-x))
     )
     return _check_tolerance(value, estimate + tail_bound, q)
-
-
-def _f12_edges(p: CircuitParams, mode: TransferMode):
-    """Master panel grid covering all algebraic structure of f12."""
-    s = derive_scales(p)
-    anchors = [abs(s.lambda_minus), p.omega_c]
-    if mode is TransferMode.EXACT_CUBIC:
-        anchors.append(math.sqrt(s.gamma * (s.omega_minus + p.omega_c)))
-    return _panel_edges(abs(s.lambda_plus) / 100.0, 100.0 * max(anchors))
-
-
-def _f12_integral(
-    p: CircuitParams,
-    mode: TransferMode,
-    q: QuadratureConfig,
-    lo: float = 0.0,
-    hi: float = math.inf,
-) -> tuple[float, float]:
-    """Integral of f12 over (lo, hi) with its error estimate."""
-    master = _f12_edges(p, mode)
-    edges = [lo] + [e for e in master if lo < e < hi]
-    infinite = math.isinf(hi)
-    if not infinite:
-        edges.append(hi)
-
-    def integrand(w: float) -> float:
-        if w <= 0.0:
-            return 0.0
-        return transfer_f12(w, p, mode)
-
-    return _integrate_panels(integrand, edges, q, with_infinite_tail=infinite)
 
 
 def _integer_coefficients(coeffs: tuple[float, ...]) -> tuple[list[int], int]:

@@ -72,19 +72,20 @@ def u_pm(s: complex, branch: str, p: CircuitParams, mode: TransferMode) -> compl
     return value
 
 
-def _modulus_on_axis(coeffs: tuple[float, ...], omega: float) -> float:
+def _modulus_on_axis(coeffs: tuple[float, ...], omega):
     """|u(i omega)| from the coefficients of a linear or cubic mode polynomial.
 
     Real and imaginary parts are summed separately in real arithmetic, so a
     huge omega gives inf rather than the nan that complex products of inf
-    and 0 produce.
+    and 0 produce.  omega may be a float or a numpy array.
     """
-    if len(coeffs) == 2:
-        c, d = coeffs
-        return math.hypot(d, omega * c)
-    a, b, c, d = coeffs
-    z = -omega * omega
-    return math.hypot(b * z + d, omega * (a * z + c))
+    with np.errstate(over="ignore"):
+        if len(coeffs) == 2:
+            c, d = coeffs
+            return np.hypot(d, omega * c)
+        a, b, c, d = coeffs
+        z = -omega * omega
+        return np.hypot(b * z + d, omega * (a * z + c))
 
 
 def _response_entries(s: complex, p: CircuitParams) -> tuple[complex, float, complex]:
@@ -116,7 +117,7 @@ def g12(s: complex, p: CircuitParams) -> complex:
     return -off / det
 
 
-def transfer_f12(omega: float, p: CircuitParams, mode: TransferMode) -> float:
+def transfer_f12(omega, p: CircuitParams, mode: TransferMode):
     """Heat transfer function f12(omega) in the factorized mode form.
 
     Computed from |u_plus(i omega)| |u_minus(i omega)| instead of squaring
@@ -125,15 +126,17 @@ def transfer_f12(omega: float, p: CircuitParams, mode: TransferMode) -> float:
     cancellation.  The ratio omega omega_c^2 / |u_plus u_minus| is formed
     factor by factor before squaring, so f12 decays to 0 instead of
     overflowing at large omega.  Nonnegative for all real omega and even in
-    omega.
+    omega.  A float omega gives a float; a numpy array gives f12 at each
+    element, equal to the scalar calls.
     """
     A = p.L * p.L - p.M * p.M
     up = _modulus_on_axis(u_pm_coefficients("plus", p, mode), omega)
     um = _modulus_on_axis(u_pm_coefficients("minus", p, mode), omega)
-    if up == 0.0 or um == 0.0:
+    if not (up.all() and um.all()):
         raise ArithmeticError(f"mode polynomials vanish at omega = {omega!r}")
     ratio = (omega / up) * (p.omega_c * p.omega_c / um)
-    return (2.0 / math.pi) * (p.R * p.M / A) ** 2 * ratio * ratio
+    f12 = (2.0 / math.pi) * (p.R * p.M / A) ** 2 * ratio * ratio
+    return f12 if isinstance(f12, np.ndarray) else float(f12)
 
 
 def _coupling_matrices(omega: float, p: CircuitParams):

@@ -12,16 +12,13 @@ layouts for the coupled-RLC circuit (M = 1, L = 2, omega_c = 5, omega_d = 1):
 
 Rows serialize to UTF-8 comma-separated CSV with LF endings and
 shortest-round-trip float formatting, so identical configs give
-byte-identical files.  Grid points are independent; HEAT_THREADS sets the
-worker count (0 or unset picks the CPU count), and output order never
-depends on scheduling.
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -287,32 +284,9 @@ def _evaluate_point(spec: SweepSpec, x: float) -> SweepRow:
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("HEAT_THREADS", "").strip()
-    if raw:
-        n = int(raw)
-        if n < 0:
-            raise ValueError(f"HEAT_THREADS must be >= 0, got {raw!r}")
-    else:
-        n = 0
-    if n == 0:
-        n = os.cpu_count() or 1
-    return n
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the sweep, one row per grid point, ordered by swept value.
-
-    Grid points are independent and may be evaluated by a thread pool
-    (HEAT_THREADS workers); results are assembled in grid order so the output
-    is identical however the points were scheduled.
-    """
-    xs = spec.grid.values()
-    workers = _worker_count()
-    if workers <= 1:
-        return [_evaluate_point(spec, x) for x in xs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda x: _evaluate_point(spec, x), xs))
+    """Evaluate the sweep, one row per grid point, ordered by swept value."""
+    return [_evaluate_point(spec, x) for x in spec.grid.values()]
 
 
 def _format_cell(value) -> str:

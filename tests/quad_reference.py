@@ -1,0 +1,117 @@
+"""The scipy panel quadrature that the package used before, kept as a test oracle.
+
+`_integrate_panels`, `_f12_edges` and `_f12_integral` are the scalar
+`scipy.integrate.quad` loop over the package's log-graded panels, and
+`reference_heat_exact` is `heat_exact` on top of it.  They are independent of
+the batched Gauss-Kronrod quadrature in `overheat.quadrature` and of the exact
+classical and residue routes, apart from the shared `transfer_f12`.
+"""
+
+from __future__ import annotations
+
+import math
+
+from scipy.integrate import quad
+
+from overheat.model import BathPair, CircuitParams, derive_scales
+from overheat.quadrature import QuadratureConfig, _check_tolerance, _panel_edges
+from overheat.response import TransferMode, transfer_f12
+
+
+def _bose(x: float) -> float:
+    """Occupation 1/(e^x - 1) for x > 0, safe against overflow."""
+    if x > 700.0:
+        return math.exp(-x)  # underflows to 0 gracefully
+    return 1.0 / math.expm1(x)
+
+
+def _integrate_panels(
+    integrand, edges: list[float], q: QuadratureConfig, with_infinite_tail: bool
+) -> tuple[float, float]:
+    """Sum adaptive quadrature over consecutive panels, in fixed order."""
+    epsrel = max(q.rel_tol * 0.05, 1e-14)
+    epsabs = q.abs_tol / (len(edges) + 1)
+    values, errors = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        val, err = quad(
+            integrand, a, b, epsabs=epsabs, epsrel=epsrel, limit=q.max_subdivisions,
+            full_output=1,
+        )[:2]
+        values.append(val)
+        errors.append(err)
+    if with_infinite_tail:
+        val, err = quad(
+            integrand, edges[-1], math.inf,
+            epsabs=epsabs, epsrel=epsrel, limit=q.max_subdivisions, full_output=1,
+        )[:2]
+        values.append(val)
+        errors.append(err)
+    return math.fsum(values), math.fsum(errors)
+
+
+def reference_heat_exact(
+    p: CircuitParams,
+    b: BathPair,
+    mode: TransferMode = TransferMode.EXACT_CUBIC,
+    q: QuadratureConfig | None = None,
+) -> float:
+    """`heat_exact` by scalar `quad` on each panel; raises `ToleranceNotMetError` alike."""
+    if q is None:
+        q = QuadratureConfig()
+    if b.T1 == b.T2 or p.M == 0.0:
+        return 0.0
+
+    s = derive_scales(p)
+    omega_th = b.thermal_frequency(p.hbar)
+    cut = q.tail_cut_multiplier * max(omega_th, abs(s.lambda_minus))
+    inner_lo = min(abs(s.lambda_plus), omega_th) / 100.0
+    c1 = b.beta1 * p.hbar
+    c2 = b.beta2 * p.hbar
+    half_hbar = 0.5 * p.hbar
+
+    def integrand(w: float) -> float:
+        if w <= 0.0:
+            return 0.0  # coth difference ~ 2 k_b (T1 - T2)/(hbar w), integrand ~ w
+        thermal = 2.0 * (_bose(c1 * w) - _bose(c2 * w))
+        return half_hbar * w * transfer_f12(w, p, mode) * thermal
+
+    value, estimate = _integrate_panels(
+        integrand, _panel_edges(inner_lo, cut), q, with_infinite_tail=False
+    )
+    beta_min = min(c1, c2)
+    x = beta_min * cut
+    tail_bound = 2.0 * half_hbar * cut * transfer_f12(cut, p, mode) * math.exp(-x) / (
+        beta_min * (1.0 - math.exp(-x))
+    )
+    return _check_tolerance(value, estimate + tail_bound, q)
+
+
+def _f12_edges(p: CircuitParams, mode: TransferMode):
+    """Master panel grid covering all algebraic structure of f12."""
+    s = derive_scales(p)
+    anchors = [abs(s.lambda_minus), p.omega_c]
+    if mode is TransferMode.EXACT_CUBIC:
+        anchors.append(math.sqrt(s.gamma * (s.omega_minus + p.omega_c)))
+    return _panel_edges(abs(s.lambda_plus) / 100.0, 100.0 * max(anchors))
+
+
+def _f12_integral(
+    p: CircuitParams,
+    mode: TransferMode,
+    q: QuadratureConfig,
+    lo: float = 0.0,
+    hi: float = math.inf,
+) -> tuple[float, float]:
+    """Integral of f12 over (lo, hi) with its error estimate."""
+    master = _f12_edges(p, mode)
+    edges = [lo] + [e for e in master if lo < e < hi]
+    infinite = math.isinf(hi)
+    if not infinite:
+        edges.append(hi)
+
+    def integrand(w: float) -> float:
+        if w <= 0.0:
+            return 0.0
+        return transfer_f12(w, p, mode)
+
+    return _integrate_panels(integrand, edges, q, with_infinite_tail=infinite)

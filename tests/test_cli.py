@@ -165,3 +165,10 @@ class TestEntryPoints:
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "eval" in proc.stdout
+
+
+def test_import_does_not_load_scipy():
+    # scipy's import takes most of a second; the package and the heat CLI
+    # start without it (it is a test dependency only)
+    code = "import overheat, overheat.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

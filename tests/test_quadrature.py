@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from overheat import (
     quantum_integral,
     transfer_f12,
 )
-from overheat.quadrature import _f12_integral
+from quad_reference import _f12_integral, reference_heat_exact
 
 LINEAR = TransferMode.OVERDAMPED_LINEAR
 CUBIC = TransferMode.EXACT_CUBIC
@@ -98,12 +99,9 @@ def mpmath_quantum_integral(mp, p, b, mode):
 def split_error(p, b, mode):
     """|heat_exact - k_b (T1 - T2) classical - quantum| over |k_b dT classical| + |quantum|.
 
-    None where heat_exact itself misses its tolerance.
+    Raises `ToleranceNotMetError` where heat_exact misses its tolerance.
     """
-    try:
-        total = heat_exact(p, b, mode)
-    except ToleranceNotMetError:
-        return None
+    total = heat_exact(p, b, mode)
     classical = p.kb * (b.T1 - b.T2) * classical_integral(p, mode)
     quantum = quantum_integral(p, b, mode)
     return abs(total - classical - quantum) / (abs(classical) + abs(quantum))
@@ -192,6 +190,65 @@ class TestHeatExact:
         # the carried value is still the right integral to ~tail accuracy
         reference = heat_exact(circuit, baths, LINEAR)
         assert err.value == pytest.approx(reference, rel=1e-4)
+
+
+    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+    def test_matches_scipy_reference(self, mode):
+        # the batched qk21 quadrature against the scalar scipy quad loop on the
+        # same panels, at every fig2 point and 20 random overdamped circuits
+        # where the reference meets its own tolerance
+        cases = []
+        for spec in preset_specs("fig2"):
+            b = BathPair.from_temperatures(spec.T1, spec.T2)
+            for x in spec.grid.values():
+                p = CircuitParams(
+                    R=spec.R, L=spec.L, C=1.0 / (spec.R * x * (spec.R / spec.L)), M=spec.M,
+                    omega_c=spec.omega_c,
+                )
+                cases.append((p, b))
+        rng = np.random.default_rng(79)
+        cases += [overdamped_draw(rng) for _ in range(20)]
+        q = QuadratureConfig()
+        compared = 0
+        for p, b in cases:
+            try:
+                reference = reference_heat_exact(p, b, mode, q)
+            except ToleranceNotMetError:
+                continue
+            assert heat_exact(p, b, mode, q) == pytest.approx(reference, rel=q.rel_tol)
+            compared += 1
+        assert compared >= len(cases) - 2
+
+    @pytest.mark.parametrize(
+        "gamma_over_omega_d, m_over_l", [(1e3, 0.99), (1e5, 1e-4), (1e6, 1e-6), (1e6, 1e-4)]
+    )
+    def test_meets_tolerance_where_scipy_missed(self, gamma_over_omega_d, m_over_l):
+        # sharp resonances at a slow cutoff and a high temperature, where the
+        # scipy panel quadrature raised ToleranceNotMetError (at 1e5, 1e-4 it
+        # returned 2.5e-8 for a current of 1.3e-3); the split cancels to a
+        # small total, so its error is measured on the scale of the pieces
+        p = CircuitParams(
+            R=2.0, L=2.0, C=1.0 / (2.0 * gamma_over_omega_d), M=2.0 * m_over_l, omega_c=0.3
+        )
+        assert split_error(p, BathPair.from_temperatures(50.0, 10.0), CUBIC) <= 1e-10
+
+    def test_work_is_bounded_when_tolerance_is_out_of_reach(self):
+        # rel_tol below the rounding floor with a 10-interval cap at a sharp
+        # resonance: the quadrature must stop, report the miss with a finite
+        # value, and stay small in memory
+        p = CircuitParams(R=2.0, L=2.0, C=1.0 / 2e3, M=1.98, omega_c=0.3)
+        b = BathPair.from_temperatures(50.0, 10.0)
+        q = QuadratureConfig(rel_tol=1e-15, max_subdivisions=10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ToleranceNotMetError) as excinfo:
+                heat_exact(p, b, CUBIC, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(excinfo.value.value)
+        assert excinfo.value.estimate > excinfo.value.target
+        assert peak < 2**21
 
 
 class TestClassicalIntegral:
@@ -314,9 +371,7 @@ class TestQuantumIntegral:
                 R=2.0, L=2.0, C=1.0 / (2.0 * ratio), M=2.0 * m_over_l, omega_c=omega_c
             )
             error = split_error(p, BathPair.from_temperatures(*temperatures), mode)
-            if error is not None:
-                worst[m_over_l] = max(worst.get(m_over_l, 0.0), error)
-        assert worst.keys() == {1e-6, 1e-4, 1e-2, 0.5, 0.99}
+            worst[m_over_l] = max(worst.get(m_over_l, 0.0), error)
         for m_over_l, error in worst.items():
             assert error <= (1e-9 if m_over_l >= 1e-2 else 1e-7), (m_over_l, error)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,20 @@ class TestTransferF12:
                 value = transfer_f12(w, circuit, mode)
                 assert math.isfinite(value)
                 assert 0.0 <= value <= reference
+
+    def test_array_matches_scalar_calls(self):
+        # the batched quadrature evaluates f12 on arrays of nodes; each element
+        # must be the scalar value, with no overflow warning at huge omega
+        rng = np.random.default_rng(23)
+        omegas = np.concatenate([[0.0, 1e28, 1e300], np.exp(rng.uniform(-10, 30, 200))])
+        for _ in range(5):
+            p = random_params(rng)
+            for mode in TransferMode:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    values = transfer_f12(omegas, p, mode)
+                assert values.shape == omegas.shape
+                assert values.tolist() == [transfer_f12(float(w), p, mode) for w in omegas]
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -139,11 +139,6 @@ class TestRunSweep:
         parallel = run_sweep(spec)
         assert serial == parallel
 
-    def test_invalid_thread_count_rejected(self, monkeypatch):
-        monkeypatch.setenv("HEAT_THREADS", "-2")
-        with pytest.raises(ValueError, match="HEAT_THREADS"):
-            run_sweep(small_spec())
-
     def test_gamma_sweep_recomputes_capacitance(self):
         spec = small_spec()
         rows = run_sweep(spec)
