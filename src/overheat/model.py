@@ -126,7 +126,6 @@ class BathPair:
 class RegimeTag(Enum):
     """Coarse temperature regime of a bath pair relative to the mode rates."""
 
-    HIGH_T = "HighT"
     INTERMEDIATE_T = "IntermediateT"
     LOW_T = "LowT"
     MIXED = "Mixed"
@@ -153,17 +152,14 @@ def _bath_row(omega_th: float, s: DerivedScales, safety: float) -> RegimeTag | N
     """Temperature row for one bath: which chain of scale separations it satisfies.
 
     Rows (with a << b read as a*safety <= b):
-      high:         omega_pm << gamma << omega_th
       intermediate: omega_pm <  omega_th << gamma
       low:          omega_th <  omega_pm << gamma
-    Returns None when the thermal frequency straddles a boundary.
+    Returns None when the thermal frequency straddles a boundary or sits
+    above gamma.
     """
-    modes_under_gamma = s.omega_minus * safety <= s.gamma
-    if modes_under_gamma and s.gamma * safety <= omega_th:
-        return RegimeTag.HIGH_T
     if s.omega_minus < omega_th and omega_th * safety <= s.gamma:
         return RegimeTag.INTERMEDIATE_T
-    if omega_th < s.omega_plus and modes_under_gamma:
+    if omega_th < s.omega_plus and s.omega_minus * safety <= s.gamma:
         return RegimeTag.LOW_T
     return None
 
@@ -183,13 +179,6 @@ def classify_regime(
     OutsideOverdamped regardless of the temperature pattern.  Otherwise each
     bath is ranked against the mode rates omega_pm and the common tag is
     returned, or Mixed when the two baths fall in different rows.
-
-    Notes
-    -----
-    The high-temperature row (gamma << omega_th) contradicts the validity
-    requirement omega_th << gamma, so with the default safety factor that
-    pattern always surfaces as OutsideOverdamped; the row conditions are
-    still reported so callers can see which pattern was matched.
     """
     if not (math.isfinite(safety_factor) and safety_factor >= 1.0):
         raise ValueError(f"safety_factor must be >= 1, got {safety_factor!r}")

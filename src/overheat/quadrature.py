@@ -20,13 +20,15 @@ coefficients.  psi(1 - beta hbar s/2pi) is analytic in the left half plane,
 so closing the contour there turns the quantum remainder into a sum of
 digammas at the left-half-plane poles of f12 (see `quantum_integral`).  The
 total current itself, `heat_exact`, is the quadrature that checks both: it
-uses log-graded panels spanning the dynamical scales and QUADPACK's 21-point
-Gauss-Kronrod rule (qk21) with its error estimate, evaluated in numpy on the
-nodes of all panels at once.  Intervals that miss their panel's tolerance are
-subdivided, all in one batch per round, up to `max_subdivisions` intervals
-per panel.  The total is truncated where the Bose factors are exponentially
-dead and the truncation bound is folded into the error estimate.  Nothing
-here needs scipy; the tests keep the scipy panel quadrature as a reference.
+starts from log-graded panels spanning the dynamical scales and applies
+QUADPACK's 21-point Gauss-Kronrod rule (qk21) with its error estimate,
+evaluated in numpy on the nodes of all intervals at once.  As in QUADPACK's
+qagp, the whole integral has one error budget: intervals above their share
+of it are subdivided, all in one batch per round, up to `max_subdivisions`
+intervals in total.  The total is truncated where the Bose factors are
+exponentially dead and the truncation bound is folded into the error
+estimate.  Nothing here needs scipy; the tests keep the scipy panel
+quadrature as a reference.
 """
 
 from __future__ import annotations
@@ -38,36 +40,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BathPair, CircuitParams, derive_scales
-from .response import TransferMode, transfer_f12, u_pm_coefficients
+from .response import TransferMode, horner, mode_polynomials, transfer_f12
 from .special import digamma
+
+
+# Absolute floor of the quadrature tolerance.
+ABS_TOL = 1e-30
+# `heat_exact` integrates up to this many times the larger of the thermal
+# frequency and the fast mode rate; the tail beyond is bounded and folded
+# into the error estimate.
+TAIL_CUT_MULTIPLIER = 60.0
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and truncation controls for the frequency integrals.
+    """Tolerance and work limit of `heat_exact`.
 
-    max_subdivisions caps the intervals of each panel of `heat_exact`.
-    tail_cut_multiplier sets where the thermally cut integral is truncated,
-    in units of the larger of the thermal frequency and the fast mode rate.
+    rel_tol is the relative error the total must meet; max_subdivisions
+    caps the number of intervals of the whole integral, as QUADPACK's
+    `limit` does.
     """
 
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-30
     max_subdivisions: int = 2000
-    tail_cut_multiplier: float = 60.0
 
     def __post_init__(self):
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0.0):
-            raise ValueError(f"abs_tol must be nonnegative, got {self.abs_tol!r}")
         if self.max_subdivisions < 10:
             raise ValueError(
                 f"max_subdivisions must be >= 10, got {self.max_subdivisions!r}"
-            )
-        if not (math.isfinite(self.tail_cut_multiplier) and self.tail_cut_multiplier >= 10.0):
-            raise ValueError(
-                f"tail_cut_multiplier must be >= 10, got {self.tail_cut_multiplier!r}"
             )
 
 
@@ -164,48 +166,43 @@ def _qk21(integrand, a: np.ndarray, b: np.ndarray):
 def _integrate_panels(
     integrand, edges: list[float], q: QuadratureConfig
 ) -> tuple[float, float]:
-    """Integral over [edges[0], edges[-1]] and its error estimate, panel by panel.
+    """Integral over [edges[0], edges[-1]] and its error estimate, as QUADPACK's qagp.
 
-    Each panel between consecutive edges starts as one qk21 interval and must
-    meet tol = max(abs_tol/(panels + 2), max(0.05 rel_tol, 1e-14) |panel|)
-    on its own.  Every round cuts, in each panel that misses tol, the
-    intervals whose error exceeds their share tol/(intervals in the panel),
-    and evaluates all new pieces in one batch.  A panel stops when that cut
-    would take it past `q.max_subdivisions` intervals, and an interval
-    stops at its rounding floor, so the work is bounded whether or not the
+    The panels between consecutive edges are only the starting intervals:
+    the whole integral has one error budget,
+    tol = max(ABS_TOL, max(0.05 rel_tol, 1e-14) |total|).  While the summed
+    error exceeds tol, every interval whose error exceeds both its share
+    tol/(number of intervals) and its rounding floor is cut, and all new
+    pieces are evaluated in one batch.  The loop stops when that cut would
+    take the interval count past `q.max_subdivisions`, or when every
+    interval is at its floor, so the work is bounded whether or not the
     tolerance is met.
     """
     epsrel = max(q.rel_tol * 0.05, 1e-14)
-    epsabs = q.abs_tol / (len(edges) + 1)
-    n_panels = len(edges) - 1
     a = np.array(edges[:-1])
     b = np.array(edges[1:])
-    panel = np.arange(n_panels)
     value, error, floor = _qk21(integrand, a, b)
     while True:
-        counts = np.bincount(panel, minlength=n_panels)
-        tol = np.maximum(epsabs, epsrel * np.abs(np.bincount(panel, value, n_panels)))
-        missed = np.bincount(panel, error, n_panels) > tol
-        share = np.where(missed, tol / counts, np.inf)
-        split = (error > share[panel]) & (error > floor)
-        grown = counts + (_PIECES - 1) * np.bincount(panel, split, n_panels)
-        split &= (grown <= q.max_subdivisions)[panel]
-        if not split.any():
-            return math.fsum(value.tolist()), math.fsum(error.tolist())
+        total, estimate = math.fsum(value.tolist()), math.fsum(error.tolist())
+        tol = max(ABS_TOL, epsrel * abs(total))
+        split = (error > tol / len(a)) & (error > floor)
+        n_split = np.count_nonzero(split)
+        grown = len(a) + (_PIECES - 1) * n_split
+        if estimate <= tol or not n_split or grown > q.max_subdivisions:
+            return total, estimate
         keep = ~split
         cuts = a[split, None] + (b[split] - a[split])[:, None] * _PIECE_EDGES
         lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
         new_value, new_error, new_floor = _qk21(integrand, lo, hi)
         a = np.concatenate([a[keep], lo])
         b = np.concatenate([b[keep], hi])
-        panel = np.concatenate([panel[keep], np.repeat(panel[split], _PIECES)])
         value = np.concatenate([value[keep], new_value])
         error = np.concatenate([error[keep], new_error])
         floor = np.concatenate([floor[keep], new_floor])
 
 
 def _check_tolerance(value: float, estimate: float, q: QuadratureConfig) -> float:
-    target = q.rel_tol * abs(value) + q.abs_tol
+    target = q.rel_tol * abs(value) + ABS_TOL
     if estimate > target:
         raise ToleranceNotMetError(value, estimate, target)
     return value
@@ -221,13 +218,13 @@ def heat_exact(
 
     Valid for any parameters, overdamped or not; this is the reference
     against which the closed forms are checked.  The integrand is summed by
-    batched qk21 over log-graded panels from 0 to the cut, every node of a
-    round in one numpy array (see `_integrate_panels`); each panel is
-    subdivided adaptively up to `q.max_subdivisions` intervals.  Returns
-    0.0 exactly at equilibrium (T1 == T2) and for decoupled loops (M == 0).
-    Raises `ToleranceNotMetError` (carrying the best estimate) when the
-    summed interval errors plus the truncation bound exceed the requested
-    tolerance.
+    batched qk21 from 0 to the cut, starting from log-graded panels, every
+    node of a round in one numpy array (see `_integrate_panels`); the
+    intervals are subdivided adaptively, up to `q.max_subdivisions` of them
+    in all.  Returns 0.0 exactly at equilibrium (T1 == T2) and for decoupled
+    loops (M == 0).  Raises `ToleranceNotMetError` (carrying the best
+    estimate) when the summed interval errors plus the truncation bound
+    exceed the requested tolerance.
     """
     if q is None:
         q = QuadratureConfig()
@@ -236,7 +233,7 @@ def heat_exact(
 
     s = derive_scales(p)
     omega_th = b.thermal_frequency(p.hbar)
-    cut = q.tail_cut_multiplier * max(omega_th, abs(s.lambda_minus))
+    cut = TAIL_CUT_MULTIPLIER * max(omega_th, abs(s.lambda_minus))
     inner_lo = min(abs(s.lambda_plus), omega_th) / 100.0
     c1 = b.beta1 * p.hbar
     c2 = b.beta2 * p.hbar
@@ -311,8 +308,9 @@ def classical_integral(
     """
     if p.M == 0.0:
         return 0.0
-    up, d_plus = _integer_coefficients(u_pm_coefficients("plus", p, mode))
-    um, d_minus = _integer_coefficients(u_pm_coefficients("minus", p, mode))
+    plus, minus = mode_polynomials(p, mode)
+    up, d_plus = _integer_coefficients(plus)
+    um, d_minus = _integer_coefficients(minus)
     a = [0] * (len(up) + len(um) - 1)
     for i, x in enumerate(up):
         for j, y in enumerate(um):
@@ -321,15 +319,6 @@ def classical_integral(
     # a is (d_plus d_minus) u_plus u_minus, so B(s) = s takes the same factor
     h2 = _h2_norm_squared(a, d_plus * d_minus)
     return 2.0 * p.omega_c**4 * (p.R * p.M / A) ** 2 * h2
-
-
-def _horner(coeffs: tuple[float, ...], s):
-    """Value and derivative at s of the polynomial with `coeffs`, highest power first."""
-    value = slope = 0.0
-    for c in coeffs:
-        slope = slope * s + value
-        value = value * s + c
-    return value, slope
 
 
 def _mode_roots(coeffs: tuple[float, ...]) -> list[complex]:
@@ -347,7 +336,7 @@ def _mode_roots(coeffs: tuple[float, ...]) -> list[complex]:
     lo = -2.0 * max(b / a, math.sqrt(c / a), (0.5 * d / a) ** (1.0 / 3.0))
     hi = x = 0.0
     for _ in range(200):
-        value, slope = _horner(coeffs, x)
+        value, slope = horner(coeffs, x)
         if value == 0.0:
             break
         if value > 0.0:
@@ -381,12 +370,12 @@ def _polish(coeffs: tuple[float, ...], z: complex) -> complex:
     Near a double root the slope is tiny and a step can jump far away, so a
     step that does not improve on the current estimate ends the polishing.
     """
-    value, slope = _horner(coeffs, z)
+    value, slope = horner(coeffs, z)
     for _ in range(3):
         if not slope:
             break
         step = z - value / slope
-        step_value, step_slope = _horner(coeffs, step)
+        step_value, step_slope = horner(coeffs, step)
         if not abs(step_value) < abs(value):
             break
         z, value, slope = step, step_value, step_slope
@@ -478,18 +467,18 @@ def quantum_integral(
     log_ratio = math.log(c2) - math.log(c1)
     A = p.L * p.L - p.M * p.M
     delta = 2.0 * p.R * p.M / A
-    polys = (u_pm_coefficients("plus", p, mode), u_pm_coefficients("minus", p, mode))
+    polys = mode_polynomials(p, mode)
 
     def weight(s: complex) -> complex:
         """s^3 [psi(1 - c2 s) - psi(1 - c1 s) - ln(c2/c1)]/D(-s)."""
         bracket = (digamma(1.0 - c2 * s) - digamma(1.0 - c1 * s)) - log_ratio
-        return s**3 * bracket / (_horner(polys[0], -s)[0] * _horner(polys[1], -s)[0])
+        return s**3 * bracket / (horner(polys[0], -s)[0] * horner(polys[1], -s)[0])
 
     roots, slopes = [], []
     for sign, coeffs in zip((1.0, -1.0), polys):
         for s in _mode_roots(coeffs):
             roots.append(s)
-            slopes.append(sign * _horner(coeffs, s)[1] * delta * (s + p.omega_c))
+            slopes.append(sign * horner(coeffs, s)[1] * delta * (s + p.omega_c))
 
     total = 0j
     for group in _clusters(roots):
@@ -510,7 +499,7 @@ def quantum_integral(
         for j in range(n):
             offset = radius * cmath.exp(2j * math.pi * j / n)
             s = centre + offset
-            D = _horner(polys[0], s)[0] * _horner(polys[1], s)[0]
+            D = horner(polys[0], s)[0] * horner(polys[1], s)[0]
             total += weight(s) / D * offset / n
     K = (2.0 / math.pi) * p.omega_c**4 * (p.R * p.M / A) ** 2
     return p.hbar * K * total.real

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import CircuitParams
+from .model import CircuitParams, derive_scales
 
 
 class TransferMode(Enum):
@@ -38,38 +38,42 @@ class TransferMode(Enum):
     OVERDAMPED_LINEAR = "OverdampedLinear"
 
 
-_BRANCH_SIGNS = {"plus": 1.0, "minus": -1.0}
-
-
-def u_pm_coefficients(
-    branch: str, p: CircuitParams, mode: TransferMode
-) -> tuple[float, ...]:
-    """Coefficients of the mode polynomial u_pm, highest power first.
+def mode_polynomials(
+    p: CircuitParams, mode: TransferMode
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Coefficients of u_plus and u_minus, highest power first.
 
     Exact cubic form: (s^3 + omega_c s^2)/gamma + (omega_pm + omega_c) s
-    + omega_pm omega_c, with gamma = 1/(R C).  The overdamped form keeps only
-    the last two (linear) terms; its root is lambda_pm.
+    + omega_pm omega_c, with gamma = 1/(R C) and omega_pm from
+    `derive_scales`.  The overdamped form keeps only the last two (linear)
+    terms; its root is lambda_pm.
     """
-    sign = _BRANCH_SIGNS.get(branch)
-    if sign is None:
-        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    w = p.R / (p.L + sign * p.M)  # omega_pm
-    linear = (w + p.omega_c, w * p.omega_c)
-    if mode is TransferMode.OVERDAMPED_LINEAR:
-        return linear
+    scales = derive_scales(p)
     rc = p.R * p.C
-    return (rc, rc * p.omega_c) + linear
+    inertial = () if mode is TransferMode.OVERDAMPED_LINEAR else (rc, rc * p.omega_c)
+    plus, minus = (
+        inertial + (w + p.omega_c, w * p.omega_c)
+        for w in (scales.omega_plus, scales.omega_minus)
+    )
+    return plus, minus
 
 
-def u_pm(s: complex, branch: str, p: CircuitParams, mode: TransferMode) -> complex:
-    """Mode polynomial u_pm(s) for the plus or minus flux normal mode.
-
-    Horner evaluation of `u_pm_coefficients`.
-    """
-    value = 0j
-    for c in u_pm_coefficients(branch, p, mode):
+def horner(coeffs: tuple[float, ...], s):
+    """Value and derivative at s of the polynomial with `coeffs`, highest power first."""
+    value = slope = 0.0
+    for c in coeffs:
+        slope = slope * s + value
         value = value * s + c
-    return value
+    return value, slope
+
+
+def u_pm(s: complex, p: CircuitParams, mode: TransferMode) -> tuple[complex, complex]:
+    """Mode polynomials (u_plus(s), u_minus(s)) of the two flux normal modes.
+
+    Horner evaluation of `mode_polynomials`.
+    """
+    plus, minus = mode_polynomials(p, mode)
+    return horner(plus, s)[0], horner(minus, s)[0]
 
 
 def _modulus_on_axis(coeffs: tuple[float, ...], omega):
@@ -130,8 +134,9 @@ def transfer_f12(omega, p: CircuitParams, mode: TransferMode):
     element, equal to the scalar calls.
     """
     A = p.L * p.L - p.M * p.M
-    up = _modulus_on_axis(u_pm_coefficients("plus", p, mode), omega)
-    um = _modulus_on_axis(u_pm_coefficients("minus", p, mode), omega)
+    plus, minus = mode_polynomials(p, mode)
+    up = _modulus_on_axis(plus, omega)
+    um = _modulus_on_axis(minus, omega)
     if not (up.all() and um.all()):
         raise ArithmeticError(f"mode polynomials vanish at omega = {omega!r}")
     ratio = (omega / up) * (p.omega_c * p.omega_c / um)

@@ -14,7 +14,13 @@ import math
 from scipy.integrate import quad
 
 from overheat.model import BathPair, CircuitParams, derive_scales
-from overheat.quadrature import QuadratureConfig, _check_tolerance, _panel_edges
+from overheat.quadrature import (
+    ABS_TOL,
+    TAIL_CUT_MULTIPLIER,
+    QuadratureConfig,
+    _check_tolerance,
+    _panel_edges,
+)
 from overheat.response import TransferMode, transfer_f12
 
 
@@ -30,7 +36,7 @@ def _integrate_panels(
 ) -> tuple[float, float]:
     """Sum adaptive quadrature over consecutive panels, in fixed order."""
     epsrel = max(q.rel_tol * 0.05, 1e-14)
-    epsabs = q.abs_tol / (len(edges) + 1)
+    epsabs = ABS_TOL / (len(edges) + 1)
     values, errors = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         val, err = quad(
@@ -63,7 +69,7 @@ def reference_heat_exact(
 
     s = derive_scales(p)
     omega_th = b.thermal_frequency(p.hbar)
-    cut = q.tail_cut_multiplier * max(omega_th, abs(s.lambda_minus))
+    cut = TAIL_CUT_MULTIPLIER * max(omega_th, abs(s.lambda_minus))
     inner_lo = min(abs(s.lambda_plus), omega_th) / 100.0
     c1 = b.beta1 * p.hbar
     c2 = b.beta2 * p.hbar

@@ -255,7 +255,7 @@ class TestAssembleReport:
         assert report.validity_warnings == ()
 
     def test_exact_quadrature_records_estimate_warning(self, circuit, scales, baths):
-        q = QuadratureConfig(tail_cut_multiplier=10.0)
+        q = QuadratureConfig(rel_tol=1e-15, max_subdivisions=10)
         report = assemble_report(
             circuit, scales, baths, Method.EXACT_QUADRATURE,
             mode=TransferMode.OVERDAMPED_LINEAR, q=q,

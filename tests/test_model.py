@@ -174,6 +174,7 @@ class TestClassifyRegime:
         T = 100.0 * scales.gamma
         label = classify_regime(circuit, scales, BathPair.from_temperatures(T, T))
         assert label.tag is RegimeTag.OUTSIDE_OVERDAMPED
+        assert not any(c.satisfied for c in label.conditions if c.name.endswith(" row"))
 
     def test_mixed_rows(self):
         p = CircuitParams(R=2.0, L=2.0, C=5e-7, M=1.0, omega_c=5.0)  # gamma = 1e6
@@ -181,6 +182,20 @@ class TestClassifyRegime:
         b = BathPair.from_temperatures(0.006, 3.0)  # bath1 low row, bath2 intermediate
         label = classify_regime(p, s, b)
         assert label.tag is RegimeTag.MIXED
+
+    def test_every_tag_is_returned_for_some_input(self):
+        p = CircuitParams(R=2.0, L=2.0, C=5e-7, M=1.0, omega_c=5.0)  # gamma = 1e6
+        s = derive_scales(p)
+        witnesses = {
+            RegimeTag.INTERMEDIATE_T: (3.0, 3.0),
+            RegimeTag.LOW_T: (0.006, 0.006),
+            RegimeTag.MIXED: (0.006, 3.0),
+            RegimeTag.OUTSIDE_OVERDAMPED: (1e7, 1e7),
+        }
+        for tag in RegimeTag:
+            assert tag in witnesses, f"no witness input for {tag}"
+            label = classify_regime(p, s, BathPair.from_temperatures(*witnesses[tag]))
+            assert label.tag is tag
 
     def test_agreement_with_inequality_chains(self):
         # whenever a row tag is assigned, the corresponding chain holds

@@ -23,6 +23,7 @@ from overheat import (
     quantum_integral,
     transfer_f12,
 )
+from overheat import quadrature
 from quad_reference import _f12_integral, reference_heat_exact
 
 LINEAR = TransferMode.OVERDAMPED_LINEAR
@@ -117,16 +118,14 @@ def u_plus_discriminant(gamma, p):
 class TestQuadratureConfig:
     def test_defaults_valid(self):
         q = QuadratureConfig()
-        assert q.rel_tol == 1e-9 and q.tail_cut_multiplier == 60.0
+        assert q.rel_tol == 1e-9 and q.max_subdivisions == 2000
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"rel_tol": 0.0},
             {"rel_tol": -1e-9},
-            {"abs_tol": -1.0},
             {"max_subdivisions": 5},
-            {"tail_cut_multiplier": 2.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -171,23 +170,23 @@ class TestHeatExact:
 
     def test_monotone_tolerance(self, circuit, baths):
         # tightening rel_tol cannot move the result by more than the prior
-        # error budget rel_tol*|value| + abs_tol
+        # error budget rel_tol*|value| + ABS_TOL
         loose = QuadratureConfig(rel_tol=1e-6)
         tight = QuadratureConfig(rel_tol=1e-7)
         for mode in (LINEAR, CUBIC):
             v_loose = heat_exact(circuit, baths, mode, loose)
             v_tight = heat_exact(circuit, baths, mode, tight)
-            assert abs(v_loose - v_tight) <= 1e-6 * abs(v_loose) + loose.abs_tol
+            assert abs(v_loose - v_tight) <= 1e-6 * abs(v_loose) + quadrature.ABS_TOL
 
     def test_tolerance_failure_carries_estimate(self, circuit, baths):
-        # a cut at 10 thermal units leaves an exponential tail bound far above
-        # the default relative target, so the evaluation must refuse
-        q = QuadratureConfig(tail_cut_multiplier=10.0)
+        # a relative target below double rounding cannot be met within ten
+        # intervals, so the evaluation must refuse
+        q = QuadratureConfig(rel_tol=1e-15, max_subdivisions=10)
         with pytest.raises(ToleranceNotMetError) as excinfo:
             heat_exact(circuit, baths, LINEAR, q)
         err = excinfo.value
         assert err.estimate > err.target > 0.0
-        # the carried value is still the right integral to ~tail accuracy
+        # the carried value is still the integral, to the reached accuracy
         reference = heat_exact(circuit, baths, LINEAR)
         assert err.value == pytest.approx(reference, rel=1e-4)
 
@@ -249,6 +248,27 @@ class TestHeatExact:
         assert math.isfinite(excinfo.value.value)
         assert excinfo.value.estimate > excinfo.value.target
         assert peak < 2**21
+
+    def test_subdivision_cap_counts_every_interval(self, monkeypatch):
+        # max_subdivisions caps the intervals of the whole integral, not of
+        # each panel: the first array of qk21 nodes holds the starting panels,
+        # and each later one the quarters of the intervals cut in that round,
+        # every cut adding three intervals
+        p = CircuitParams(R=2.0, L=2.0, C=1.0 / 2e3, M=1.98, omega_c=0.3)
+        b = BathPair.from_temperatures(50.0, 10.0)
+        sizes = []
+
+        def counting_f12(w, *args):
+            sizes.append(np.size(w))
+            return transfer_f12(w, *args)
+
+        monkeypatch.setattr(quadrature, "transfer_f12", counting_f12)
+        with pytest.raises(ToleranceNotMetError):
+            heat_exact(p, b, CUBIC, QuadratureConfig(rel_tol=1e-15, max_subdivisions=40))
+        rounds = [n for n in sizes if n > 1]  # the tail bound evaluates one point
+        assert len(rounds) > 1 and all(n % 21 == 0 for n in rounds)
+        intervals = rounds[0] // 21 + sum(3 * n // (4 * 21) for n in rounds[1:])
+        assert intervals <= 40
 
 
 class TestClassicalIntegral:

@@ -19,16 +19,14 @@ def random_params(rng):
 class TestUPm:
     def test_overdamped_root(self, circuit, scales):
         # lambda_pm is the root of the linear polynomial by construction
-        for branch, lam, w in (
-            ("plus", scales.lambda_plus, scales.omega_plus),
-            ("minus", scales.lambda_minus, scales.omega_minus),
-        ):
-            val = u_pm(complex(lam), branch, circuit, TransferMode.OVERDAMPED_LINEAR)
-            assert abs(val) <= 1e-13 * w * circuit.omega_c
+        plus = u_pm(complex(scales.lambda_plus), circuit, TransferMode.OVERDAMPED_LINEAR)[0]
+        minus = u_pm(complex(scales.lambda_minus), circuit, TransferMode.OVERDAMPED_LINEAR)[1]
+        assert abs(plus) <= 1e-13 * scales.omega_plus * circuit.omega_c
+        assert abs(minus) <= 1e-13 * scales.omega_minus * circuit.omega_c
 
     def test_cubic_constant_term(self, circuit):
-        for branch, denom in (("plus", 3.0), ("minus", 1.0)):
-            val = u_pm(0j, branch, circuit, TransferMode.EXACT_CUBIC)
+        values = u_pm(0j, circuit, TransferMode.EXACT_CUBIC)
+        for val, denom in zip(values, (3.0, 1.0)):
             expected = circuit.R * circuit.omega_c / denom  # R*omega_c/(L +/- M)
             assert val == pytest.approx(expected, rel=1e-15)
 
@@ -36,15 +34,11 @@ class TestUPm:
         # the cubic corrections are negligible below the charge-sector scales
         p = CircuitParams(R=2.0, L=2.0, C=5e-7, M=1.0, omega_c=5.0)  # gamma = 1e6
         gamma = 1e6
-        for branch, w in (("plus", 2.0 / 3.0), ("minus", 2.0)):
+        for k, w in enumerate((2.0 / 3.0, 2.0)):
             s = complex(0.0, 0.01 * min(gamma, math.sqrt(gamma * w)))
-            exact = u_pm(s, branch, p, TransferMode.EXACT_CUBIC)
-            linear = u_pm(s, branch, p, TransferMode.OVERDAMPED_LINEAR)
+            exact = u_pm(s, p, TransferMode.EXACT_CUBIC)[k]
+            linear = u_pm(s, p, TransferMode.OVERDAMPED_LINEAR)[k]
             assert abs(exact - linear) / abs(exact) <= 1e-3
-
-    def test_rejects_unknown_branch(self, circuit):
-        with pytest.raises(ValueError, match="branch"):
-            u_pm(1j, "both", circuit, TransferMode.EXACT_CUBIC)
 
 
 class TestG12:
@@ -71,8 +65,7 @@ class TestG12:
             complex(rng.uniform(-1, 1), rng.uniform(0.05, 10)) for _ in range(50)
         ]
         for s in points:
-            up = u_pm(s, "plus", circuit, TransferMode.EXACT_CUBIC)
-            um = u_pm(s, "minus", circuit, TransferMode.EXACT_CUBIC)
+            up, um = u_pm(s, circuit, TransferMode.EXACT_CUBIC)
             factored = (
                 -(circuit.M / A)
                 * circuit.R**2
