@@ -126,6 +126,9 @@ class TestQuadratureConfig:
             {"rel_tol": 0.0},
             {"rel_tol": -1e-9},
             {"max_subdivisions": 5},
+            {"rel_tol": float("nan")},
+            {"rel_tol": float("inf")},
+            {"max_subdivisions": 9},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
