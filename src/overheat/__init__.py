@@ -6,8 +6,8 @@ state.  The package evaluates that heat current three ways:
 
 * exact frequency-integral quadrature (`heat_exact`), valid for any damping,
 * closed forms in the overdamped regime (`heat_classical`, `heat_quantum`),
-* low- and high-temperature asymptotics (`heat_low_temp`,
-  `heat_quantum_high_temp`, `heat_high_temp_total`),
+* low- and high-temperature asymptotics (`heat_low_temp`, and the
+  HighTempAsymptotic method of `assemble_report`),
 
 together with the regime bookkeeping to know which of them applies, and a
 sweep/CSV layer (also exposed as the `heat` command line tool) for producing
@@ -19,10 +19,8 @@ from .closedform import (
     Method,
     assemble_report,
     heat_classical,
-    heat_high_temp_total,
     heat_low_temp,
     heat_quantum,
-    heat_quantum_high_temp,
 )
 from .model import (
     BathPair,
@@ -41,8 +39,8 @@ from .quadrature import (
     heat_exact,
     quantum_integral,
 )
-from .response import TransferMode, g12, trace_f12, transfer_f12, u_pm
-from .special import PoleError, coth_via_digamma, digamma
+from .response import TransferMode, transfer_f12, u_pm
+from .special import PoleError, digamma
 from .sweep import (
     ConfigError,
     Grid,
@@ -79,25 +77,20 @@ __all__ = [
     "assemble_report",
     "classical_integral",
     "classify_regime",
-    "coth_via_digamma",
     "derive_scales",
     "digamma",
     "emit_csv",
     "emit_plot_script",
-    "g12",
     "heat_classical",
     "heat_exact",
-    "heat_high_temp_total",
     "heat_low_temp",
     "heat_quantum",
-    "heat_quantum_high_temp",
     "parse_config",
     "preset_specs",
     "quantum_integral",
     "read_csv",
     "run_preset",
     "run_sweep",
-    "trace_f12",
     "transfer_f12",
     "u_pm",
     "__version__",

@@ -150,30 +150,6 @@ def heat_low_temp(p: CircuitParams, b: BathPair) -> float:
     )
 
 
-def heat_quantum_high_temp(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:
-    """High-temperature expansion of the quantum correction.
-
-    Logarithmic term plus the first 1/T correction:
-
-        log-term + (hbar^2/48)(omega_c/(omega_c + omega_d))(M/L)
-                   (lambda_+^3 - lambda_-^3)(1/T2 - 1/T1)/k_b.
-    """
-    correction = (
-        (p.hbar**2 / 48.0)
-        * (p.omega_c / (p.omega_c + s.omega_d))
-        * (p.M / p.L)
-        * (s.lambda_plus**3 - s.lambda_minus**3)
-        * (1.0 / b.T2 - 1.0 / b.T1)
-        / p.kb
-    )
-    return _quantum_log_term(p, s, b) + correction
-
-
-def heat_high_temp_total(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:
-    """Total high-temperature current: classical piece plus the surviving log term."""
-    return heat_classical(p, s, b) + _quantum_log_term(p, s, b)
-
-
 def assemble_report(
     p: CircuitParams,
     s: DerivedScales,
@@ -190,8 +166,8 @@ def assemble_report(
     * ClosedForm: classical and quantum closed forms, total is their sum.
     * LowTempAsymptotic: total is the T^4 law; the quantum column is the
       difference from the classical piece.
-    * HighTempAsymptotic: quantum column is the bare log term, so the total
-      matches `heat_high_temp_total` exactly.
+    * HighTempAsymptotic: classical closed form plus the bare log term, the
+      whole of the quantum piece that survives at high temperature.
     * ExactQuadrature: total from quadrature and classical from the exact
       rational integral (both in transfer mode `mode`), quantum as their
       difference; a quadrature tolerance failure downgrades to a warning

@@ -177,8 +177,10 @@ def classify_regime(
     sqrt(gamma*omega_pm) and cbrt(gamma*omega_pm*omega_c).  If any of those
     separations fails (margin below `safety_factor`) the label is
     OutsideOverdamped regardless of the temperature pattern.  Otherwise each
-    bath is ranked against the mode rates omega_pm and the common tag is
-    returned, or Mixed when the two baths fall in different rows.
+    bath is ranked against the mode rates omega_pm and, when both fall in the
+    same row, that row's tag is returned.  Every other case is Mixed: the two
+    baths in different rows, or one or both baths in no row, as for a thermal
+    frequency between omega_plus and omega_minus.
     """
     if not (math.isfinite(safety_factor) and safety_factor >= 1.0):
         raise ValueError(f"safety_factor must be >= 1, got {safety_factor!r}")

@@ -16,9 +16,7 @@ The spectral heat transfer function between the two baths is
 
     f12(omega) = (2/pi) omega^2 omega_c^4 (R M / A)^2 / |u_plus u_minus|^2
 
-evaluated at s = i*omega; `trace_f12` rebuilds the same quantity from the
-matrix trace (pi/2) Tr[I1 g I2 g^dag] of the coupling spectral densities and
-serves as an independent cross-check of the factorized algebra.
+evaluated at s = i*omega.
 """
 
 from __future__ import annotations
@@ -92,35 +90,6 @@ def _modulus_on_axis(coeffs: tuple[float, ...], omega):
         return np.hypot(b * z + d, omega * (a * z + c))
 
 
-def _response_entries(s: complex, p: CircuitParams) -> tuple[complex, float, complex]:
-    """Diagonal, off-diagonal and determinant of C s^2 + gamma(s) s + Linv.
-
-    Raises ZeroDivisionError at s = -omega_c (kernel pole) and
-    ArithmeticError if the determinant underflows to zero.
-    """
-    A = p.L * p.L - p.M * p.M
-    kernel = (p.omega_c / (s + p.omega_c)) / p.R
-    diag = p.C * s * s + kernel * s + p.L / A
-    off = p.M / A
-    det = diag * diag - off * off
-    if det == 0:
-        raise ArithmeticError(f"singular charge response at s = {s!r}")
-    return diag, off, det
-
-
-def g12(s: complex, p: CircuitParams) -> complex:
-    """Off-diagonal Green's function of the charge sector at Laplace argument s.
-
-    Built directly from the 2x2 inverse [C s^2 + gamma(s) s + Linv]^{-1}
-    rather than the factorized mode form, so it can serve as a structural
-    check on `u_pm`.  Raises ZeroDivisionError at s = -omega_c (kernel pole)
-    and ArithmeticError if the determinant underflows to zero.
-    """
-    _, off, det = _response_entries(s, p)
-    # inverse of [[diag, off], [off, diag]] has off-diagonal -off/det
-    return -off / det
-
-
 def transfer_f12(omega, p: CircuitParams, mode: TransferMode):
     """Heat transfer function f12(omega) in the factorized mode form.
 
@@ -142,35 +111,3 @@ def transfer_f12(omega, p: CircuitParams, mode: TransferMode):
     ratio = (omega / up) * (p.omega_c * p.omega_c / um)
     f12 = (2.0 / math.pi) * (p.R * p.M / A) ** 2 * ratio * ratio
     return f12 if isinstance(f12, np.ndarray) else float(f12)
-
-
-def _coupling_matrices(omega: float, p: CircuitParams):
-    """Spectral density matrices I1, I2 of the two baths at frequency omega."""
-    prefactor = (2.0 / math.pi) * (omega * p.omega_c**2) / (
-        p.R * (omega**2 + p.omega_c**2)
-    )
-    I1 = np.array([[prefactor, 0.0], [0.0, 0.0]])
-    I2 = np.array([[0.0, 0.0], [0.0, prefactor]])
-    return I1, I2
-
-
-def _green_matrix(omega: float, p: CircuitParams) -> np.ndarray:
-    """Full 2x2 Green's function at s = i*omega via closed-form inversion."""
-    diag, off, det = _response_entries(complex(0.0, omega), p)
-    return np.array([[diag, -off], [-off, diag]]) / det
-
-
-def trace_f12(omega: float, p: CircuitParams) -> float:
-    """f12(omega) from the matrix trace (pi/2) Tr[I1 g I2 g^dag].
-
-    Assembles the full 2x2 Green's function at s = i*omega (closed-form
-    inversion of the symmetric response matrix) and contracts it with the
-    per-bath spectral densities.  Independent of the factorized route in
-    `transfer_f12`, up to the shared circuit constants.  Requires omega > 0.
-    """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
-    g = _green_matrix(omega, p)
-    I1, I2 = _coupling_matrices(omega, p)
-    value = (math.pi / 2.0) * np.trace(I1 @ g @ I2 @ g.conj().T)
-    return float(value.real)

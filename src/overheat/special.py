@@ -1,4 +1,4 @@
-"""Complex digamma function and the hyperbolic-cotangent identity built on it.
+"""Complex digamma function.
 
 The quantum part of the heat current is expressed through psi(z) at complex
 arguments 1 - i*beta*hbar*omega/(2*pi) and at real shifted mode rates, so one
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-
-EULER_GAMMA = 0.5772156649015328606065
 
 # B_{2k}/(2k) for k = 1..7; seven terms give ~1e-15 accuracy once |z| >= 10
 _ASYMPTOTIC_COEFFS = (
@@ -57,11 +55,11 @@ def _digamma_right(z: complex) -> complex:
     return acc + cmath.log(z) - 0.5 / z - series
 
 
-def digamma(z: complex | float, pole_tol: float = _POLE_TOL):
+def digamma(z: complex | float):
     """Digamma function psi(z) for complex or real argument.
 
     Real input returns a float, complex input returns a complex.  Arguments
-    within `pole_tol` of a pole (z = 0, -1, -2, ...) raise `PoleError`.
+    within 1e-12 of a pole (z = 0, -1, -2, ...) raise `PoleError`.
     """
     zz = complex(z)
     if not (math.isfinite(zz.real) and math.isfinite(zz.imag)):
@@ -69,7 +67,7 @@ def digamma(z: complex | float, pole_tol: float = _POLE_TOL):
 
     if zz.real < 0.5:
         nearest = round(zz.real)
-        if nearest <= 0 and abs(zz - nearest) <= pole_tol:
+        if nearest <= 0 and abs(zz - nearest) <= _POLE_TOL:
             raise PoleError(f"digamma pole at z = {nearest}, got {z!r}")
         result = _digamma_right(1.0 - zz) - math.pi * _cot_pi(zz)
     else:
@@ -78,17 +76,3 @@ def digamma(z: complex | float, pole_tol: float = _POLE_TOL):
     if isinstance(z, complex):
         return result
     return result.real
-
-
-def coth_via_digamma(x: float) -> float:
-    """pi*coth(x) evaluated through the digamma reflection pair.
-
-    Uses pi*coth(x) = pi/x + 2*Im psi(1 + i*x/pi), the identity that converts
-    the thermal coth factors of the frequency integrals into digamma functions.
-    Returns the product pi*coth(x); odd in x; raises ZeroDivisionError at x = 0.
-    """
-    if x == 0.0:
-        raise ZeroDivisionError("coth(x) diverges at x = 0")
-    if not math.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x!r}")
-    return math.pi / x + 2.0 * digamma(complex(1.0, x / math.pi)).imag

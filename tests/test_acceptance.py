@@ -33,9 +33,9 @@ from overheat import (
     heat_low_temp,
     heat_quantum,
     run_preset,
-    trace_f12,
     transfer_f12,
 )
+from response_reference import trace_f12
 
 EULER_GAMMA = 0.57721566490153286061
 

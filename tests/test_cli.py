@@ -172,3 +172,18 @@ def test_import_does_not_load_scipy():
     # start without it (it is a test dependency only)
     code = "import overheat, overheat.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_public_api():
+    # every exported name resolves, and the test-only oracles stay out of the
+    # package: one route per job
+    import overheat
+
+    for name in overheat.__all__:
+        assert hasattr(overheat, name), name
+    removed = {
+        "g12", "trace_f12", "coth_via_digamma",
+        "heat_quantum_high_temp", "heat_high_temp_total",
+    }
+    assert removed.isdisjoint(overheat.__all__)
+    assert not any(hasattr(overheat, name) for name in removed)

@@ -183,6 +183,16 @@ class TestClassifyRegime:
         label = classify_regime(p, s, b)
         assert label.tag is RegimeTag.MIXED
 
+    def test_mixed_when_neither_bath_has_a_row(self, circuit, scales):
+        # omega_plus < omega_th < omega_minus: both baths fit no row while the
+        # five overdamped checks hold, and the label is Mixed
+        for T in (1.0, 1.5):
+            label = classify_regime(circuit, scales, BathPair.from_temperatures(T, T))
+            assert label.tag is RegimeTag.MIXED
+            assert all(c.satisfied for c in label.conditions[:5])
+            rows = {c.name: c.satisfied for c in label.conditions[5:]}
+            assert rows == {"bath1 row": False, "bath2 row": False}
+
     def test_every_tag_is_returned_for_some_input(self):
         p = CircuitParams(R=2.0, L=2.0, C=5e-7, M=1.0, omega_c=5.0)  # gamma = 1e6
         s = derive_scales(p)

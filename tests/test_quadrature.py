@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from overheat import (
     BathPair,
@@ -350,6 +351,28 @@ class TestQuantumIntegral:
                 cl = p.kb * (b.T1 - b.T2) * classical_integral(p, mode)
                 qu = quantum_integral(p, b, mode)
                 assert cl + qu == pytest.approx(total, rel=1e-7)
+
+    @pytest.mark.parametrize("T", [1e5, 1e6])
+    def test_high_temperature_law(self, circuit, scales, T):
+        # with both baths hot the quantum part tends to
+        # (hbar^2/12 k_b)(1/T1 - 1/T2) Int_0^inf omega^2 f12 domega, finite
+        # because the cubic f12 decays like omega^-10; with T1 = 2 T2 = 2T
+        # that is -(hbar^2/24 k_b T) Int omega^2 f12
+        resonances = [
+            math.sqrt(scales.gamma * (circuit.omega_c + w))
+            for w in (scales.omega_plus, scales.omega_minus)
+        ]
+        cut = 10.0 * max(resonances)
+
+        def moment(w):
+            return w * w * transfer_f12(w, circuit, CUBIC)
+
+        head = quad(moment, 0.0, cut, points=[circuit.omega_c, *resonances],
+                    epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        tail = quad(moment, cut, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        law = -(circuit.hbar**2 / (24.0 * circuit.kb)) * (head + tail)
+        value = T * quantum_integral(circuit, BathPair.from_temperatures(2.0 * T, T), CUBIC)
+        assert value == pytest.approx(law, rel=1e-6)
 
     @pytest.mark.parametrize("temperatures", [(2.0, 1.0), (0.05, 0.02)])
     @pytest.mark.parametrize("gamma_over_omega_d", [1e3, 1e6])
