@@ -24,7 +24,7 @@ starts from log-graded panels spanning the dynamical scales and applies
 QUADPACK's 21-point Gauss-Kronrod rule (qk21) with its error estimate,
 evaluated in numpy on the nodes of all intervals at once.  As in QUADPACK's
 qagp, the whole integral has one error budget: intervals above their share
-of it are subdivided, all in one batch per round, up to `max_subdivisions`
+of it are subdivided, all in one batch per round, up to `MAX_SUBDIVISIONS`
 intervals in total.  The total is truncated where the Bose factors are
 exponentially dead and the truncation bound is folded into the error
 estimate.  Nothing here needs scipy; the tests keep the scipy panel
@@ -50,27 +50,19 @@ ABS_TOL = 1e-30
 # frequency and the fast mode rate; the tail beyond is bounded and folded
 # into the error estimate.
 TAIL_CUT_MULTIPLIER = 60.0
+# Cap on the intervals of the whole `heat_exact` integral, as QUADPACK's `limit`.
+MAX_SUBDIVISIONS = 2000
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance and work limit of `heat_exact`.
-
-    rel_tol is the relative error the total must meet; max_subdivisions
-    caps the number of intervals of the whole integral, as QUADPACK's
-    `limit` does.
-    """
+    """Tolerance of `heat_exact`: rel_tol is the relative error the total must meet."""
 
     rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if self.max_subdivisions < 10:
-            raise ValueError(
-                f"max_subdivisions must be >= 10, got {self.max_subdivisions!r}"
-            )
 
 
 class ToleranceNotMetError(RuntimeError):
@@ -174,7 +166,7 @@ def _integrate_panels(
     error exceeds tol, every interval whose error exceeds both its share
     tol/(number of intervals) and its rounding floor is cut, and all new
     pieces are evaluated in one batch.  The loop stops when that cut would
-    take the interval count past `q.max_subdivisions`, or when every
+    take the interval count past `MAX_SUBDIVISIONS`, or when every
     interval is at its floor, so the work is bounded whether or not the
     tolerance is met.
     """
@@ -188,7 +180,7 @@ def _integrate_panels(
         split = (error > tol / len(a)) & (error > floor)
         n_split = np.count_nonzero(split)
         grown = len(a) + (_PIECES - 1) * n_split
-        if estimate <= tol or not n_split or grown > q.max_subdivisions:
+        if estimate <= tol or not n_split or grown > MAX_SUBDIVISIONS:
             return total, estimate
         keep = ~split
         cuts = a[split, None] + (b[split] - a[split])[:, None] * _PIECE_EDGES
@@ -220,7 +212,7 @@ def heat_exact(
     against which the closed forms are checked.  The integrand is summed by
     batched qk21 from 0 to the cut, starting from log-graded panels, every
     node of a round in one numpy array (see `_integrate_panels`); the
-    intervals are subdivided adaptively, up to `q.max_subdivisions` of them
+    intervals are subdivided adaptively, up to `MAX_SUBDIVISIONS` of them
     in all.  Returns 0.0 exactly at equilibrium (T1 == T2) and for decoupled
     loops (M == 0).  Raises `ToleranceNotMetError` (carrying the best
     estimate) when the summed interval errors plus the truncation bound

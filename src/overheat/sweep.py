@@ -82,7 +82,8 @@ class SweepSpec:
     The swept field of the fixed parameter set is ignored: sweeping
     gamma/omega_d recomputes C at every point, sweeping a temperature
     overrides that bath.  `t2_over_t1` (T1 sweeps only) locks T2 to a fixed
-    ratio of the swept T1.
+    ratio of the swept T1.  All three swept quantities must be positive, so
+    the grid must start above 0.
     """
 
     sweep_variable: str = "gamma_over_omega_d"
@@ -107,6 +108,10 @@ class SweepSpec:
             raise ConfigError(
                 f"sweep must be one of {SWEEP_VARIABLES}, got {self.sweep_variable!r}"
             )
+        if self.grid.start <= 0.0:
+            raise ConfigError(
+                f"{self.sweep_variable} must be positive, got grid start={self.grid.start!r}"
+            )
         if not self.methods:
             raise ConfigError("at least one method required")
         if self.t2_over_t1 is not None:
@@ -114,13 +119,12 @@ class SweepSpec:
                 raise ConfigError("t2_over_t1 only applies to T1 sweeps")
             if not (math.isfinite(self.t2_over_t1) and self.t2_over_t1 > 0.0):
                 raise ConfigError(f"t2_over_t1 must be positive, got {self.t2_over_t1!r}")
-        # constructing the domain objects enforces their invariants up front
-        CircuitParams(self.R, self.L, self.C, self.M, self.omega_c, self.hbar, self.kb)
-        BathPair.from_temperatures(self.T1, self.T2, self.kb)
+        # constructing the domain objects enforces their invariants up front;
+        # classifying the fixed point applies the classifier's safety_factor rule
+        p = CircuitParams(self.R, self.L, self.C, self.M, self.omega_c, self.hbar, self.kb)
+        b = BathPair.from_temperatures(self.T1, self.T2, self.kb)
+        classify_regime(p, derive_scales(p), b, safety_factor=self.safety_factor)
         QuadratureConfig(rel_tol=self.rel_tol)
-
-    def quadrature_config(self) -> QuadratureConfig:
-        return QuadratureConfig(rel_tol=self.rel_tol)
 
 
 @dataclass(frozen=True)
@@ -152,6 +156,22 @@ class SweepRow:
 
 _DEFAULTS = SweepSpec()
 
+
+def _choice(enum, label: str):
+    """Converter from text to a member of `enum`, naming the valid values on failure."""
+
+    def convert(text: str):
+        try:
+            return enum(text)
+        except ValueError:
+            valid = ", ".join(m.value for m in enum)
+            raise ConfigError(f"unknown {label} {text!r}; valid: {valid}") from None
+
+    return convert
+
+
+_method = _choice(Method, "method")
+
 _KEY_PARSERS = {
     "sweep": str,
     "start": float,
@@ -166,8 +186,8 @@ _KEY_PARSERS = {
     "T1": float,
     "T2": float,
     "t2_over_t1": float,
-    "methods": str,
-    "mode": str,
+    "methods": lambda text: tuple(_method(n.strip()) for n in text.split(",") if n.strip()),
+    "mode": _choice(TransferMode, "mode"),
     "hbar": float,
     "kb": float,
     "safety_factor": float,
@@ -175,24 +195,12 @@ _KEY_PARSERS = {
 }
 
 
-def _parse_methods(raw: str) -> tuple[Method, ...]:
-    names = [part.strip() for part in raw.split(",") if part.strip()]
-    methods = []
-    for name in names:
-        try:
-            methods.append(Method(name))
-        except ValueError:
-            valid = ", ".join(m.value for m in Method)
-            raise ConfigError(f"unknown method {name!r}; valid: {valid}") from None
-    return tuple(methods)
-
-
 def parse_config(text: str) -> SweepSpec:
     """Parse a line-oriented `key = value` sweep configuration.
 
-    `#` starts a comment, blank lines are skipped, keys not listed in the
-    defaults are rejected.  Every invariant of the resulting SweepSpec is
-    enforced here, so a returned spec always runs.
+    `#` starts a comment, blank lines are skipped, keys not listed in
+    `_KEY_PARSERS` are rejected.  Each value is converted to its final type
+    here; SweepSpec enforces every invariant, so a returned spec always runs.
     """
     raw: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -208,32 +216,23 @@ def parse_config(text: str) -> SweepSpec:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             raw[key] = _KEY_PARSERS[key](value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: cannot parse {key} value {value!r}"
             ) from None
 
     grid = Grid(
-        start=float(raw.pop("start", _DEFAULTS.grid.start)),
-        stop=float(raw.pop("stop", _DEFAULTS.grid.stop)),
-        points=int(raw.pop("points", _DEFAULTS.grid.points)),
-        spacing=str(raw.pop("spacing", _DEFAULTS.grid.spacing)),
+        start=raw.pop("start", _DEFAULTS.grid.start),
+        stop=raw.pop("stop", _DEFAULTS.grid.stop),
+        points=raw.pop("points", _DEFAULTS.grid.points),
+        spacing=raw.pop("spacing", _DEFAULTS.grid.spacing),
     )
-    kwargs: dict[str, object] = {"grid": grid}
     if "sweep" in raw:
-        kwargs["sweep_variable"] = raw.pop("sweep")
-    if "methods" in raw:
-        kwargs["methods"] = _parse_methods(str(raw.pop("methods")))
-    if "mode" in raw:
-        mode_name = str(raw.pop("mode"))
-        try:
-            kwargs["mode"] = TransferMode(mode_name)
-        except ValueError:
-            valid = ", ".join(m.value for m in TransferMode)
-            raise ConfigError(f"unknown mode {mode_name!r}; valid: {valid}") from None
-    kwargs.update(raw)
+        raw["sweep_variable"] = raw.pop("sweep")
     try:
-        return SweepSpec(**kwargs)
+        return SweepSpec(grid=grid, **raw)
     except ValueError as exc:  # re-raise domain invariants as config errors
         raise ConfigError(str(exc)) from None
 
@@ -255,7 +254,7 @@ def _evaluate_point(spec: SweepSpec, x: float) -> SweepRow:
     p = CircuitParams(R, L, C, M, spec.omega_c, spec.hbar, spec.kb)
     s = derive_scales(p)
     b = BathPair.from_temperatures(T1, T2, spec.kb)
-    q = spec.quadrature_config()
+    q = QuadratureConfig(rel_tol=spec.rel_tol)
 
     regime = classify_regime(p, s, b, safety_factor=spec.safety_factor)
     cells: list[float] = []

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from overheat.model import BathPair, CircuitParams, derive_scales
 from overheat.quadrature import (
     ABS_TOL,
+    MAX_SUBDIVISIONS,
     TAIL_CUT_MULTIPLIER,
     QuadratureConfig,
     _check_tolerance,
@@ -40,7 +41,7 @@ def _integrate_panels(
     values, errors = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         val, err = quad(
-            integrand, a, b, epsabs=epsabs, epsrel=epsrel, limit=q.max_subdivisions,
+            integrand, a, b, epsabs=epsabs, epsrel=epsrel, limit=MAX_SUBDIVISIONS,
             full_output=1,
         )[:2]
         values.append(val)
@@ -48,7 +49,7 @@ def _integrate_panels(
     if with_infinite_tail:
         val, err = quad(
             integrand, edges[-1], math.inf,
-            epsabs=epsabs, epsrel=epsrel, limit=q.max_subdivisions, full_output=1,
+            epsabs=epsabs, epsrel=epsrel, limit=MAX_SUBDIVISIONS, full_output=1,
         )[:2]
         values.append(val)
         errors.append(err)

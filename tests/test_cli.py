@@ -135,6 +135,14 @@ class TestSweep:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_config_grid_from_zero_exits_1(self, tmp_path, capsys):
+        # gamma/omega_d = 0 is a config error, not a division by zero at run time
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("spacing = linear\nstart = 0\nstop = 10\n", encoding="utf-8")
+        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         code = main(
             ["sweep", "--config", str(tmp_path / "no.cfg"), "--out", str(tmp_path / "o.csv")]

@@ -19,6 +19,7 @@ from overheat import (
     heat_quantum,
     quantum_integral,
 )
+from overheat import quadrature
 from overheat.closedform import _quantum_log_term
 from response_reference import heat_quantum_high_temp
 
@@ -258,12 +259,16 @@ class TestAssembleReport:
         assert split_sum == pytest.approx(report.q_total, rel=1e-12)
         assert report.validity_warnings == ()
 
-    def test_exact_quadrature_records_estimate_warning(self, circuit, scales, baths):
-        q = QuadratureConfig(rel_tol=1e-15, max_subdivisions=10)
-        report = assemble_report(
-            circuit, scales, baths, Method.EXACT_QUADRATURE,
-            mode=TransferMode.OVERDAMPED_LINEAR, q=q,
-        )
+    def test_exact_quadrature_records_estimate_warning(
+        self, circuit, scales, baths, monkeypatch
+    ):
+        q = QuadratureConfig(rel_tol=1e-15)
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "MAX_SUBDIVISIONS", 10)
+            report = assemble_report(
+                circuit, scales, baths, Method.EXACT_QUADRATURE,
+                mode=TransferMode.OVERDAMPED_LINEAR, q=q,
+            )
         assert any("above tolerance" in w for w in report.validity_warnings)
         reference = heat_exact(circuit, baths, TransferMode.OVERDAMPED_LINEAR)
         assert report.q_total == pytest.approx(reference, rel=1e-4)

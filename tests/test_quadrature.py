@@ -119,17 +119,15 @@ def u_plus_discriminant(gamma, p):
 class TestQuadratureConfig:
     def test_defaults_valid(self):
         q = QuadratureConfig()
-        assert q.rel_tol == 1e-9 and q.max_subdivisions == 2000
+        assert q.rel_tol == 1e-9
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"rel_tol": 0.0},
             {"rel_tol": -1e-9},
-            {"max_subdivisions": 5},
             {"rel_tol": float("nan")},
             {"rel_tol": float("inf")},
-            {"max_subdivisions": 9},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -182,11 +180,12 @@ class TestHeatExact:
             v_tight = heat_exact(circuit, baths, mode, tight)
             assert abs(v_loose - v_tight) <= 1e-6 * abs(v_loose) + quadrature.ABS_TOL
 
-    def test_tolerance_failure_carries_estimate(self, circuit, baths):
+    def test_tolerance_failure_carries_estimate(self, circuit, baths, monkeypatch):
         # a relative target below double rounding cannot be met within ten
         # intervals, so the evaluation must refuse
-        q = QuadratureConfig(rel_tol=1e-15, max_subdivisions=10)
-        with pytest.raises(ToleranceNotMetError) as excinfo:
+        q = QuadratureConfig(rel_tol=1e-15)
+        with monkeypatch.context() as m, pytest.raises(ToleranceNotMetError) as excinfo:
+            m.setattr(quadrature, "MAX_SUBDIVISIONS", 10)
             heat_exact(circuit, baths, LINEAR, q)
         err = excinfo.value
         assert err.estimate > err.target > 0.0
@@ -235,13 +234,14 @@ class TestHeatExact:
         )
         assert split_error(p, BathPair.from_temperatures(50.0, 10.0), CUBIC) <= 1e-10
 
-    def test_work_is_bounded_when_tolerance_is_out_of_reach(self):
+    def test_work_is_bounded_when_tolerance_is_out_of_reach(self, monkeypatch):
         # rel_tol below the rounding floor with a 10-interval cap at a sharp
         # resonance: the quadrature must stop, report the miss with a finite
         # value, and stay small in memory
         p = CircuitParams(R=2.0, L=2.0, C=1.0 / 2e3, M=1.98, omega_c=0.3)
         b = BathPair.from_temperatures(50.0, 10.0)
-        q = QuadratureConfig(rel_tol=1e-15, max_subdivisions=10)
+        q = QuadratureConfig(rel_tol=1e-15)
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 10)
         tracemalloc.start()
         try:
             with pytest.raises(ToleranceNotMetError) as excinfo:
@@ -254,7 +254,7 @@ class TestHeatExact:
         assert peak < 2**21
 
     def test_subdivision_cap_counts_every_interval(self, monkeypatch):
-        # max_subdivisions caps the intervals of the whole integral, not of
+        # MAX_SUBDIVISIONS caps the intervals of the whole integral, not of
         # each panel: the first array of qk21 nodes holds the starting panels,
         # and each later one the quarters of the intervals cut in that round,
         # every cut adding three intervals
@@ -267,8 +267,9 @@ class TestHeatExact:
             return transfer_f12(w, *args)
 
         monkeypatch.setattr(quadrature, "transfer_f12", counting_f12)
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 40)
         with pytest.raises(ToleranceNotMetError):
-            heat_exact(p, b, CUBIC, QuadratureConfig(rel_tol=1e-15, max_subdivisions=40))
+            heat_exact(p, b, CUBIC, QuadratureConfig(rel_tol=1e-15))
         rounds = [n for n in sizes if n > 1]  # the tail bound evaluates one point
         assert len(rounds) > 1 and all(n % 21 == 0 for n in rounds)
         intervals = rounds[0] // 21 + sum(3 * n // (4 * 21) for n in rounds[1:])
