@@ -46,14 +46,15 @@ for cond in label.conditions:
     print(f"  {cond.name:34s} margin {cond.margin:9.3g}  {mark}")
 print()
 
-# Evaluate the current by quadrature of the exact transfer function, then
-# by the overdamped closed form.  At gamma/omega_d = 1e4 the two agree to
+# Evaluate the current from the exact transfer function (its classical
+# integral plus the residue sum of its quantum part), then by the
+# overdamped closed form.  At gamma/omega_d = 1e4 the two agree to
 # a few parts in 1e4; the residual is the genuine finite-gamma correction.
 exact = assemble_report(circuit, scales, baths, Method.EXACT_QUADRATURE)
 closed = assemble_report(circuit, scales, baths, Method.CLOSED_FORM)
 
 print("heat current out of the hot bath (hbar = kb = 1)")
-print(f"  exact quadrature : {exact.q_total:+.10f}")
+print(f"  exact            : {exact.q_total:+.10f}")
 print(f"  closed form      : {closed.q_total:+.10f}")
 print(f"  relative gap     : {abs(exact.q_total - closed.q_total) / closed.q_total:.2e}")
 print()

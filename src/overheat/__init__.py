@@ -4,7 +4,10 @@ Two identical RLC loops, each damped by its own resistive bath at temperature
 T1 or T2 and coupled through a mutual inductance, exchange heat in the steady
 state.  The package evaluates that heat current three ways:
 
-* exact frequency-integral quadrature (`heat_exact`), valid for any damping,
+* the exact frequency integral, valid for any damping: split exactly into
+  a classical piece (`classical_integral`) and a quantum residue sum
+  (`quantum_integral`), with its adaptive quadrature (`heat_exact`) as the
+  independent check,
 * closed forms in the overdamped regime (`heat_classical`, `heat_quantum`),
 * low- and high-temperature asymptotics (`heat_low_temp`, and the
   HighTempAsymptotic method of `assemble_report`),

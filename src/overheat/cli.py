@@ -14,7 +14,6 @@ import sys
 
 from .closedform import Method, assemble_report
 from .model import BathPair, CircuitParams, derive_scales
-from .quadrature import QuadratureConfig, ToleranceNotMetError
 from .response import TransferMode
 from .sweep import emit_csv, emit_plot_script, parse_config, run_preset, run_sweep
 
@@ -57,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--hbar", type=float, default=1.0)
     ev.add_argument("--kb", type=float, default=1.0)
     ev.add_argument("--safety-factor", type=float, default=10.0)
-    ev.add_argument("--rel-tol", type=float, default=1e-9)
     return parser
 
 
@@ -83,7 +81,6 @@ def _run_eval(args) -> int:
         b,
         Method(args.method),
         mode=TransferMode(args.mode),
-        q=QuadratureConfig(rel_tol=args.rel_tol),
         safety_factor=args.safety_factor,
     )
     print(f"method={report.method.value}")
@@ -107,7 +104,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _run_sweep(args)
         return _run_eval(args)
-    except (ToleranceNotMetError, ArithmeticError, OverflowError) as exc:
+    except (ArithmeticError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -14,8 +14,9 @@ mode rates the total current follows a Stefan-Boltzmann-like T^4 difference
 (independent of the cutoff), while at high temperatures the quantum piece
 collapses onto the pure logarithmic term, which survives even as both
 temperatures grow.  `assemble_report` packages any of these routes, or the
-exact quadrature, together with the regime classification and validity
-warnings.
+exact split of the full model (the exact classical integral plus the residue
+sum of the quantum part), together with the regime classification and
+validity warnings.
 """
 
 from __future__ import annotations
@@ -32,18 +33,19 @@ from .model import (
     RegimeTag,
     classify_regime,
 )
-from .quadrature import (
-    QuadratureConfig,
-    ToleranceNotMetError,
-    classical_integral,
-    heat_exact,
-)
+from .quadrature import classical_integral, quantum_integral
 from .response import TransferMode
 from .special import digamma
 
 
 class Method(Enum):
-    """Evaluation route for a heat-current report."""
+    """Evaluation route for a heat-current report.
+
+    EXACT_QUADRATURE runs no quadrature despite its name: it is the exact
+    classical/quantum split of the full model (`classical_integral` and
+    `quantum_integral`).  The adaptive quadrature of the total, `heat_exact`,
+    is the independent check of that split.
+    """
 
     EXACT_QUADRATURE = "ExactQuadrature"
     CLOSED_FORM = "ClosedForm"
@@ -55,9 +57,9 @@ class Method(Enum):
 class HeatReport:
     """Classical/quantum split of the heat current with validity metadata.
 
-    q_total = q_classical + q_quantum holds exactly for ClosedForm and
-    HighTempAsymptotic; validity_warnings is nonempty whenever the regime is
-    OutsideOverdamped.
+    q_total = q_classical + q_quantum holds exactly for ClosedForm,
+    HighTempAsymptotic and ExactQuadrature; validity_warnings is nonempty
+    whenever the regime is OutsideOverdamped.
     """
 
     q_classical: float
@@ -156,7 +158,6 @@ def assemble_report(
     b: BathPair,
     method: Method,
     mode: TransferMode = TransferMode.EXACT_CUBIC,
-    q: QuadratureConfig | None = None,
     safety_factor: float = 10.0,
 ) -> HeatReport:
     """Evaluate the heat current by the requested route and attach diagnostics.
@@ -168,10 +169,9 @@ def assemble_report(
       difference from the classical piece.
     * HighTempAsymptotic: classical closed form plus the bare log term, the
       whole of the quantum piece that survives at high temperature.
-    * ExactQuadrature: total from quadrature and classical from the exact
-      rational integral (both in transfer mode `mode`), quantum as their
-      difference; a quadrature tolerance failure downgrades to a warning
-      carrying the achieved error estimate.
+    * ExactQuadrature: the exact split in transfer mode `mode`: classical
+      from the exact rational integral, quantum from the residue sum, total
+      as their sum.  No quadrature runs.
     """
     regime = classify_regime(p, s, b, safety_factor=safety_factor)
     warnings: list[str] = []
@@ -199,13 +199,9 @@ def assemble_report(
         qq = _quantum_log_term(p, s, b)
         qt = qc + qq
     elif method is Method.EXACT_QUADRATURE:
-        try:
-            qt = heat_exact(p, b, mode, q)
-        except ToleranceNotMetError as exc:
-            qt = exc.value
-            warnings.append(f"total quadrature estimate {exc.estimate:.3e} above tolerance")
         qc = p.kb * (b.T1 - b.T2) * classical_integral(p, mode)
-        qq = qt - qc
+        qq = quantum_integral(p, b, mode)
+        qt = qc + qq
     else:
         raise ValueError(f"unknown method: {method!r}")
 

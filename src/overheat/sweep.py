@@ -25,7 +25,6 @@ import numpy as np
 
 from .closedform import Method, assemble_report
 from .model import BathPair, CircuitParams, classify_regime, derive_scales
-from .quadrature import QuadratureConfig
 from .response import TransferMode
 
 SWEEP_VARIABLES = ("gamma_over_omega_d", "T1", "T2")
@@ -83,7 +82,7 @@ class SweepSpec:
     gamma/omega_d recomputes C at every point, sweeping a temperature
     overrides that bath.  `t2_over_t1` (T1 sweeps only) locks T2 to a fixed
     ratio of the swept T1.  All three swept quantities must be positive, so
-    the grid must start above 0.
+    the grid must start above 0, and no method may be listed twice.
     """
 
     sweep_variable: str = "gamma_over_omega_d"
@@ -101,7 +100,6 @@ class SweepSpec:
     hbar: float = 1.0
     kb: float = 1.0
     safety_factor: float = 10.0
-    rel_tol: float = 1e-9
 
     def __post_init__(self):
         if self.sweep_variable not in SWEEP_VARIABLES:
@@ -114,6 +112,9 @@ class SweepSpec:
             )
         if not self.methods:
             raise ConfigError("at least one method required")
+        repeated = [m.value for i, m in enumerate(self.methods) if m in self.methods[:i]]
+        if repeated:
+            raise ConfigError(f"method listed twice: {', '.join(dict.fromkeys(repeated))}")
         if self.t2_over_t1 is not None:
             if self.sweep_variable != "T1":
                 raise ConfigError("t2_over_t1 only applies to T1 sweeps")
@@ -124,7 +125,6 @@ class SweepSpec:
         p = CircuitParams(self.R, self.L, self.C, self.M, self.omega_c, self.hbar, self.kb)
         b = BathPair.from_temperatures(self.T1, self.T2, self.kb)
         classify_regime(p, derive_scales(p), b, safety_factor=self.safety_factor)
-        QuadratureConfig(rel_tol=self.rel_tol)
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,6 @@ _KEY_PARSERS = {
     "hbar": float,
     "kb": float,
     "safety_factor": float,
-    "rel_tol": float,
 }
 
 
@@ -254,7 +253,6 @@ def _evaluate_point(spec: SweepSpec, x: float) -> SweepRow:
     p = CircuitParams(R, L, C, M, spec.omega_c, spec.hbar, spec.kb)
     s = derive_scales(p)
     b = BathPair.from_temperatures(T1, T2, spec.kb)
-    q = QuadratureConfig(rel_tol=spec.rel_tol)
 
     regime = classify_regime(p, s, b, safety_factor=spec.safety_factor)
     cells: list[float] = []
@@ -262,7 +260,7 @@ def _evaluate_point(spec: SweepSpec, x: float) -> SweepRow:
     for method in spec.methods:
         try:
             report = assemble_report(
-                p, s, b, method, mode=spec.mode, q=q, safety_factor=spec.safety_factor
+                p, s, b, method, mode=spec.mode, safety_factor=spec.safety_factor
             )
         except (ArithmeticError, OverflowError):
             cells += [math.nan, math.nan, math.nan]

@@ -7,7 +7,6 @@ from overheat import (
     BathPair,
     CircuitParams,
     Method,
-    QuadratureConfig,
     RegimeTag,
     TransferMode,
     assemble_report,
@@ -259,16 +258,17 @@ class TestAssembleReport:
         assert split_sum == pytest.approx(report.q_total, rel=1e-12)
         assert report.validity_warnings == ()
 
-    def test_exact_quadrature_records_estimate_warning(
+    def test_exact_quadrature_is_the_exact_split(
         self, circuit, scales, baths, monkeypatch
     ):
-        q = QuadratureConfig(rel_tol=1e-15)
-        with monkeypatch.context() as m:
-            m.setattr(quadrature, "MAX_SUBDIVISIONS", 10)
-            report = assemble_report(
-                circuit, scales, baths, Method.EXACT_QUADRATURE,
-                mode=TransferMode.OVERDAMPED_LINEAR, q=q,
-            )
-        assert any("above tolerance" in w for w in report.validity_warnings)
-        reference = heat_exact(circuit, baths, TransferMode.OVERDAMPED_LINEAR)
-        assert report.q_total == pytest.approx(reference, rel=1e-4)
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called")
+
+        monkeypatch.setattr(quadrature, "_integrate_panels", no_quadrature)
+        for mode in TransferMode:
+            report = assemble_report(circuit, scales, baths, Method.EXACT_QUADRATURE, mode)
+            dT = baths.T1 - baths.T2
+            assert report.q_classical == circuit.kb * dT * classical_integral(circuit, mode)
+            assert report.q_quantum == quantum_integral(circuit, baths, mode)
+            assert report.q_total == report.q_classical + report.q_quantum
+            assert report.validity_warnings == ()

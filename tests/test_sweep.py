@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from overheat import (
     read_csv,
     run_sweep,
 )
+from overheat import quadrature
 
 
 class TestGrid:
@@ -105,6 +108,17 @@ class TestParseConfig:
         spec = parse_config("sweep = T1\nt2_over_t1 = 0.5\nstart = 0.01\nstop = 1\n")
         assert spec.t2_over_t1 == 0.5
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ConfigError, match="method listed twice: ClosedForm"):
+            parse_config("methods = ClosedForm, LowTempAsymptotic, ClosedForm\n")
+        with pytest.raises(ConfigError, match="method listed twice: ExactQuadrature"):
+            SweepSpec(methods=(Method.EXACT_QUADRATURE, Method.EXACT_QUADRATURE))
+
+    def test_readme_example_gives_defaults(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        (example,) = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        assert parse_config(example) == SweepSpec()
+
     @pytest.mark.parametrize("value", ["0.5", "nan"])
     def test_bad_safety_factor_rejected(self, value):
         with pytest.raises(ConfigError, match="safety_factor"):
@@ -183,6 +197,15 @@ class TestRunSweep:
             b = BathPair.from_temperatures(row.T1, row.T2)
             expected = classify_regime(p, s, b, safety_factor=spec.safety_factor)
             assert row.regime == expected.tag.value
+
+    def test_exact_rows_run_no_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called")
+
+        monkeypatch.setattr(quadrature, "_integrate_panels", no_quadrature)
+        spec = small_spec(methods=(Method.EXACT_QUADRATURE, Method.CLOSED_FORM))
+        rows = run_sweep(spec)
+        assert all(math.isfinite(c) for row in rows for c in row.cells)
 
     def test_failing_method_becomes_nan_with_warning(self):
         # T1^4 overflows in the low-temperature law at absurd temperatures
