@@ -36,7 +36,6 @@ from .model import (
     derive_scales,
 )
 from .quadrature import (
-    QuadratureConfig,
     ToleranceNotMetError,
     classical_integral,
     heat_exact,
@@ -69,7 +68,6 @@ __all__ = [
     "HeatReport",
     "Method",
     "PoleError",
-    "QuadratureConfig",
     "RegimeCondition",
     "RegimeLabel",
     "RegimeTag",

@@ -55,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ev.add_argument("--hbar", type=float, default=1.0)
     ev.add_argument("--kb", type=float, default=1.0)
-    ev.add_argument("--safety-factor", type=float, default=10.0)
     return parser
 
 
@@ -75,14 +74,7 @@ def _run_eval(args) -> int:
     p = CircuitParams(args.R, args.L, args.C, args.M, args.omega_c, args.hbar, args.kb)
     s = derive_scales(p)
     b = BathPair.from_temperatures(args.T1, args.T2, args.kb)
-    report = assemble_report(
-        p,
-        s,
-        b,
-        Method(args.method),
-        mode=TransferMode(args.mode),
-        safety_factor=args.safety_factor,
-    )
+    report = assemble_report(p, s, b, Method(args.method), mode=TransferMode(args.mode))
     print(f"method={report.method.value}")
     print(f"q_classical={report.q_classical!r}")
     print(f"q_quantum={report.q_quantum!r}")
@@ -104,7 +96,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _run_sweep(args)
         return _run_eval(args)
-    except (ArithmeticError, OverflowError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

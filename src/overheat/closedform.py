@@ -158,7 +158,6 @@ def assemble_report(
     b: BathPair,
     method: Method,
     mode: TransferMode = TransferMode.EXACT_CUBIC,
-    safety_factor: float = 10.0,
 ) -> HeatReport:
     """Evaluate the heat current by the requested route and attach diagnostics.
 
@@ -173,7 +172,7 @@ def assemble_report(
       from the exact rational integral, quantum from the residue sum, total
       as their sum.  No quadrature runs.
     """
-    regime = classify_regime(p, s, b, safety_factor=safety_factor)
+    regime = classify_regime(p, s, b)
     warnings: list[str] = []
     if regime.tag is RegimeTag.OUTSIDE_OVERDAMPED:
         failed = [c.name for c in regime.conditions if not c.satisfied]

@@ -23,6 +23,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+# Margin of every scale separation: "a << b" reads a * SAFETY_FACTOR <= b.
+SAFETY_FACTOR = 10.0
+
 
 @dataclass(frozen=True)
 class CircuitParams:
@@ -148,43 +151,35 @@ class RegimeLabel:
     conditions: tuple[RegimeCondition, ...]
 
 
-def _bath_row(omega_th: float, s: DerivedScales, safety: float) -> RegimeTag | None:
+def _bath_row(omega_th: float, s: DerivedScales) -> RegimeTag | None:
     """Temperature row for one bath: which chain of scale separations it satisfies.
 
-    Rows (with a << b read as a*safety <= b):
+    Rows (with a << b read as a*SAFETY_FACTOR <= b):
       intermediate: omega_pm <  omega_th << gamma
       low:          omega_th <  omega_pm << gamma
     Returns None when the thermal frequency straddles a boundary or sits
     above gamma.
     """
-    if s.omega_minus < omega_th and omega_th * safety <= s.gamma:
+    if s.omega_minus < omega_th and omega_th * SAFETY_FACTOR <= s.gamma:
         return RegimeTag.INTERMEDIATE_T
-    if omega_th < s.omega_plus and s.omega_minus * safety <= s.gamma:
+    if omega_th < s.omega_plus and s.omega_minus * SAFETY_FACTOR <= s.gamma:
         return RegimeTag.LOW_T
     return None
 
 
-def classify_regime(
-    p: CircuitParams,
-    s: DerivedScales,
-    b: BathPair,
-    safety_factor: float = 10.0,
-) -> RegimeLabel:
+def classify_regime(p: CircuitParams, s: DerivedScales, b: BathPair) -> RegimeLabel:
     """Tag a parameter/temperature combination with its overdamped regime.
 
     The closed-form currents require the thermal frequency
     omega_th = kb*max(T)/hbar to sit below the charge-sector scales: gamma,
     sqrt(gamma*omega_pm) and cbrt(gamma*omega_pm*omega_c).  If any of those
-    separations fails (margin below `safety_factor`) the label is
+    separations fails (margin below `SAFETY_FACTOR`) the label is
     OutsideOverdamped regardless of the temperature pattern.  Otherwise each
     bath is ranked against the mode rates omega_pm and, when both fall in the
     same row, that row's tag is returned.  Every other case is Mixed: the two
     baths in different rows, or one or both baths in no row, as for a thermal
     frequency between omega_plus and omega_minus.
     """
-    if not (math.isfinite(safety_factor) and safety_factor >= 1.0):
-        raise ValueError(f"safety_factor must be >= 1, got {safety_factor!r}")
-
     omega_th = b.thermal_frequency(p.hbar)
     checks = []
     for name, bound in (
@@ -201,12 +196,12 @@ def classify_regime(
         ),
     ):
         margin = bound / omega_th
-        checks.append(RegimeCondition(name, omega_th * safety_factor <= bound, margin))
+        checks.append(RegimeCondition(name, omega_th * SAFETY_FACTOR <= bound, margin))
 
     rows = []
     for label, beta in (("bath1", b.beta1), ("bath2", b.beta2)):
         w = 1.0 / (p.hbar * beta)
-        row = _bath_row(w, s, safety_factor)
+        row = _bath_row(w, s)
         rows.append(row)
         checks.append(
             RegimeCondition(

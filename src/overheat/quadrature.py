@@ -27,15 +27,15 @@ qagp, the whole integral has one error budget: intervals above their share
 of it are subdivided, all in one batch per round, up to `MAX_SUBDIVISIONS`
 intervals in total.  The total is truncated where the Bose factors are
 exponentially dead and the truncation bound is folded into the error
-estimate.  Nothing here needs scipy; the tests keep the scipy panel
-quadrature as a reference.
+estimate; the total must meet the relative tolerance `REL_TOL`, or
+`heat_exact` raises `ToleranceNotMetError`.  Nothing here needs scipy; the
+tests keep the scipy panel quadrature as a reference.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,8 @@ from .response import TransferMode, horner, mode_polynomials, transfer_f12
 from .special import digamma
 
 
+# Relative error the `heat_exact` total must meet.
+REL_TOL = 1e-9
 # Absolute floor of the quadrature tolerance.
 ABS_TOL = 1e-30
 # `heat_exact` integrates up to this many times the larger of the thermal
@@ -54,19 +56,8 @@ TAIL_CUT_MULTIPLIER = 60.0
 MAX_SUBDIVISIONS = 2000
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerance of `heat_exact`: rel_tol is the relative error the total must meet."""
-
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
-
-
 class ToleranceNotMetError(RuntimeError):
-    """Quadrature finished but the error estimate exceeds the requested tolerance.
+    """Quadrature finished but the error estimate exceeds the tolerance.
 
     Carries the best-estimate `value` and the achieved `estimate` so callers
     can still use the result while flagging it.
@@ -155,14 +146,12 @@ def _qk21(integrand, a: np.ndarray, b: np.ndarray):
     return kronrod * half, np.fmax(scaled, floor), floor
 
 
-def _integrate_panels(
-    integrand, edges: list[float], q: QuadratureConfig
-) -> tuple[float, float]:
+def _integrate_panels(integrand, edges: list[float]) -> tuple[float, float]:
     """Integral over [edges[0], edges[-1]] and its error estimate, as QUADPACK's qagp.
 
     The panels between consecutive edges are only the starting intervals:
     the whole integral has one error budget,
-    tol = max(ABS_TOL, max(0.05 rel_tol, 1e-14) |total|).  While the summed
+    tol = max(ABS_TOL, max(0.05 REL_TOL, 1e-14) |total|).  While the summed
     error exceeds tol, every interval whose error exceeds both its share
     tol/(number of intervals) and its rounding floor is cut, and all new
     pieces are evaluated in one batch.  The loop stops when that cut would
@@ -170,7 +159,7 @@ def _integrate_panels(
     interval is at its floor, so the work is bounded whether or not the
     tolerance is met.
     """
-    epsrel = max(q.rel_tol * 0.05, 1e-14)
+    epsrel = max(REL_TOL * 0.05, 1e-14)
     a = np.array(edges[:-1])
     b = np.array(edges[1:])
     value, error, floor = _qk21(integrand, a, b)
@@ -193,8 +182,8 @@ def _integrate_panels(
         floor = np.concatenate([floor[keep], new_floor])
 
 
-def _check_tolerance(value: float, estimate: float, q: QuadratureConfig) -> float:
-    target = q.rel_tol * abs(value) + ABS_TOL
+def _check_tolerance(value: float, estimate: float) -> float:
+    target = REL_TOL * abs(value) + ABS_TOL
     if estimate > target:
         raise ToleranceNotMetError(value, estimate, target)
     return value
@@ -204,7 +193,6 @@ def heat_exact(
     p: CircuitParams,
     b: BathPair,
     mode: TransferMode = TransferMode.EXACT_CUBIC,
-    q: QuadratureConfig | None = None,
 ) -> float:
     """Steady-state heat current out of bath 1 by direct quadrature.
 
@@ -216,10 +204,8 @@ def heat_exact(
     in all.  Returns 0.0 exactly at equilibrium (T1 == T2) and for decoupled
     loops (M == 0).  Raises `ToleranceNotMetError` (carrying the best
     estimate) when the summed interval errors plus the truncation bound
-    exceed the requested tolerance.
+    exceed REL_TOL * |value| + ABS_TOL.
     """
-    if q is None:
-        q = QuadratureConfig()
     if b.T1 == b.T2 or p.M == 0.0:
         return 0.0
 
@@ -236,7 +222,7 @@ def heat_exact(
         thermal = 2.0 * (_bose(c1 * w) - _bose(c2 * w))
         return half_hbar * w * transfer_f12(w, p, mode) * thermal
 
-    value, estimate = _integrate_panels(integrand, _panel_edges(inner_lo, cut), q)
+    value, estimate = _integrate_panels(integrand, _panel_edges(inner_lo, cut))
     # beyond the cut, omega*f12 decreases and the Bose difference is bounded by
     # the hotter bath's occupation, so the discarded tail is under
     # hbar * cut * f12(cut) * exp(-beta_min hbar cut)/(beta_min hbar)
@@ -245,7 +231,7 @@ def heat_exact(
     tail_bound = 2.0 * half_hbar * cut * transfer_f12(cut, p, mode) * math.exp(-x) / (
         beta_min * (1.0 - math.exp(-x))
     )
-    return _check_tolerance(value, estimate + tail_bound, q)
+    return _check_tolerance(value, estimate + tail_bound)
 
 
 def _integer_coefficients(coeffs: tuple[float, ...]) -> tuple[list[int], int]:

@@ -82,7 +82,9 @@ class SweepSpec:
     gamma/omega_d recomputes C at every point, sweeping a temperature
     overrides that bath.  `t2_over_t1` (T1 sweeps only) locks T2 to a fixed
     ratio of the swept T1.  All three swept quantities must be positive, so
-    the grid must start above 0, and no method may be listed twice.
+    the grid must start above 0, and no method may be listed twice.  The
+    regime margin is not part of a spec: every row is classified with the
+    constant `model.SAFETY_FACTOR`.
     """
 
     sweep_variable: str = "gamma_over_omega_d"
@@ -99,7 +101,6 @@ class SweepSpec:
     mode: TransferMode = TransferMode.EXACT_CUBIC
     hbar: float = 1.0
     kb: float = 1.0
-    safety_factor: float = 10.0
 
     def __post_init__(self):
         if self.sweep_variable not in SWEEP_VARIABLES:
@@ -120,11 +121,9 @@ class SweepSpec:
                 raise ConfigError("t2_over_t1 only applies to T1 sweeps")
             if not (math.isfinite(self.t2_over_t1) and self.t2_over_t1 > 0.0):
                 raise ConfigError(f"t2_over_t1 must be positive, got {self.t2_over_t1!r}")
-        # constructing the domain objects enforces their invariants up front;
-        # classifying the fixed point applies the classifier's safety_factor rule
-        p = CircuitParams(self.R, self.L, self.C, self.M, self.omega_c, self.hbar, self.kb)
-        b = BathPair.from_temperatures(self.T1, self.T2, self.kb)
-        classify_regime(p, derive_scales(p), b, safety_factor=self.safety_factor)
+        # constructing the domain objects enforces their invariants up front
+        CircuitParams(self.R, self.L, self.C, self.M, self.omega_c, self.hbar, self.kb)
+        BathPair.from_temperatures(self.T1, self.T2, self.kb)
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,6 @@ _KEY_PARSERS = {
     "mode": _choice(TransferMode, "mode"),
     "hbar": float,
     "kb": float,
-    "safety_factor": float,
 }
 
 
@@ -254,15 +252,13 @@ def _evaluate_point(spec: SweepSpec, x: float) -> SweepRow:
     s = derive_scales(p)
     b = BathPair.from_temperatures(T1, T2, spec.kb)
 
-    regime = classify_regime(p, s, b, safety_factor=spec.safety_factor)
+    regime = classify_regime(p, s, b)
     cells: list[float] = []
     warning_count = 0
     for method in spec.methods:
         try:
-            report = assemble_report(
-                p, s, b, method, mode=spec.mode, safety_factor=spec.safety_factor
-            )
-        except (ArithmeticError, OverflowError):
+            report = assemble_report(p, s, b, method, mode=spec.mode)
+        except ArithmeticError:
             cells += [math.nan, math.nan, math.nan]
             warning_count += 1
             continue

@@ -13,12 +13,12 @@ import math
 
 from scipy.integrate import quad
 
+from overheat import quadrature
 from overheat.model import BathPair, CircuitParams, derive_scales
 from overheat.quadrature import (
     ABS_TOL,
     MAX_SUBDIVISIONS,
     TAIL_CUT_MULTIPLIER,
-    QuadratureConfig,
     _check_tolerance,
     _panel_edges,
 )
@@ -33,10 +33,14 @@ def _bose(x: float) -> float:
 
 
 def _integrate_panels(
-    integrand, edges: list[float], q: QuadratureConfig, with_infinite_tail: bool
+    integrand, edges: list[float], with_infinite_tail: bool
 ) -> tuple[float, float]:
-    """Sum adaptive quadrature over consecutive panels, in fixed order."""
-    epsrel = max(q.rel_tol * 0.05, 1e-14)
+    """Sum adaptive quadrature over consecutive panels, in fixed order.
+
+    The relative tolerance is `quadrature.REL_TOL`, read at call time so that
+    a test which patches it reaches the reference too.
+    """
+    epsrel = max(quadrature.REL_TOL * 0.05, 1e-14)
     epsabs = ABS_TOL / (len(edges) + 1)
     values, errors = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -60,11 +64,8 @@ def reference_heat_exact(
     p: CircuitParams,
     b: BathPair,
     mode: TransferMode = TransferMode.EXACT_CUBIC,
-    q: QuadratureConfig | None = None,
 ) -> float:
     """`heat_exact` by scalar `quad` on each panel; raises `ToleranceNotMetError` alike."""
-    if q is None:
-        q = QuadratureConfig()
     if b.T1 == b.T2 or p.M == 0.0:
         return 0.0
 
@@ -83,14 +84,14 @@ def reference_heat_exact(
         return half_hbar * w * transfer_f12(w, p, mode) * thermal
 
     value, estimate = _integrate_panels(
-        integrand, _panel_edges(inner_lo, cut), q, with_infinite_tail=False
+        integrand, _panel_edges(inner_lo, cut), with_infinite_tail=False
     )
     beta_min = min(c1, c2)
     x = beta_min * cut
     tail_bound = 2.0 * half_hbar * cut * transfer_f12(cut, p, mode) * math.exp(-x) / (
         beta_min * (1.0 - math.exp(-x))
     )
-    return _check_tolerance(value, estimate + tail_bound, q)
+    return _check_tolerance(value, estimate + tail_bound)
 
 
 def _f12_edges(p: CircuitParams, mode: TransferMode):
@@ -105,7 +106,6 @@ def _f12_edges(p: CircuitParams, mode: TransferMode):
 def _f12_integral(
     p: CircuitParams,
     mode: TransferMode,
-    q: QuadratureConfig,
     lo: float = 0.0,
     hi: float = math.inf,
 ) -> tuple[float, float]:
@@ -121,4 +121,4 @@ def _f12_integral(
             return 0.0
         return transfer_f12(w, p, mode)
 
-    return _integrate_panels(integrand, edges, q, with_infinite_tail=infinite)
+    return _integrate_panels(integrand, edges, with_infinite_tail=infinite)

@@ -10,6 +10,7 @@ from overheat import (
     classify_regime,
     derive_scales,
 )
+from overheat.model import SAFETY_FACTOR
 
 
 class TestCircuitParams:
@@ -145,14 +146,13 @@ class TestBathPair:
 
 
 class TestClassifyRegime:
-    def test_intermediate_row(self, circuit, scales):
-        # omega_th = 10*omega_d sits between omega_minus and gamma; at unit
-        # safety factor all charge-sector separations hold as plain
-        # inequalities (the sqrt margin is only ~8, so stricter factors
-        # degrade this point to OutsideOverdamped)
-        b = BathPair.from_temperatures(10.0, 10.0)
-        label = classify_regime(circuit, scales, b, safety_factor=1.0)
+    def test_intermediate_row(self):
+        # at gamma = 1e6, omega_th = 3 sits between omega_minus = 2 and gamma
+        # with every charge-sector separation above SAFETY_FACTOR
+        p = CircuitParams(R=2.0, L=2.0, C=5e-7, M=1.0, omega_c=5.0)
+        label = classify_regime(p, derive_scales(p), BathPair.from_temperatures(3.0, 3.0))
         assert label.tag is RegimeTag.INTERMEDIATE_T
+        assert all(c.satisfied for c in label.conditions)
 
     def test_low_row(self, circuit, scales):
         T = 0.01 * scales.omega_plus  # omega_th = 0.01*omega_plus
@@ -210,7 +210,7 @@ class TestClassifyRegime:
     def test_agreement_with_inequality_chains(self):
         # whenever a row tag is assigned, the corresponding chain holds
         rng = np.random.default_rng(23)
-        factor = 10.0
+        factor = SAFETY_FACTOR
         seen = set()
         for _ in range(500):
             R, L = np.exp(rng.uniform(-1, 1, size=2))
@@ -222,7 +222,7 @@ class TestClassifyRegime:
             s = derive_scales(p)
             T = math.exp(rng.uniform(-7, 3))
             b = BathPair.from_temperatures(T, T)
-            label = classify_regime(p, s, b, safety_factor=factor)
+            label = classify_regime(p, s, b)
             seen.add(label.tag)
             omega_th = b.thermal_frequency()
             if label.tag is RegimeTag.INTERMEDIATE_T:
@@ -243,7 +243,3 @@ class TestClassifyRegime:
         assert len(label.conditions) >= 5
         for cond in label.conditions[:5]:
             assert cond.margin > 0
-
-    def test_rejects_bad_safety_factor(self, circuit, scales, baths):
-        with pytest.raises(ValueError, match="safety_factor"):
-            classify_regime(circuit, scales, baths, safety_factor=0.5)

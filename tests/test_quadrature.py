@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from overheat import (
     BathPair,
     CircuitParams,
-    QuadratureConfig,
     ToleranceNotMetError,
     TransferMode,
     classical_integral,
@@ -75,27 +74,40 @@ def mode_polynomials(mp, p, mode):
     return polys
 
 
+def quantum_residues(mp, p, b, mode):
+    """hbar K, c1, c2 and the (root s, weight s^3/(D'(s) D(-s))) pairs of the
+    residue sum, at the working precision of `mp`.
+
+    s runs over the roots of D = u_plus u_minus, c_j = beta_j hbar/2 pi and
+    K = (2/pi) omega_c^4 (R M/A)^2.
+    """
+    R, L, M, wc, hbar = (mp.mpf(v) for v in (p.R, p.L, p.M, p.omega_c, p.hbar))
+    c1, c2 = (mp.mpf(beta) * hbar / (2 * mp.pi) for beta in (b.beta1, b.beta2))
+    polys = mode_polynomials(mp, p, mode)
+    residues = []
+    for u, other in (polys, polys[::-1]):
+        du = [c * (len(u) - 1 - k) for k, c in enumerate(u[:-1])]
+        for s in mp.polyroots(u, maxsteps=200, extraprec=200):
+            d_prime = mp.polyval(du, s) * mp.polyval(other, s)
+            d_minus = mp.polyval(u, -s) * mp.polyval(other, -s)
+            residues.append((s, s**3 / (d_prime * d_minus)))
+    K = (2 / mp.pi) * wc**4 * (R * M / (L * L - M * M)) ** 2
+    return hbar * K, c1, c2, residues
+
+
 def mpmath_quantum_integral(mp, p, b, mode):
     """quantum_integral as a 50-digit residue sum over the left-half-plane poles.
 
     hbar K Sum_s s^3/(D'(s) D(-s)) [psi(1 - c2 s) - psi(1 - c1 s) - ln(c2/c1)]
-    over the roots s of D = u_plus u_minus, with c_j = beta_j hbar/2 pi and
-    K = (2/pi) omega_c^4 (R M/A)^2.
+    (see `quantum_residues`).
     """
     with mp.workdps(50):
-        R, L, M, wc, hbar = (mp.mpf(v) for v in (p.R, p.L, p.M, p.omega_c, p.hbar))
-        c1, c2 = (mp.mpf(beta) * hbar / (2 * mp.pi) for beta in (b.beta1, b.beta2))
-        polys = mode_polynomials(mp, p, mode)
-        total = mp.mpf(0)
-        for u, other in (polys, polys[::-1]):
-            du = [c * (len(u) - 1 - k) for k, c in enumerate(u[:-1])]
-            for s in mp.polyroots(u, maxsteps=200, extraprec=200):
-                d_prime = mp.polyval(du, s) * mp.polyval(other, s)
-                d_minus = mp.polyval(u, -s) * mp.polyval(other, -s)
-                bracket = mp.digamma(1 - c2 * s) - mp.digamma(1 - c1 * s) - mp.log(c2 / c1)
-                total += s**3 / (d_prime * d_minus) * bracket
-        K = (2 / mp.pi) * wc**4 * (R * M / (L * L - M * M)) ** 2
-        return float(hbar * K * mp.re(total))
+        scale, c1, c2, residues = quantum_residues(mp, p, b, mode)
+        total = mp.fsum(
+            w * (mp.digamma(1 - c2 * s) - mp.digamma(1 - c1 * s) - mp.log(c2 / c1))
+            for s, w in residues
+        )
+        return float(scale * mp.re(total))
 
 
 def split_error(p, b, mode):
@@ -114,25 +126,6 @@ def u_plus_discriminant(gamma, p):
     w = p.R / (p.L + p.M)
     B, C, D = p.omega_c, gamma * (w + p.omega_c), gamma * w * p.omega_c
     return 18 * B * C * D - 4 * B**3 * D + B * B * C * C - 4 * C**3 - 27 * D * D
-
-
-class TestQuadratureConfig:
-    def test_defaults_valid(self):
-        q = QuadratureConfig()
-        assert q.rel_tol == 1e-9
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rel_tol": 0.0},
-            {"rel_tol": -1e-9},
-            {"rel_tol": float("nan")},
-            {"rel_tol": float("inf")},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureConfig(**kwargs)
 
 
 class TestHeatExact:
@@ -170,23 +163,23 @@ class TestHeatExact:
             hot_first = b if b.T1 > b.T2 else BathPair.from_temperatures(b.T2, b.T1)
             assert heat_exact(p, hot_first, CUBIC) > 0.0
 
-    def test_monotone_tolerance(self, circuit, baths):
-        # tightening rel_tol cannot move the result by more than the prior
-        # error budget rel_tol*|value| + ABS_TOL
-        loose = QuadratureConfig(rel_tol=1e-6)
-        tight = QuadratureConfig(rel_tol=1e-7)
+    def test_monotone_tolerance(self, circuit, baths, monkeypatch):
+        # tightening REL_TOL cannot move the result by more than the prior
+        # error budget REL_TOL*|value| + ABS_TOL
         for mode in (LINEAR, CUBIC):
-            v_loose = heat_exact(circuit, baths, mode, loose)
-            v_tight = heat_exact(circuit, baths, mode, tight)
+            monkeypatch.setattr(quadrature, "REL_TOL", 1e-6)
+            v_loose = heat_exact(circuit, baths, mode)
+            monkeypatch.setattr(quadrature, "REL_TOL", 1e-7)
+            v_tight = heat_exact(circuit, baths, mode)
             assert abs(v_loose - v_tight) <= 1e-6 * abs(v_loose) + quadrature.ABS_TOL
 
     def test_tolerance_failure_carries_estimate(self, circuit, baths, monkeypatch):
         # a relative target below double rounding cannot be met within ten
         # intervals, so the evaluation must refuse
-        q = QuadratureConfig(rel_tol=1e-15)
         with monkeypatch.context() as m, pytest.raises(ToleranceNotMetError) as excinfo:
+            m.setattr(quadrature, "REL_TOL", 1e-15)
             m.setattr(quadrature, "MAX_SUBDIVISIONS", 10)
-            heat_exact(circuit, baths, LINEAR, q)
+            heat_exact(circuit, baths, LINEAR)
         err = excinfo.value
         assert err.estimate > err.target > 0.0
         # the carried value is still the integral, to the reached accuracy
@@ -210,14 +203,13 @@ class TestHeatExact:
                 cases.append((p, b))
         rng = np.random.default_rng(79)
         cases += [overdamped_draw(rng) for _ in range(20)]
-        q = QuadratureConfig()
         compared = 0
         for p, b in cases:
             try:
-                reference = reference_heat_exact(p, b, mode, q)
+                reference = reference_heat_exact(p, b, mode)
             except ToleranceNotMetError:
                 continue
-            assert heat_exact(p, b, mode, q) == pytest.approx(reference, rel=q.rel_tol)
+            assert heat_exact(p, b, mode) == pytest.approx(reference, rel=quadrature.REL_TOL)
             compared += 1
         assert compared >= len(cases) - 2
 
@@ -235,17 +227,17 @@ class TestHeatExact:
         assert split_error(p, BathPair.from_temperatures(50.0, 10.0), CUBIC) <= 1e-10
 
     def test_work_is_bounded_when_tolerance_is_out_of_reach(self, monkeypatch):
-        # rel_tol below the rounding floor with a 10-interval cap at a sharp
+        # REL_TOL below the rounding floor with a 10-interval cap at a sharp
         # resonance: the quadrature must stop, report the miss with a finite
         # value, and stay small in memory
         p = CircuitParams(R=2.0, L=2.0, C=1.0 / 2e3, M=1.98, omega_c=0.3)
         b = BathPair.from_temperatures(50.0, 10.0)
-        q = QuadratureConfig(rel_tol=1e-15)
+        monkeypatch.setattr(quadrature, "REL_TOL", 1e-15)
         monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 10)
         tracemalloc.start()
         try:
             with pytest.raises(ToleranceNotMetError) as excinfo:
-                heat_exact(p, b, CUBIC, q)
+                heat_exact(p, b, CUBIC)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -267,9 +259,10 @@ class TestHeatExact:
             return transfer_f12(w, *args)
 
         monkeypatch.setattr(quadrature, "transfer_f12", counting_f12)
+        monkeypatch.setattr(quadrature, "REL_TOL", 1e-15)
         monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 40)
         with pytest.raises(ToleranceNotMetError):
-            heat_exact(p, b, CUBIC, QuadratureConfig(rel_tol=1e-15))
+            heat_exact(p, b, CUBIC)
         rounds = [n for n in sizes if n > 1]  # the tail bound evaluates one point
         assert len(rounds) > 1 and all(n % 21 == 0 for n in rounds)
         intervals = rounds[0] // 21 + sum(3 * n // (4 * 21) for n in rounds[1:])
@@ -307,24 +300,22 @@ class TestClassicalIntegral:
     @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
     def test_matches_panel_quadrature_on_fig2_grid(self, mode):
         spec = preset_specs("fig2")[0]
-        q = QuadratureConfig()
         for x in spec.grid.values():
             p = CircuitParams(
                 R=spec.R, L=spec.L, C=1.0 / (spec.R * x * (spec.R / spec.L)), M=spec.M,
                 omega_c=spec.omega_c,
             )
-            reference, _ = _f12_integral(p, mode, q)
+            reference, _ = _f12_integral(p, mode)
             assert classical_integral(p, mode) == pytest.approx(reference, rel=1e-9)
 
     def test_split_additivity(self, circuit):
         rng = np.random.default_rng(71)
-        q = QuadratureConfig()
         for mode in (LINEAR, CUBIC):
-            full, _ = _f12_integral(circuit, mode, q)
+            full, _ = _f12_integral(circuit, mode)
             for _ in range(3):
                 omega_split = math.exp(rng.uniform(-3, 3))
-                head, _ = _f12_integral(circuit, mode, q, 0.0, omega_split)
-                tail, _ = _f12_integral(circuit, mode, q, omega_split, math.inf)
+                head, _ = _f12_integral(circuit, mode, 0.0, omega_split)
+                tail, _ = _f12_integral(circuit, mode, omega_split, math.inf)
                 assert head + tail == pytest.approx(full, rel=1e-9)
 
 
@@ -374,6 +365,22 @@ class TestQuantumIntegral:
         law = -(circuit.hbar**2 / (24.0 * circuit.kb)) * (head + tail)
         value = T * quantum_integral(circuit, BathPair.from_temperatures(2.0 * T, T), CUBIC)
         assert value == pytest.approx(law, rel=1e-6)
+
+    @pytest.mark.parametrize("t2_over_t1, rel", [(1e8, 1e-6), (1e10, 1e-8)])
+    def test_one_bath_saturation(self, circuit, t2_over_t1, rel):
+        # with T1 fixed and T2 -> infinity (c2 -> 0) the cubic quantum part
+        # saturates at hbar K Sum_s s^3/(D'(s) D(-s)) [psi(1) - psi(1 - c1 s)];
+        # the ln(c2/c1) term drops out because its residue weights sum to 0
+        mp = pytest.importorskip("mpmath")
+        b = BathPair.from_temperatures(2.0, t2_over_t1 * 2.0)
+        with mp.workdps(50):
+            scale, c1, _, residues = quantum_residues(mp, circuit, b, CUBIC)
+            weights = [w for _, w in residues]
+            assert abs(mp.fsum(weights)) <= mp.mpf(10) ** -40 * mp.fsum(map(abs, weights))
+            total = mp.fsum(w * (mp.digamma(1) - mp.digamma(1 - c1 * s)) for s, w in residues)
+            limit = float(scale * mp.re(total))
+        assert limit == pytest.approx(240.24578908505745, rel=1e-15)
+        assert quantum_integral(circuit, b, CUBIC) == pytest.approx(limit, rel=rel)
 
     @pytest.mark.parametrize("temperatures", [(2.0, 1.0), (0.05, 0.02)])
     @pytest.mark.parametrize("gamma_over_omega_d", [1e3, 1e6])

@@ -22,7 +22,15 @@ from overheat import (
     read_csv,
     run_sweep,
 )
-from overheat import quadrature
+from overheat import quadrature, sweep
+from overheat.cli import main
+
+
+def readme_config_example() -> str:
+    """The `ini` config example in README.md."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (example,) = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    return example
 
 
 class TestGrid:
@@ -115,16 +123,23 @@ class TestParseConfig:
             SweepSpec(methods=(Method.EXACT_QUADRATURE, Method.EXACT_QUADRATURE))
 
     def test_readme_example_gives_defaults(self):
-        readme = Path(__file__).resolve().parent.parent / "README.md"
-        (example,) = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
-        assert parse_config(example) == SweepSpec()
+        assert parse_config(readme_config_example()) == SweepSpec()
 
-    @pytest.mark.parametrize("value", ["0.5", "nan"])
-    def test_bad_safety_factor_rejected(self, value):
-        with pytest.raises(ConfigError, match="safety_factor"):
-            parse_config(f"safety_factor = {value}\n")
-        with pytest.raises(ValueError, match="safety_factor"):
-            SweepSpec(safety_factor=float(value))
+    def test_readme_example_sets_every_key_but_t2_over_t1(self):
+        lines = (line.split("#", 1)[0] for line in readme_config_example().splitlines())
+        keys = {line.partition("=")[0].strip() for line in lines if line.strip()}
+        assert keys == set(sweep._KEY_PARSERS) - {"t2_over_t1"}
+
+    def test_regime_margin_is_not_settable(self, capsys):
+        # the margin is the constant model.SAFETY_FACTOR: neither a config
+        # key nor an eval flag sets it
+        with pytest.raises(ConfigError, match="line 1: unknown key 'safety_factor'"):
+            parse_config("safety_factor = 10\n")
+        args = [
+            "eval", "--R", "2", "--L", "2", "--C", "5e-5", "--M", "1",
+            "--omega-c", "5", "--T1", "2", "--T2", "1", "--safety-factor", "10",
+        ]
+        assert main(args) == 1
 
     @pytest.mark.parametrize("start", ["0", "-1"])
     @pytest.mark.parametrize("variable", ["gamma_over_omega_d", "T1", "T2"])
@@ -195,7 +210,7 @@ class TestRunSweep:
             p = CircuitParams(spec.R, spec.L, spec.C, spec.M, spec.omega_c)
             s = derive_scales(p)
             b = BathPair.from_temperatures(row.T1, row.T2)
-            expected = classify_regime(p, s, b, safety_factor=spec.safety_factor)
+            expected = classify_regime(p, s, b)
             assert row.regime == expected.tag.value
 
     def test_exact_rows_run_no_quadrature(self, monkeypatch):
