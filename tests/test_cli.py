@@ -12,6 +12,7 @@ from overheat import (
     derive_scales,
     read_csv,
 )
+from overheat import cli
 from overheat.cli import main
 
 EVAL_ARGS = [
@@ -79,6 +80,15 @@ class TestEval:
         args[args.index("--T1") + 1] = "1e100"
         assert main(args) == 2
         assert "numerical failure:" in capsys.readouterr().err
+
+    def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
+        # the package's own ArithmeticError (not an OverflowError) exits 2 too
+        def vanishing(*args, **kwargs):
+            raise ArithmeticError("mode polynomials vanish")
+
+        monkeypatch.setattr(cli, "assemble_report", vanishing)
+        assert main(EVAL_ARGS) == 2
+        assert "numerical failure: mode polynomials vanish" in capsys.readouterr().err
 
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["eval", "--R", "2"]) == 1

@@ -10,6 +10,7 @@ from overheat import (
     classify_regime,
     derive_scales,
 )
+from overheat import model
 from overheat.model import SAFETY_FACTOR
 
 
@@ -153,6 +154,14 @@ class TestClassifyRegime:
         label = classify_regime(p, derive_scales(p), BathPair.from_temperatures(3.0, 3.0))
         assert label.tag is RegimeTag.INTERMEDIATE_T
         assert all(c.satisfied for c in label.conditions)
+
+    def test_margin_is_the_module_constant(self, circuit, scales, monkeypatch):
+        # omega_th = 10*omega_d clears the sqrt(gamma*omega_minus) separation
+        # only by ~8: outside at the fixed margin, intermediate at margin 1
+        b = BathPair.from_temperatures(10.0, 10.0)
+        assert classify_regime(circuit, scales, b).tag is RegimeTag.OUTSIDE_OVERDAMPED
+        monkeypatch.setattr(model, "SAFETY_FACTOR", 1.0)
+        assert classify_regime(circuit, scales, b).tag is RegimeTag.INTERMEDIATE_T
 
     def test_low_row(self, circuit, scales):
         T = 0.01 * scales.omega_plus  # omega_th = 0.01*omega_plus

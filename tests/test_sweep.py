@@ -141,6 +141,14 @@ class TestParseConfig:
         ]
         assert main(args) == 1
 
+    @pytest.mark.parametrize("value", ["0.5", "nan"])
+    def test_bad_safety_factor_rejected(self, value):
+        # the margin is not settable, so a bad value is refused like any other
+        with pytest.raises(ConfigError, match="unknown key 'safety_factor'"):
+            parse_config(f"safety_factor = {value}\n")
+        with pytest.raises(TypeError, match="safety_factor"):
+            SweepSpec(safety_factor=float(value))
+
     @pytest.mark.parametrize("start", ["0", "-1"])
     @pytest.mark.parametrize("variable", ["gamma_over_omega_d", "T1", "T2"])
     def test_swept_values_must_be_positive(self, variable, start):
@@ -221,6 +229,16 @@ class TestRunSweep:
         spec = small_spec(methods=(Method.EXACT_QUADRATURE, Method.CLOSED_FORM))
         rows = run_sweep(spec)
         assert all(math.isfinite(c) for row in rows for c in row.cells)
+
+    def test_arithmetic_error_becomes_nan_with_warning(self, monkeypatch):
+        # the package's own ArithmeticError (not an OverflowError) is caught too
+        def vanishing(*args, **kwargs):
+            raise ArithmeticError("mode polynomials vanish")
+
+        monkeypatch.setattr(sweep, "assemble_report", vanishing)
+        rows = run_sweep(small_spec())
+        assert all(math.isnan(c) for row in rows for c in row.cells)
+        assert all(row.warnings == 1 for row in rows)
 
     def test_failing_method_becomes_nan_with_warning(self):
         # T1^4 overflows in the low-temperature law at absurd temperatures
