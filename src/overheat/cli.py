@@ -14,7 +14,6 @@ import sys
 
 from .closedform import Method, assemble_report
 from .model import BathPair, CircuitParams, derive_scales
-from .response import TransferMode
 from .sweep import emit_csv, emit_plot_script, parse_config, run_preset, run_sweep
 
 
@@ -46,12 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         default=Method.CLOSED_FORM.value,
         choices=[m.value for m in Method],
-    )
-    ev.add_argument(
-        "--mode",
-        default=TransferMode.EXACT_CUBIC.value,
-        choices=[m.value for m in TransferMode],
-        help="transfer function used by ExactQuadrature",
+        help="ExactQuadrature is the exact split of the full cubic model",
     )
     ev.add_argument("--hbar", type=float, default=1.0)
     ev.add_argument("--kb", type=float, default=1.0)
@@ -74,7 +68,7 @@ def _run_eval(args) -> int:
     p = CircuitParams(args.R, args.L, args.C, args.M, args.omega_c, args.hbar, args.kb)
     s = derive_scales(p)
     b = BathPair.from_temperatures(args.T1, args.T2, args.kb)
-    report = assemble_report(p, s, b, Method(args.method), mode=TransferMode(args.mode))
+    report = assemble_report(p, s, b, Method(args.method))
     print(f"method={report.method.value}")
     print(f"q_classical={report.q_classical!r}")
     print(f"q_quantum={report.q_quantum!r}")

@@ -34,7 +34,6 @@ from .model import (
     classify_regime,
 )
 from .quadrature import classical_integral, quantum_integral
-from .response import TransferMode
 from .special import digamma
 
 
@@ -42,9 +41,11 @@ class Method(Enum):
     """Evaluation route for a heat-current report.
 
     EXACT_QUADRATURE runs no quadrature despite its name: it is the exact
-    classical/quantum split of the full model (`classical_integral` and
-    `quantum_integral`).  The adaptive quadrature of the total, `heat_exact`,
-    is the independent check of that split.
+    classical/quantum split of the full cubic model (`classical_integral`
+    and `quantum_integral` in ExactCubic mode).  The adaptive quadrature of
+    the total, `heat_exact`, is the independent check of that split.
+    CLOSED_FORM is the split of the linearized model; the library functions
+    take a transfer mode for the residue route to the same split.
     """
 
     EXACT_QUADRATURE = "ExactQuadrature"
@@ -157,7 +158,6 @@ def assemble_report(
     s: DerivedScales,
     b: BathPair,
     method: Method,
-    mode: TransferMode = TransferMode.EXACT_CUBIC,
 ) -> HeatReport:
     """Evaluate the heat current by the requested route and attach diagnostics.
 
@@ -168,7 +168,7 @@ def assemble_report(
       difference from the classical piece.
     * HighTempAsymptotic: classical closed form plus the bare log term, the
       whole of the quantum piece that survives at high temperature.
-    * ExactQuadrature: the exact split in transfer mode `mode`: classical
+    * ExactQuadrature: the exact split of the full cubic model: classical
       from the exact rational integral, quantum from the residue sum, total
       as their sum.  No quadrature runs.
     """
@@ -198,8 +198,8 @@ def assemble_report(
         qq = _quantum_log_term(p, s, b)
         qt = qc + qq
     elif method is Method.EXACT_QUADRATURE:
-        qc = p.kb * (b.T1 - b.T2) * classical_integral(p, mode)
-        qq = quantum_integral(p, b, mode)
+        qc = p.kb * (b.T1 - b.T2) * classical_integral(p)
+        qq = quantum_integral(p, b)
         qt = qc + qq
     else:
         raise ValueError(f"unknown method: {method!r}")

@@ -25,7 +25,6 @@ import numpy as np
 
 from .closedform import Method, assemble_report
 from .model import BathPair, CircuitParams, classify_regime, derive_scales
-from .response import TransferMode
 
 SWEEP_VARIABLES = ("gamma_over_omega_d", "T1", "T2")
 
@@ -84,7 +83,8 @@ class SweepSpec:
     ratio of the swept T1.  All three swept quantities must be positive, so
     the grid must start above 0, and no method may be listed twice.  The
     regime margin is not part of a spec: every row is classified with the
-    constant `model.SAFETY_FACTOR`.
+    constant `model.SAFETY_FACTOR`.  Neither is a transfer mode:
+    ExactQuadrature is always the split of the full cubic model.
     """
 
     sweep_variable: str = "gamma_over_omega_d"
@@ -98,7 +98,6 @@ class SweepSpec:
     T2: float = 1.0
     t2_over_t1: float | None = None
     methods: tuple[Method, ...] = (Method.EXACT_QUADRATURE, Method.CLOSED_FORM)
-    mode: TransferMode = TransferMode.EXACT_CUBIC
     hbar: float = 1.0
     kb: float = 1.0
 
@@ -156,20 +155,14 @@ class SweepRow:
 _DEFAULTS = SweepSpec()
 
 
-def _choice(enum, label: str):
-    """Converter from text to a member of `enum`, naming the valid values on failure."""
+def _method(text: str) -> Method:
+    """Converter from text to a Method, naming the valid values on failure."""
+    try:
+        return Method(text)
+    except ValueError:
+        valid = ", ".join(m.value for m in Method)
+        raise ConfigError(f"unknown method {text!r}; valid: {valid}") from None
 
-    def convert(text: str):
-        try:
-            return enum(text)
-        except ValueError:
-            valid = ", ".join(m.value for m in enum)
-            raise ConfigError(f"unknown {label} {text!r}; valid: {valid}") from None
-
-    return convert
-
-
-_method = _choice(Method, "method")
 
 _KEY_PARSERS = {
     "sweep": str,
@@ -186,7 +179,6 @@ _KEY_PARSERS = {
     "T2": float,
     "t2_over_t1": float,
     "methods": lambda text: tuple(_method(n.strip()) for n in text.split(",") if n.strip()),
-    "mode": _choice(TransferMode, "mode"),
     "hbar": float,
     "kb": float,
 }
@@ -195,11 +187,12 @@ _KEY_PARSERS = {
 def parse_config(text: str) -> SweepSpec:
     """Parse a line-oriented `key = value` sweep configuration.
 
-    `#` starts a comment, blank lines are skipped, keys not listed in
-    `_KEY_PARSERS` are rejected.  Each value is converted to its final type
+    `#` starts a comment, blank lines are skipped, and a key that is unknown
+    to `_KEY_PARSERS` or set twice is rejected.  Values get their final type
     here; SweepSpec enforces every invariant, so a returned spec always runs.
     """
     raw: dict[str, object] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -211,6 +204,8 @@ def parse_config(text: str) -> SweepSpec:
         value = value.strip()
         if key not in _KEY_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if set_on.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: {key!r} already set on line {set_on[key]}")
         try:
             raw[key] = _KEY_PARSERS[key](value)
         except ConfigError as exc:
@@ -257,7 +252,7 @@ def _evaluate_point(spec: SweepSpec, x: float) -> SweepRow:
     warning_count = 0
     for method in spec.methods:
         try:
-            report = assemble_report(p, s, b, method, mode=spec.mode)
+            report = assemble_report(p, s, b, method)
         except ArithmeticError:
             cells += [math.nan, math.nan, math.nan]
             warning_count += 1

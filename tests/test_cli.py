@@ -1,6 +1,9 @@
+import re
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,12 +17,25 @@ from overheat import (
 )
 from overheat import cli
 from overheat.cli import main
+from test_sweep import readme_config_example
 
 EVAL_ARGS = [
     "eval",
     "--R", "2", "--L", "2", "--C", "5e-5", "--M", "1",
     "--omega-c", "5", "--T1", "2", "--T2", "1",
 ]
+
+
+def readme_commands() -> list[list[str]]:
+    """Arguments of every `heat ...` command in README.md's `sh` blocks."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line)
+            if words and words[0] == "heat":
+                commands.append(words[1:])
+    return commands
 
 
 def parse_report(captured: str) -> dict:
@@ -164,6 +180,16 @@ class TestSweep:
             ["sweep", "--config", "x", "--preset", "fig3", "--out", str(tmp_path / "o.csv")]
         )
         assert code == 1
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # the README's command lines stay in step with the CLI
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_sweep.cfg").write_text(readme_config_example(), encoding="utf-8")
+    commands = readme_commands()
+    assert {args[0] for args in commands} == {"eval", "sweep"}
+    for args in commands:
+        assert main(args) == 0, " ".join(["heat", *args])
 
 
 class TestEntryPoints:

@@ -1,5 +1,8 @@
+import functools
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,10 +24,56 @@ from overheat import (
 from overheat import quadrature
 from overheat.closedform import _quantum_log_term
 from response_reference import heat_quantum_high_temp
+from test_quadrature import mpmath_quantum_integral
+
+LINEAR = TransferMode.OVERDAMPED_LINEAR
+
+# M/L of the closed-form accuracy grid.  heat_quantum subtracts the two
+# digamma mode blocks, which nearly cancel when lambda_+ and lambda_- nearly
+# coincide; at M/L <= 1e-2 and low temperature the difference loses digits
+# (1.5e-7 at M/L = 1e-4, 2.6e-9 at 1e-2), while the residue sum of the same
+# function stays below 5e-10.
+GRID_RATIOS = (1e-4, 1e-2, 0.5, 0.99)
+CANCELS = pytest.mark.xfail(
+    strict=True, reason="closed-form digamma blocks cancel at small M/L"
+)
+CLOSED_FORM_RATIOS = [
+    pytest.param(r, marks=CANCELS) if r <= 1e-2 else r for r in GRID_RATIOS
+]
 
 
 def at_temperatures(T1, T2):
     return BathPair.from_temperatures(T1, T2)
+
+
+@functools.cache
+def linear_accuracy_grid(m_over_l):
+    """(circuit, baths, k_b dT classical, 50-digit quantum) at one M/L.
+
+    48 points of the grid R in {2, 30}, L in {0.5, 2}, omega_c in {0.3, 5, 1e3}
+    and (T1, T2) in {(2, 1), (0.01, 0.005), (1e-3, 1e-6), (50, 10)}, all on the
+    linearized transfer function the closed forms evaluate.
+    """
+    points = []
+    for R, L, wc, (T1, T2) in itertools.product(
+        (2.0, 30.0),
+        (0.5, 2.0),
+        (0.3, 5.0, 1e3),
+        ((2.0, 1.0), (0.01, 0.005), (1e-3, 1e-6), (50.0, 10.0)),
+    ):
+        p = CircuitParams(R=R, L=L, C=5e-5, M=m_over_l * L, omega_c=wc)
+        b = at_temperatures(T1, T2)
+        classical = p.kb * (T1 - T2) * classical_integral(p, LINEAR)
+        points.append((p, b, classical, mpmath_quantum_integral(mpmath.mp, p, b, LINEAR)))
+    return tuple(points)
+
+
+def worst_quantum_error(m_over_l, route):
+    """Largest |route(p, b) - oracle| over |k_b dT classical| + |oracle| at one M/L."""
+    return max(
+        abs(route(p, b) - oracle) / (abs(classical) + abs(oracle))
+        for p, b, classical, oracle in linear_accuracy_grid(m_over_l)
+    )
 
 
 def high_temp_total(p, s, b):
@@ -47,18 +96,12 @@ class TestHeatClassical:
         markovian = 0.5 * 1.0 * 0.25 * s.omega_plus * s.omega_minus / s.omega_d
         assert heat_classical(p, s, baths) == pytest.approx(markovian, rel=1e-10)
 
-    def test_matches_classical_integral(self):
-        rng = np.random.default_rng(83)
-        for _ in range(5):
-            R, L = (float(v) for v in np.exp(rng.uniform(-1, 1, size=2)))
-            M = L * float(rng.uniform(0.1, 0.9))
-            p = CircuitParams(R=R, L=L, C=1e-6 / R, M=M, omega_c=2.0)
-            s = derive_scales(p)
-            b = at_temperatures(3.0, 1.0)
-            via_integral = p.kb * (b.T1 - b.T2) * classical_integral(
-                p, TransferMode.OVERDAMPED_LINEAR
-            )
-            assert heat_classical(p, s, b) == pytest.approx(via_integral, rel=1e-8)
+    @pytest.mark.parametrize("m_over_l", GRID_RATIOS)
+    def test_matches_classical_integral(self, m_over_l):
+        # the exact rational integral of the same linearized function
+        for p, b, classical, _ in linear_accuracy_grid(m_over_l):
+            value = heat_classical(p, derive_scales(p), b)
+            assert value == pytest.approx(classical, rel=1e-13)
 
     def test_cutoff_monotonicity(self, baths):
         values = []
@@ -80,10 +123,21 @@ class TestHeatQuantum:
             backward = heat_quantum(circuit, scales, at_temperatures(T2, T1))
             assert backward == pytest.approx(-forward, rel=1e-12)
 
-    def test_matches_quadrature(self, circuit, scales, baths):
-        oracle = quantum_integral(circuit, baths, TransferMode.OVERDAMPED_LINEAR)
-        value = heat_quantum(circuit, scales, baths)
-        assert abs(value - oracle) <= 1e-6 * abs(oracle)
+    @pytest.mark.parametrize("m_over_l", CLOSED_FORM_RATIOS)
+    def test_matches_quadrature(self, m_over_l):
+        # against a 50-digit residue sum of the same linearized function
+        def closed_form(p, b):
+            return heat_quantum(p, derive_scales(p), b)
+
+        assert worst_quantum_error(m_over_l, closed_form) <= 1e-9
+
+    @pytest.mark.parametrize("m_over_l", GRID_RATIOS)
+    def test_linear_residue_sum_matches_oracle(self, m_over_l):
+        # the library's residue route to the same split meets the bound everywhere
+        def residue_sum(p, b):
+            return quantum_integral(p, b, LINEAR)
+
+        assert worst_quantum_error(m_over_l, residue_sum) <= 1e-9
 
     def test_reduces_classical_flow(self, circuit, scales, baths):
         assert heat_quantum(circuit, scales, baths) < 0.0
@@ -265,10 +319,10 @@ class TestAssembleReport:
             raise AssertionError("adaptive quadrature called")
 
         monkeypatch.setattr(quadrature, "_integrate_panels", no_quadrature)
-        for mode in TransferMode:
-            report = assemble_report(circuit, scales, baths, Method.EXACT_QUADRATURE, mode)
-            dT = baths.T1 - baths.T2
-            assert report.q_classical == circuit.kb * dT * classical_integral(circuit, mode)
-            assert report.q_quantum == quantum_integral(circuit, baths, mode)
-            assert report.q_total == report.q_classical + report.q_quantum
-            assert report.validity_warnings == ()
+        cubic = TransferMode.EXACT_CUBIC
+        report = assemble_report(circuit, scales, baths, Method.EXACT_QUADRATURE)
+        dT = baths.T1 - baths.T2
+        assert report.q_classical == circuit.kb * dT * classical_integral(circuit, cubic)
+        assert report.q_quantum == quantum_integral(circuit, baths, cubic)
+        assert report.q_total == report.q_classical + report.q_quantum
+        assert report.validity_warnings == ()

@@ -12,7 +12,7 @@ from overheat import (
     Grid,
     Method,
     SweepSpec,
-    TransferMode,
+    assemble_report,
     classify_regime,
     derive_scales,
     emit_csv,
@@ -62,7 +62,6 @@ class TestParseConfig:
         assert spec.sweep_variable == "gamma_over_omega_d"
         assert spec.grid == Grid(1.0, 1e5, 20, "log")
         assert spec.methods == (Method.EXACT_QUADRATURE, Method.CLOSED_FORM)
-        assert spec.mode is TransferMode.EXACT_CUBIC
         assert (spec.R, spec.L, spec.M, spec.omega_c) == (2.0, 2.0, 1.0, 5.0)
         assert (spec.T1, spec.T2) == (2.0, 1.0)
 
@@ -107,8 +106,15 @@ class TestParseConfig:
             parse_config("methods = ClosedForm, Magic\n")
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError, match="unknown mode"):
+        with pytest.raises(ConfigError, match="unknown key 'mode'"):
             parse_config("mode = Heroic\n")
+
+    def test_key_set_twice_rejected(self):
+        # a repeated key is a typo, not an override
+        with pytest.raises(ConfigError, match="line 2: 'T1' already set on line 1"):
+            parse_config("T1 = 2\nT1 = 3\n")
+        with pytest.raises(ConfigError, match="line 4: 'methods' already set on line 1"):
+            parse_config("methods = ClosedForm\n\n# again\nmethods = ClosedForm\n")
 
     def test_t2_ratio_requires_t1_sweep(self):
         with pytest.raises(ConfigError, match="t2_over_t1"):
@@ -140,6 +146,24 @@ class TestParseConfig:
             "--omega-c", "5", "--T1", "2", "--T2", "1", "--safety-factor", "10",
         ]
         assert main(args) == 1
+
+    def test_transfer_mode_is_not_settable(self, circuit, scales, baths):
+        # ExactQuadrature is always the split of the full cubic model; the
+        # transfer mode is chosen only in the library functions
+        with pytest.raises(ConfigError, match="line 1: unknown key 'mode'"):
+            parse_config("mode = OverdampedLinear\n")
+        args = [
+            "eval", "--R", "2", "--L", "2", "--C", "5e-5", "--M", "1",
+            "--omega-c", "5", "--T1", "2", "--T2", "1",
+            "--method", "ExactQuadrature", "--mode", "OverdampedLinear",
+        ]
+        assert main(args) == 1
+        with pytest.raises(TypeError, match="mode"):
+            SweepSpec(mode="OverdampedLinear")
+        with pytest.raises(TypeError, match="mode"):
+            assemble_report(
+                circuit, scales, baths, Method.EXACT_QUADRATURE, mode="OverdampedLinear"
+            )
 
     @pytest.mark.parametrize("value", ["0.5", "nan"])
     def test_bad_safety_factor_rejected(self, value):
