@@ -41,7 +41,7 @@ from .quadrature import (
     heat_exact,
     quantum_integral,
 )
-from .response import TransferMode, transfer_f12, u_pm
+from .response import TransferMode, transfer_f12
 from .special import PoleError, digamma
 from .sweep import (
     ConfigError,
@@ -93,6 +93,5 @@ __all__ = [
     "run_preset",
     "run_sweep",
     "transfer_f12",
-    "u_pm",
     "__version__",
 ]

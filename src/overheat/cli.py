@@ -14,7 +14,7 @@ import sys
 
 from .closedform import Method, assemble_report
 from .model import BathPair, CircuitParams, derive_scales
-from .sweep import emit_csv, emit_plot_script, parse_config, run_preset, run_sweep
+from .sweep import PRESETS, emit_csv, emit_plot_script, parse_config, run_preset, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,9 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a parameter sweep and write CSV")
     source = sweep.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="path to a key = value sweep configuration")
-    source.add_argument(
-        "--preset", choices=("fig2", "fig3", "fig4"), help="built-in figure sweep"
-    )
+    source.add_argument("--preset", choices=PRESETS, help="built-in figure sweep")
     sweep.add_argument("--out", required=True, help="destination CSV path")
     sweep.add_argument("--plot", help="also write a matplotlib script to this path")
 

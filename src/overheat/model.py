@@ -121,8 +121,8 @@ class BathPair:
             raise ValueError(f"kb must be positive and finite, got {kb!r}")
         return cls(T1=T1, T2=T2, beta1=1.0 / (kb * T1), beta2=1.0 / (kb * T2))
 
-    def thermal_frequency(self, hbar: float = 1.0) -> float:
-        """Largest thermal frequency kb*max(T1,T2)/hbar of the pair."""
+    def thermal_frequency(self, hbar: float) -> float:
+        """Largest thermal frequency kb*max(T1,T2)/hbar, for the circuit's hbar."""
         return 1.0 / (hbar * min(self.beta1, self.beta2))
 
 
@@ -171,48 +171,41 @@ def classify_regime(p: CircuitParams, s: DerivedScales, b: BathPair) -> RegimeLa
     """Tag a parameter/temperature combination with its overdamped regime.
 
     The closed-form currents require the thermal frequency
-    omega_th = kb*max(T)/hbar to sit below the charge-sector scales: gamma,
-    sqrt(gamma*omega_pm) and cbrt(gamma*omega_pm*omega_c).  If any of those
-    separations fails (margin below `SAFETY_FACTOR`) the label is
-    OutsideOverdamped regardless of the temperature pattern.  Otherwise each
-    bath is ranked against the mode rates omega_pm and, when both fall in the
-    same row, that row's tag is returned.  Every other case is Mixed: the two
-    baths in different rows, or one or both baths in no row, as for a thermal
-    frequency between omega_plus and omega_minus.
+    omega_th = kb*max(T)/hbar to sit below the three charge-sector scales
+    gamma, sqrt(gamma*omega_plus) and cbrt(gamma*omega_plus*omega_c).  The
+    omega_minus versions of the last two need no check: omega_plus =
+    R/(L + M) <= R/(L - M) = omega_minus, so they hold whenever these do.
+    If any of the three separations fails (margin below `SAFETY_FACTOR`)
+    the label is OutsideOverdamped regardless of the temperature pattern.
+    Otherwise each bath is ranked against the mode rates omega_pm and, when
+    both fall in the same row, that row's tag is returned.  Every other case
+    is Mixed: the two baths in different rows, or one or both baths in no
+    row, as for a thermal frequency between omega_plus and omega_minus.
     """
     omega_th = b.thermal_frequency(p.hbar)
-    checks = []
-    for name, bound in (
-        ("omega_th << gamma", s.gamma),
-        ("omega_th << sqrt(gamma*omega_plus)", math.sqrt(s.gamma * s.omega_plus)),
-        ("omega_th << sqrt(gamma*omega_minus)", math.sqrt(s.gamma * s.omega_minus)),
-        (
-            "omega_th << cbrt(gamma*omega_plus*omega_c)",
-            (s.gamma * s.omega_plus * p.omega_c) ** (1.0 / 3.0),
-        ),
-        (
-            "omega_th << cbrt(gamma*omega_minus*omega_c)",
-            (s.gamma * s.omega_minus * p.omega_c) ** (1.0 / 3.0),
-        ),
-    ):
-        margin = bound / omega_th
-        checks.append(RegimeCondition(name, omega_th * SAFETY_FACTOR <= bound, margin))
+    checks = [
+        RegimeCondition(name, omega_th * SAFETY_FACTOR <= bound, bound / omega_th)
+        for name, bound in (
+            ("omega_th << gamma", s.gamma),
+            ("omega_th << sqrt(gamma*omega_plus)", math.sqrt(s.gamma * s.omega_plus)),
+            (
+                "omega_th << cbrt(gamma*omega_plus*omega_c)",
+                (s.gamma * s.omega_plus * p.omega_c) ** (1.0 / 3.0),
+            ),
+        )
+    ]
+    overdamped = all(c.satisfied for c in checks)
 
     rows = []
     for label, beta in (("bath1", b.beta1), ("bath2", b.beta2)):
         w = 1.0 / (p.hbar * beta)
         row = _bath_row(w, s)
         rows.append(row)
-        checks.append(
-            RegimeCondition(
-                f"{label} row",
-                row is not None,
-                w / s.omega_plus,  # where the bath sits relative to the slow mode
-            )
-        )
+        # margin: where the bath sits relative to the slow mode
+        checks.append(RegimeCondition(f"{label} row", row is not None, w / s.omega_plus))
 
     conditions = tuple(checks)
-    if not all(c.satisfied for c in conditions[:5]):
+    if not overdamped:
         return RegimeLabel(RegimeTag.OUTSIDE_OVERDAMPED, conditions)
     row1, row2 = rows
     if row1 is not None and row1 is row2:

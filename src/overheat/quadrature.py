@@ -424,8 +424,8 @@ def quantum_integral(
     over the left-half-plane roots s of D.  The log subtraction changes
     nothing on the axis, where s^3/(D(s) D(-s)) is odd, but makes the
     bracket vanish at large |s|: without it the OverdampedLinear integrand
-    leaves a contribution on the closing arc.  At a root of u_pm,
-    D'(s) = +/- u_pm'(s) delta (s + omega_c), from u_minus - u_plus =
+    leaves a contribution on the closing arc.  At a root of u_plus or u_minus,
+    D'(s) = +/- u'(s) delta (s + omega_c), from u_minus - u_plus =
     delta (s + omega_c) with delta = omega_minus - omega_plus = 2 R M/A.
     Roots closer together than a fraction of their distance from the axis
     (a repeated root, or the roots of u_plus and u_minus at small M/L) are

@@ -8,9 +8,10 @@ the two flux normal modes,
 
     g12(s) = -(M/A) * R^2 (s + omega_c)^2 / (u_plus(s) * u_minus(s)),
 
-with A = L^2 - M^2 and the cubic mode polynomials `u_pm`.  Dropping the
-inertial s^3 and s^2 terms of u_pm (valid deep in the overdamped regime)
-leaves linear polynomials whose roots are the dressed rates lambda_pm.
+with A = L^2 - M^2 and the cubic mode polynomials u_plus, u_minus
+(`mode_polynomials`).  Dropping their inertial s^3 and s^2 terms (valid deep
+in the overdamped regime) leaves linear polynomials whose roots are the
+dressed rates lambda_pm.
 
 The spectral heat transfer function between the two baths is
 
@@ -63,15 +64,6 @@ def horner(coeffs: tuple[float, ...], s):
         slope = slope * s + value
         value = value * s + c
     return value, slope
-
-
-def u_pm(s: complex, p: CircuitParams, mode: TransferMode) -> tuple[complex, complex]:
-    """Mode polynomials (u_plus(s), u_minus(s)) of the two flux normal modes.
-
-    Horner evaluation of `mode_polynomials`.
-    """
-    plus, minus = mode_polynomials(p, mode)
-    return horner(plus, s)[0], horner(minus, s)[0]
 
 
 def _modulus_on_axis(coeffs: tuple[float, ...], omega):

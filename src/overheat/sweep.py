@@ -27,6 +27,7 @@ from .closedform import Method, assemble_report
 from .model import BathPair, CircuitParams, classify_regime, derive_scales
 
 SWEEP_VARIABLES = ("gamma_over_omega_d", "T1", "T2")
+PRESETS = ("fig2", "fig3", "fig4")
 
 _METHOD_PREFIX = {
     Method.EXACT_QUADRATURE: "exact",
@@ -80,10 +81,10 @@ class SweepSpec:
     The swept field of the fixed parameter set is ignored: sweeping
     gamma/omega_d recomputes C at every point, sweeping a temperature
     overrides that bath.  `t2_over_t1` (T1 sweeps only) locks T2 to a fixed
-    ratio of the swept T1.  All three swept quantities must be positive, so
-    the grid must start above 0, and no method may be listed twice.  The
-    regime margin is not part of a spec: every row is classified with the
-    constant `model.SAFETY_FACTOR`.  Neither is a transfer mode:
+    ratio of the swept T1.  The grid must start above 0, every grid point
+    must give a valid circuit and baths, and no method may be listed twice.
+    The regime margin is not part of a spec: every row is classified with
+    the constant `model.SAFETY_FACTOR`.  Neither is a transfer mode:
     ExactQuadrature is always the split of the full cubic model.
     """
 
@@ -120,9 +121,29 @@ class SweepSpec:
                 raise ConfigError("t2_over_t1 only applies to T1 sweeps")
             if not (math.isfinite(self.t2_over_t1) and self.t2_over_t1 > 0.0):
                 raise ConfigError(f"t2_over_t1 must be positive, got {self.t2_over_t1!r}")
-        # constructing the domain objects enforces their invariants up front
+        # the domain objects enforce their invariants: fixed fields, then every grid point
         CircuitParams(self.R, self.L, self.C, self.M, self.omega_c, self.hbar, self.kb)
         BathPair.from_temperatures(self.T1, self.T2, self.kb)
+        for x in self.grid.values():
+            try:
+                _grid_point(self, x)
+            except ValueError as exc:
+                raise ConfigError(f"{self.sweep_variable} = {x!r}: {exc}") from None
+
+
+def _grid_point(spec: SweepSpec, x: float) -> tuple[CircuitParams, BathPair]:
+    """Circuit and baths at grid value x of the spec's sweep variable."""
+    C, T1, T2 = spec.C, spec.T1, spec.T2
+    if spec.sweep_variable == "gamma_over_omega_d":
+        C = 1.0 / (spec.R * x * (spec.R / spec.L))  # gamma = x * omega_d
+    elif spec.sweep_variable == "T1":
+        T1 = x
+        if spec.t2_over_t1 is not None:
+            T2 = spec.t2_over_t1 * x
+    else:  # T2
+        T2 = x
+    p = CircuitParams(spec.R, spec.L, C, spec.M, spec.omega_c, spec.hbar, spec.kb)
+    return p, BathPair.from_temperatures(T1, T2, spec.kb)
 
 
 @dataclass(frozen=True)
@@ -230,23 +251,9 @@ def parse_config(text: str) -> SweepSpec:
 
 
 def _evaluate_point(spec: SweepSpec, x: float) -> SweepRow:
-    """Build the parameter set at one grid point and evaluate every method."""
-    R, L, C, M = spec.R, spec.L, spec.C, spec.M
-    T1, T2 = spec.T1, spec.T2
-    if spec.sweep_variable == "gamma_over_omega_d":
-        omega_d = R / L
-        C = 1.0 / (R * x * omega_d)  # gamma = x * omega_d
-    elif spec.sweep_variable == "T1":
-        T1 = x
-        if spec.t2_over_t1 is not None:
-            T2 = spec.t2_over_t1 * x
-    else:  # T2
-        T2 = x
-
-    p = CircuitParams(R, L, C, M, spec.omega_c, spec.hbar, spec.kb)
+    """Evaluate every method at one grid point."""
+    p, b = _grid_point(spec, x)
     s = derive_scales(p)
-    b = BathPair.from_temperatures(T1, T2, spec.kb)
-
     regime = classify_regime(p, s, b)
     cells: list[float] = []
     warning_count = 0
@@ -263,8 +270,8 @@ def _evaluate_point(spec: SweepSpec, x: float) -> SweepRow:
     return SweepRow(
         sweep_variable=spec.sweep_variable,
         swept_value=x,
-        T1=T1,
-        T2=T2,
+        T1=b.T1,
+        T2=b.T2,
         methods=spec.methods,
         cells=tuple(cells),
         regime=regime.tag.value,
@@ -361,7 +368,7 @@ def preset_specs(name: str) -> list[SweepSpec]:
             )
             for t1 in (2.0, 5.0, 10.0)
         ]
-    raise ValueError(f"unknown preset {name!r}; valid: fig2, fig3, fig4")
+    raise ValueError(f"unknown preset {name!r}; valid: {', '.join(PRESETS)}")
 
 
 def run_preset(name: str) -> list[SweepRow]:
@@ -372,13 +379,12 @@ def run_preset(name: str) -> list[SweepRow]:
 
 
 def _infer_layout(rows: list[SweepRow]) -> str:
-    methods = set(rows[0].methods)
-    if rows[0].sweep_variable == "gamma_over_omega_d" and Method.EXACT_QUADRATURE in methods:
-        return "fig2"
-    if rows[0].sweep_variable == "T1" and Method.LOW_TEMP_ASYMPTOTIC in methods:
-        return "fig3"
-    if rows[0].sweep_variable == "T2" and Method.HIGH_TEMP_ASYMPTOTIC in methods:
-        return "fig4"
+    """The preset whose sweep variable and method set the rows share, else generic."""
+    key = (rows[0].sweep_variable, set(rows[0].methods))
+    for name in PRESETS:
+        spec = preset_specs(name)[0]
+        if key == (spec.sweep_variable, set(spec.methods)):
+            return name
     return "generic"
 
 
@@ -449,7 +455,8 @@ def emit_plot_script(rows: list[SweepRow], destination, csv_path) -> None:
     """Write a standalone matplotlib script that renders the sweep CSV.
 
     The script references the CSV by a path relative to its own location and
-    saves a PNG next to the CSV; the preset layout is inferred from the rows.
+    saves a PNG next to the CSV.  Rows with a preset's sweep variable and method
+    set get its layout; any other sweep gets each method's total vs the swept value.
     """
     if not rows:
         raise ValueError(f"no rows to plot for {destination}")

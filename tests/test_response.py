@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overheat import CircuitParams, TransferMode, transfer_f12, u_pm
+from overheat import CircuitParams, TransferMode, transfer_f12
+from overheat.response import horner, mode_polynomials
 from response_reference import coupling_matrices, g12, green_matrix, trace_f12
 
 
@@ -16,16 +17,22 @@ def random_params(rng):
     return CircuitParams(R=R, L=L, C=C, M=M, omega_c=wc)
 
 
+def mode_values(s, p, mode):
+    """(u_plus(s), u_minus(s)): Horner's rule on the `mode_polynomials` coefficients."""
+    return tuple(horner(coeffs, s)[0] for coeffs in mode_polynomials(p, mode))
+
+
 class TestUPm:
     def test_overdamped_root(self, circuit, scales):
         # lambda_pm is the root of the linear polynomial by construction
-        plus = u_pm(complex(scales.lambda_plus), circuit, TransferMode.OVERDAMPED_LINEAR)[0]
-        minus = u_pm(complex(scales.lambda_minus), circuit, TransferMode.OVERDAMPED_LINEAR)[1]
+        linear = TransferMode.OVERDAMPED_LINEAR
+        plus = mode_values(complex(scales.lambda_plus), circuit, linear)[0]
+        minus = mode_values(complex(scales.lambda_minus), circuit, linear)[1]
         assert abs(plus) <= 1e-13 * scales.omega_plus * circuit.omega_c
         assert abs(minus) <= 1e-13 * scales.omega_minus * circuit.omega_c
 
     def test_cubic_constant_term(self, circuit):
-        values = u_pm(0j, circuit, TransferMode.EXACT_CUBIC)
+        values = mode_values(0j, circuit, TransferMode.EXACT_CUBIC)
         for val, denom in zip(values, (3.0, 1.0)):
             expected = circuit.R * circuit.omega_c / denom  # R*omega_c/(L +/- M)
             assert val == pytest.approx(expected, rel=1e-15)
@@ -36,8 +43,8 @@ class TestUPm:
         gamma = 1e6
         for k, w in enumerate((2.0 / 3.0, 2.0)):
             s = complex(0.0, 0.01 * min(gamma, math.sqrt(gamma * w)))
-            exact = u_pm(s, p, TransferMode.EXACT_CUBIC)[k]
-            linear = u_pm(s, p, TransferMode.OVERDAMPED_LINEAR)[k]
+            exact = mode_values(s, p, TransferMode.EXACT_CUBIC)[k]
+            linear = mode_values(s, p, TransferMode.OVERDAMPED_LINEAR)[k]
             assert abs(exact - linear) / abs(exact) <= 1e-3
 
 
@@ -65,7 +72,7 @@ class TestG12:
             complex(rng.uniform(-1, 1), rng.uniform(0.05, 10)) for _ in range(50)
         ]
         for s in points:
-            up, um = u_pm(s, circuit, TransferMode.EXACT_CUBIC)
+            up, um = mode_values(s, circuit, TransferMode.EXACT_CUBIC)
             factored = (
                 -(circuit.M / A)
                 * circuit.R**2

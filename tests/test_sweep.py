@@ -1,5 +1,8 @@
 import math
 import re
+import runpy
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +124,34 @@ class TestParseConfig:
             parse_config("t2_over_t1 = 0.5\n")
         spec = parse_config("sweep = T1\nt2_over_t1 = 0.5\nstart = 0.01\nstop = 1\n")
         assert spec.t2_over_t1 == 0.5
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # C = 1/(R x omega_d) is 0 at x = 1e308
+            (
+                "sweep = gamma_over_omega_d\nstop = 1e308\n",
+                "gamma_over_omega_d = 1e+308: C must be positive and finite, got 0.0",
+            ),
+            # T2 = 1e-30 * T1 underflows to 0 at T1 = 1e-300
+            (
+                "sweep = T1\nstart = 1e-300\nt2_over_t1 = 1e-30\n",
+                "T1 = 1e-300: T2 must be positive and finite, got 0.0",
+            ),
+        ],
+        ids=["C_underflow", "T2_underflow"],
+    )
+    def test_every_grid_point_is_checked(self, text, message, tmp_path, capsys):
+        # both grids pass the raw-field checks; a derived point does not, so
+        # the config is refused before anything runs
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_method_rejected(self):
         with pytest.raises(ConfigError, match="method listed twice: ClosedForm"):
@@ -414,3 +445,61 @@ class TestEmitPlotScript:
     def test_empty_rows_refused(self, tmp_path):
         with pytest.raises(ValueError, match="no rows"):
             emit_plot_script([], tmp_path / "plot.py", tmp_path / "d.csv")
+
+
+def stub_matplotlib(monkeypatch):
+    """Install a matplotlib whose plot calls record (x, y); return the record."""
+    series = []
+
+    def plot(x, y, *args, **kwargs):
+        series.append((np.asarray(x), np.asarray(y)))
+        return [types.SimpleNamespace(get_color=lambda: "C0")]
+
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.plot = pyplot.semilogx = pyplot.loglog = plot
+    for name in ("xlabel", "ylabel", "legend", "tight_layout", "savefig"):
+        setattr(pyplot, name, lambda *args, **kwargs: None)
+    package = types.ModuleType("matplotlib")
+    package.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", package)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return series
+
+
+# Sources of `heat sweep`: the presets, one generic config, and three configs
+# that share a preset's sweep variable but not its method set.
+PLOTTED_SWEEPS = {
+    "fig2": ["--preset", "fig2"],
+    "fig3": ["--preset", "fig3"],
+    "fig4": ["--preset", "fig4"],
+    "generic": "sweep = T2\nstart = 2\nstop = 200\npoints = 3\nmethods = ClosedForm\n",
+    "exact_only": (
+        "sweep = gamma_over_omega_d\nstart = 1e2\nstop = 1e4\npoints = 3\n"
+        "methods = ExactQuadrature\n"
+    ),
+    "lowt_only": (
+        "sweep = T1\nstart = 1e-3\nstop = 1e-1\npoints = 3\nt2_over_t1 = 0.5\n"
+        "methods = LowTempAsymptotic\n"
+    ),
+    "hight_only": (
+        "sweep = T2\nstart = 2\nstop = 200\npoints = 3\nmethods = HighTempAsymptotic\n"
+    ),
+}
+
+
+class TestGeneratedPlotScripts:
+    @pytest.mark.parametrize("name", PLOTTED_SWEEPS)
+    def test_script_runs_and_plots_every_series(self, name, tmp_path, monkeypatch):
+        source = PLOTTED_SWEEPS[name]
+        if isinstance(source, str):
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text(source, encoding="utf-8")
+            source = ["--config", str(cfg)]
+        script = tmp_path / "plot.py"
+        args = ["sweep", *source, "--out", str(tmp_path / "data.csv"), "--plot", str(script)]
+        assert main(args) == 0
+        series = stub_matplotlib(monkeypatch)
+        runpy.run_path(str(script))
+        assert series
+        for x, y in series:
+            assert x.size > 0 and x.shape == y.shape
