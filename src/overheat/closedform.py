@@ -34,7 +34,7 @@ from .model import (
     classify_regime,
 )
 from .quadrature import classical_integral, quantum_integral
-from .special import digamma
+from .special import digamma, log_ratio
 
 
 class Method(Enum):
@@ -69,14 +69,6 @@ class HeatReport:
     method: Method
     regime: RegimeLabel
     validity_warnings: tuple[str, ...]
-
-
-def _log_ratio(num: float, den: float) -> float:
-    """log(num/den), switching to log difference for extreme ratios."""
-    ratio = num / den
-    if 1e-6 < ratio < 1e6:
-        return math.log(ratio)
-    return math.log(num) - math.log(den)
 
 
 def heat_classical(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:
@@ -132,7 +124,7 @@ def _quantum_log_term(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:
         (p.hbar / math.pi)
         * (p.M / p.L) ** 2
         * (s.lambda_plus * s.lambda_minus / s.omega_d) ** 2
-        * _log_ratio(b.T2, b.T1)
+        * log_ratio(b.T2, b.T1)
     )
 
 

@@ -114,11 +114,14 @@ class BathPair:
 
     @classmethod
     def from_temperatures(cls, T1: float, T2: float, kb: float = 1.0) -> "BathPair":
+        if not (math.isfinite(kb) and kb > 0.0):
+            raise ValueError(f"kb must be positive and finite, got {kb!r}")
         for name, value in (("T1", T1), ("T2", T2)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not (math.isfinite(kb) and kb > 0.0):
-            raise ValueError(f"kb must be positive and finite, got {kb!r}")
+            if not 0.0 < kb * value < math.inf or 1.0 / (kb * value) == math.inf:
+                raise ValueError(f"1/(kb*{name}) must be positive and finite "
+                                 f"at {name} = {value!r}, kb = {kb!r}")
         return cls(T1=T1, T2=T2, beta1=1.0 / (kb * T1), beta2=1.0 / (kb * T2))
 
     def thermal_frequency(self, hbar: float) -> float:

@@ -28,8 +28,9 @@ of it are subdivided, all in one batch per round, up to `MAX_SUBDIVISIONS`
 intervals in total.  The total is truncated where the Bose factors are
 exponentially dead and the truncation bound is folded into the error
 estimate; the total must meet the relative tolerance `REL_TOL`, or
-`heat_exact` raises `ToleranceNotMetError`.  Nothing here needs scipy; the
-tests keep the scipy panel quadrature as a reference.
+`heat_exact` raises `ToleranceNotMetError`.  No tolerance is absolute: the
+integrand has one sign, so |total| sets the scale in any units.  Nothing
+here needs scipy; the tests keep the scipy panel quadrature as a reference.
 """
 
 from __future__ import annotations
@@ -41,13 +42,11 @@ import numpy as np
 
 from .model import BathPair, CircuitParams, derive_scales
 from .response import TransferMode, horner, mode_polynomials, transfer_f12
-from .special import digamma
+from .special import digamma, log_ratio
 
 
 # Relative error the `heat_exact` total must meet.
 REL_TOL = 1e-9
-# Absolute floor of the quadrature tolerance.
-ABS_TOL = 1e-30
 # `heat_exact` integrates up to this many times the larger of the thermal
 # frequency and the fast mode rate; the tail beyond is bounded and folded
 # into the error estimate.
@@ -57,10 +56,10 @@ MAX_SUBDIVISIONS = 2000
 
 
 class ToleranceNotMetError(RuntimeError):
-    """Quadrature finished but the error estimate exceeds the tolerance.
+    """Quadrature finished but the error estimate exceeds REL_TOL * |value|.
 
-    Carries the best-estimate `value` and the achieved `estimate` so callers
-    can still use the result while flagging it.
+    Carries the best-estimate `value`, the achieved `estimate` and the
+    relative `target` so callers can still use the result while flagging it.
     """
 
     def __init__(self, value: float, estimate: float, target: float):
@@ -150,8 +149,8 @@ def _integrate_panels(integrand, edges: list[float]) -> tuple[float, float]:
     """Integral over [edges[0], edges[-1]] and its error estimate, as QUADPACK's qagp.
 
     The panels between consecutive edges are only the starting intervals:
-    the whole integral has one error budget,
-    tol = max(ABS_TOL, max(0.05 REL_TOL, 1e-14) |total|).  While the summed
+    the whole integral has one relative error budget, tol = 0.05 REL_TOL |total|,
+    which |total| sets because the integrand has one sign.  While the summed
     error exceeds tol, every interval whose error exceeds both its share
     tol/(number of intervals) and its rounding floor is cut, and all new
     pieces are evaluated in one batch.  The loop stops when that cut would
@@ -159,13 +158,12 @@ def _integrate_panels(integrand, edges: list[float]) -> tuple[float, float]:
     interval is at its floor, so the work is bounded whether or not the
     tolerance is met.
     """
-    epsrel = max(REL_TOL * 0.05, 1e-14)
     a = np.array(edges[:-1])
     b = np.array(edges[1:])
     value, error, floor = _qk21(integrand, a, b)
     while True:
         total, estimate = math.fsum(value.tolist()), math.fsum(error.tolist())
-        tol = max(ABS_TOL, epsrel * abs(total))
+        tol = 0.05 * REL_TOL * abs(total)
         split = (error > tol / len(a)) & (error > floor)
         n_split = np.count_nonzero(split)
         grown = len(a) + (_PIECES - 1) * n_split
@@ -180,13 +178,6 @@ def _integrate_panels(integrand, edges: list[float]) -> tuple[float, float]:
         value = np.concatenate([value[keep], new_value])
         error = np.concatenate([error[keep], new_error])
         floor = np.concatenate([floor[keep], new_floor])
-
-
-def _check_tolerance(value: float, estimate: float) -> float:
-    target = REL_TOL * abs(value) + ABS_TOL
-    if estimate > target:
-        raise ToleranceNotMetError(value, estimate, target)
-    return value
 
 
 def heat_exact(
@@ -204,7 +195,9 @@ def heat_exact(
     in all.  Returns 0.0 exactly at equilibrium (T1 == T2) and for decoupled
     loops (M == 0).  Raises `ToleranceNotMetError` (carrying the best
     estimate) when the summed interval errors plus the truncation bound
-    exceed REL_TOL * |value| + ABS_TOL.
+    exceed REL_TOL * |value|.  hbar multiplies the integral once, so at the
+    same beta_j hbar the result in units (hbar, k_b) is hbar times the
+    natural-unit one, bit for bit.
     """
     if b.T1 == b.T2 or p.M == 0.0:
         return 0.0
@@ -213,25 +206,26 @@ def heat_exact(
     omega_th = b.thermal_frequency(p.hbar)
     cut = TAIL_CUT_MULTIPLIER * max(omega_th, abs(s.lambda_minus))
     inner_lo = min(abs(s.lambda_plus), omega_th) / 100.0
-    c1 = b.beta1 * p.hbar
-    c2 = b.beta2 * p.hbar
-    half_hbar = 0.5 * p.hbar
+    # n1 - n2 = +/- n(lo w) (1 - e^-(hi - lo) w)/(1 - e^-hi w), lo <= hi the two
+    # beta_j hbar: one sign at every node and no cancellation as T1 -> T2
+    sign = 1.0 if b.T1 > b.T2 else -1.0
+    lo, hi = sorted((b.beta1 * p.hbar, b.beta2 * p.hbar))
 
     def integrand(w: np.ndarray) -> np.ndarray:
         # qk21 nodes are interior, so w > 0 and the Bose factors are finite
-        thermal = 2.0 * (_bose(c1 * w) - _bose(c2 * w))
-        return half_hbar * w * transfer_f12(w, p, mode) * thermal
+        thermal = _bose(lo * w) * np.expm1(-(hi - lo) * w) / np.expm1(-hi * w)
+        return sign * w * transfer_f12(w, p, mode) * thermal
 
     value, estimate = _integrate_panels(integrand, _panel_edges(inner_lo, cut))
     # beyond the cut, omega*f12 decreases and the Bose difference is bounded by
     # the hotter bath's occupation, so the discarded tail is under
-    # hbar * cut * f12(cut) * exp(-beta_min hbar cut)/(beta_min hbar)
-    beta_min = min(c1, c2)
-    x = beta_min * cut
-    tail_bound = 2.0 * half_hbar * cut * transfer_f12(cut, p, mode) * math.exp(-x) / (
-        beta_min * (1.0 - math.exp(-x))
-    )
-    return _check_tolerance(value, estimate + tail_bound)
+    # cut * f12(cut) * n(lo cut)/lo
+    tail_bound = cut * transfer_f12(cut, p, mode) * _bose(lo * cut) / lo
+    value, estimate = p.hbar * value, p.hbar * (estimate + tail_bound)
+    target = REL_TOL * abs(value)
+    if estimate > target:
+        raise ToleranceNotMetError(value, estimate, target)
+    return value
 
 
 def _integer_coefficients(coeffs: tuple[float, ...]) -> tuple[list[int], int]:
@@ -441,15 +435,14 @@ def quantum_integral(
 
     c1 = b.beta1 * p.hbar / (2.0 * math.pi)
     c2 = b.beta2 * p.hbar / (2.0 * math.pi)
-    # ln c2 - ln c1 rather than ln(c2/c1) keeps the sum exactly odd in T1 <-> T2
-    log_ratio = math.log(c2) - math.log(c1)
+    log_c = log_ratio(c2, c1)
     A = p.L * p.L - p.M * p.M
     delta = 2.0 * p.R * p.M / A
     polys = mode_polynomials(p, mode)
 
     def weight(s: complex) -> complex:
         """s^3 [psi(1 - c2 s) - psi(1 - c1 s) - ln(c2/c1)]/D(-s)."""
-        bracket = (digamma(1.0 - c2 * s) - digamma(1.0 - c1 * s)) - log_ratio
+        bracket = (digamma(1.0 - c2 * s) - digamma(1.0 - c1 * s)) - log_c
         return s**3 * bracket / (horner(polys[0], -s)[0] * horner(polys[1], -s)[0])
 
     roots, slopes = [], []

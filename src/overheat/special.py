@@ -48,7 +48,8 @@ def _digamma_right(z: complex) -> complex:
     while abs(z) < _RECURRENCE_RADIUS:
         acc -= 1.0 / z
         z = z + 1.0
-    w = 1.0 / (z * z)
+    # z*z overflows beyond |z| ~ 1e154, where the series is far below rounding
+    w = 1.0 / zz if cmath.isfinite(zz := z * z) else (1.0 / z) ** 2
     series = 0.0 + 0.0j
     for c in reversed(_ASYMPTOTIC_COEFFS):
         series = (series + c) * w
@@ -76,3 +77,12 @@ def digamma(z: complex | float):
     if isinstance(z, complex):
         return result
     return result.real
+
+
+def log_ratio(x: float, y: float) -> float:
+    """ln(x/y) for x, y > 0, exactly odd: the log of the ratio above 1, which a
+    common power-of-two factor leaves unchanged, or ln x - ln y where it overflows."""
+    if x < y:
+        return -log_ratio(y, x)
+    ratio = x / y
+    return math.log(ratio) if ratio < math.inf else math.log(x) - math.log(y)

@@ -420,7 +420,8 @@ plt.ylabel("heat current")
 x = data["T1"]
 plt.loglog(x, data["closed_q_total"], "-", label="closed form total")
 plt.loglog(x, data["lowt_q_total"], "--", label="low-temperature $T^4$ law")
-plt.xlabel("$T_1$ (with $T_2 = T_1/2$)")
+ratios = {f"{r:.6g}" for r in (data["T2"] / x).tolist()}
+plt.xlabel(f"$T_1$ (with $T_2/T_1 = {ratios.pop()}$)" if len(ratios) == 1 else "$T_1$")
 plt.ylabel("heat current")
 ''',
     "fig4": '''

@@ -10,16 +10,16 @@ classical and residue routes, apart from the shared `transfer_f12`.
 from __future__ import annotations
 
 import math
+import sys
 
 from scipy.integrate import quad
 
 from overheat import quadrature
 from overheat.model import BathPair, CircuitParams, derive_scales
 from overheat.quadrature import (
-    ABS_TOL,
     MAX_SUBDIVISIONS,
     TAIL_CUT_MULTIPLIER,
-    _check_tolerance,
+    ToleranceNotMetError,
     _panel_edges,
 )
 from overheat.response import TransferMode, transfer_f12
@@ -37,11 +37,12 @@ def _integrate_panels(
 ) -> tuple[float, float]:
     """Sum adaptive quadrature over consecutive panels, in fixed order.
 
-    The relative tolerance is `quadrature.REL_TOL`, read at call time so that
-    a test which patches it reaches the reference too.
+    The tolerance is relative only, `quadrature.REL_TOL`, read at call time so
+    that a test which patches it reaches the reference too; with epsabs = 0,
+    scipy accepts no relative tolerance below 50 eps.
     """
-    epsrel = max(quadrature.REL_TOL * 0.05, 1e-14)
-    epsabs = ABS_TOL / (len(edges) + 1)
+    epsrel = max(quadrature.REL_TOL * 0.05, 50 * sys.float_info.epsilon)
+    epsabs = 0.0
     values, errors = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         val, err = quad(
@@ -91,7 +92,10 @@ def reference_heat_exact(
     tail_bound = 2.0 * half_hbar * cut * transfer_f12(cut, p, mode) * math.exp(-x) / (
         beta_min * (1.0 - math.exp(-x))
     )
-    return _check_tolerance(value, estimate + tail_bound)
+    target = quadrature.REL_TOL * abs(value)
+    if estimate + tail_bound > target:
+        raise ToleranceNotMetError(value, estimate + tail_bound, target)
+    return value
 
 
 def _f12_edges(p: CircuitParams, mode: TransferMode):

@@ -1,3 +1,4 @@
+import os
 import re
 import shlex
 import shutil
@@ -90,6 +91,16 @@ class TestEval:
         args[args.index("--M") + 1] = "3"  # M >= L
         assert main(args) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, extra", [("--T2", "1e-310", []), ("--T1", "1e300", ["--kb", "1e10"])]
+    )
+    def test_temperature_without_finite_beta_exits_1(self, capsys, flag, value, extra):
+        # beta = 1/(kb*T) is inf or 0: refused at construction, not a numerical failure
+        args = list(EVAL_ARGS) + extra
+        args[args.index(flag) + 1] = value
+        assert main(args) == 1
+        assert f"error: 1/(kb*{flag[2:]}) must be positive" in capsys.readouterr().err
 
     def test_numerical_failure_exits_2(self, capsys):
         args = list(EVAL_ARGS) + ["--method", "LowTempAsymptotic"]
@@ -192,12 +203,17 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         assert main(args) == 0, " ".join(["heat", *args])
 
 
+# The package for a child interpreter, whether or not it is installed.
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "overheat.cli", *EVAL_ARGS],
             capture_output=True,
             text=True,
+            env=SRC_ENV,
         )
         assert proc.returncode == 0
         assert "q_total=" in proc.stdout
@@ -215,7 +231,7 @@ def test_import_does_not_load_scipy():
     # scipy's import takes most of a second; the package and the heat CLI
     # start without it (it is a test dependency only)
     code = "import overheat, overheat.cli, sys; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=SRC_ENV)
 
 
 def test_public_api():

@@ -326,3 +326,21 @@ class TestAssembleReport:
         assert report.q_quantum == quantum_integral(circuit, baths, cubic)
         assert report.q_total == report.q_classical + report.q_quantum
         assert report.validity_warnings == ()
+
+    @pytest.mark.parametrize("T1, T2", [(1e300, 1e-10), (1e-10, 1e300), (1e200, 1e-200)])
+    def test_extreme_temperature_ratios_stay_finite(self, circuit, scales, T1, T2):
+        # T2/T1 overflows or underflows: the log of the temperature ratio falls
+        # back to a log difference, and psi(1 - beta hbar s/2pi) at |z| ~ 1e200
+        # must not square z into an overflow (it gave nan)
+        b = at_temperatures(T1, T2)
+        for method in Method:
+            if method is Method.LOW_TEMP_ASYMPTOTIC:
+                with pytest.raises(OverflowError):  # T^4 is out of float range
+                    assemble_report(circuit, scales, b, method)
+                continue
+            report = assemble_report(circuit, scales, b, method)
+            columns = (report.q_classical, report.q_quantum, report.q_total)
+            assert all(math.isfinite(v) for v in columns), method
+        for mode in TransferMode:
+            split = circuit.kb * (T1 - T2) * classical_integral(circuit, mode)
+            assert math.isfinite(split + quantum_integral(circuit, b, mode)), mode

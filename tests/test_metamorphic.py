@@ -2,7 +2,8 @@
 
 None of them needs an oracle; each relates two evaluations of the package.
 
-* Units: Q(hbar, kb, T1, T2) = hbar Q(1, 1, kb T1/hbar, kb T2/hbar).
+* Units: Q(hbar, kb, T1, T2) = hbar Q(1, 1, kb T1/hbar, kb T2/hbar), and
+  bitwise for `heat_exact` in SI units at the same thermal inputs beta hbar.
 * Time scale: (L, C, M, omega_c, T1, T2) -> (aL, aC, aM, omega_c/a, T1/a, T2/a)
   gives Q -> Q/a^2.
 * Bath swap: every column is odd under T1 <-> T2.
@@ -15,6 +16,9 @@ three columns of a method's report, or k_b dT classical_integral and
 quantum_integral in one transfer mode; its error is measured relative to its
 largest column.
 """
+
+import dataclasses
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -47,9 +51,6 @@ TIME_UNIT = st.integers(-20, 20).map(lambda k: 2.0**k)
 
 CLOSED_FORMS = (Method.CLOSED_FORM, Method.LOW_TEMP_ASYMPTOTIC, Method.HIGH_TEMP_ASYMPTOTIC)
 EXACT_SPLIT = (Method.EXACT_QUADRATURE, *TransferMode)
-
-# ln c2 - ln c1 in quantum_integral, and ln(T2/T1) in the closed forms
-LOG_RATIO_ROUNDING = "FOUND: the log of the temperature ratio is rounded differently"
 
 SI = (1.054571817e-34, 1.380649e-23)
 REFERENCE = dict(R=2.0, L=2.0, C=5e-5, M=1.0, omega_c=5.0)
@@ -131,20 +132,14 @@ def test_time_scale_closed_forms(log_ratio, m_over_l, omega_c, log_temperatures,
     check_time_scale(log_ratio, m_over_l, omega_c, log_temperatures, a, CLOSED_FORMS)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=f"{LOG_RATIO_ROUNDING}: quantum_integral forms ln c2 - ln c1 with "
-    "c_j = beta_j hbar/2pi, whose rounding depends on the time unit",
-)
 @settings(max_examples=150, deadline=None)
 @given(**DOMAIN, a=TIME_UNIT)
 @example(
     log_ratio=3.0, m_over_l=0.9, omega_c=100.0, log_temperatures=(-0.57, -0.573), a=2.0**14
 )
 def test_time_scale_exact_split(log_ratio, m_over_l, omega_c, log_temperatures, a):
-    # measured worst case: 11546 ulp (OverdampedLinear) and 158 ulp (ExactCubic)
-    # over 4500 random draws; 0 once ln(c2/c1) is formed from the ratio
+    # measured worst case: 1.3 ulp over 1500 random draws; ln c2 - ln c1 in place
+    # of the log of c2/c1 missed by 11546 ulp (OverdampedLinear) at the example
     check_time_scale(log_ratio, m_over_l, omega_c, log_temperatures, a, EXACT_SPLIT)
 
 
@@ -170,17 +165,12 @@ def test_bath_swap_is_exactly_odd(log_ratio, m_over_l, omega_c, log_temperatures
     )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=f"{LOG_RATIO_ROUNDING}: ln(T2/T1) and ln(T1/T2) round to different magnitudes",
-)
 @settings(max_examples=150, deadline=None)
 @given(**DOMAIN)
 @example(log_ratio=1.0, m_over_l=0.9, omega_c=70.0, log_temperatures=(-2.0, -1.95))
 def test_bath_swap_closed_form_quantum(log_ratio, m_over_l, omega_c, log_temperatures):
-    # measured worst case: 1064 ulp (ClosedForm) and 67 ulp (HighTempAsymptotic)
-    # over 4500 random draws; 0 once the log is taken of the ratio above 1
+    # measured worst case: 0 (exactly odd) over 1500 random draws; ln(T2/T1) and
+    # ln(T1/T2) rounded to different magnitudes missed by 1064 ulp at the example
     methods = (Method.CLOSED_FORM, Method.HIGH_TEMP_ASYMPTOTIC)
     check_swap(log_ratio, m_over_l, omega_c, log_temperatures, methods, (1,))
 
@@ -220,27 +210,31 @@ def test_units_on_reference_circuit(hbar, kb):
     assert abs(scaled_exact - hbar * exact) <= 2 * 2.0**-52 * abs(hbar * exact)
 
 
-@pytest.mark.parametrize(
-    "hbar, kb",
-    [
-        pytest.param(
-            *SI,
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="FOUND: quadrature.ABS_TOL = 1e-30 is absolute in the units of Q, "
-                "so an SI heat current of ~1e-33 meets the tolerance unrefined",
-            ),
-        ),
-        (3.0, 0.25),
-    ],
-)
+@pytest.mark.parametrize("hbar, kb", [SI, (3.0, 0.25)])
 def test_units_of_heat_exact_when_hot(hbar, kb):
-    # thermal frequencies (50, 10); measured: 0 at (3, 0.25), 2.4e-2 in SI units
+    # thermal frequencies (50, 10); measured: 0 at (3, 0.25), 2.7 ulp in SI units,
+    # where the inverse temperatures round differently (2.4e-2 while an absolute
+    # tolerance of 1e-30 stopped the quadrature unrefined)
     T = natural_temperatures(hbar, kb, (50.0, 10.0))
     _, scaled_exact, _ = reference_reports(hbar, kb, T=T)
     _, exact, _ = reference_reports(T=tuple(kb * t / hbar for t in T))
-    assert abs(scaled_exact - hbar * exact) <= 2 * 2.0**-52 * abs(hbar * exact)
+    assert abs(scaled_exact - hbar * exact) <= FEW_ULPS * abs(hbar * exact)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**DOMAIN)
+@example(log_ratio=1.0, m_over_l=0.5, omega_c=5.0, log_temperatures=(math.log10(50.0), 1.0))
+def test_units_of_heat_exact_in_si(log_ratio, m_over_l, omega_c, log_temperatures):
+    # the same bath read in natural units: its thermal inputs beta_j hbar, the
+    # only way temperatures enter heat_exact, are kept bit for bit; measured
+    # worst case: 0 (bitwise equal) over 2000 random draws
+    hbar, kb = SI
+    T = natural_temperatures(hbar, kb, temperatures(log_temperatures))
+    b = BathPair.from_temperatures(*T, kb)
+    natural = dataclasses.replace(b, beta1=b.beta1 * hbar, beta2=b.beta2 * hbar)
+    exact = heat_exact(domain_circuit(log_ratio, m_over_l, omega_c), natural)
+    scaled = heat_exact(domain_circuit(log_ratio, m_over_l, omega_c, hbar=hbar, kb=kb), b)
+    assert abs(scaled - hbar * exact) <= FEW_ULPS * abs(hbar * exact)
 
 
 @pytest.mark.parametrize("a", [1e-3, 7.0, 1e6])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,15 @@ class TestBathPair:
     def test_rejects_nonpositive_temperature(self, T1, T2):
         with pytest.raises(ValueError, match="positive"):
             BathPair.from_temperatures(T1, T2)
+
+    @pytest.mark.parametrize(
+        "T1, T2, kb, name",
+        [(1.0, 1e-310, 1.0, "T2"), (1e300, 1.0, 1e10, "T1"), (1e-200, 1.0, 1e-200, "T1")],
+    )
+    def test_rejects_temperature_without_finite_positive_beta(self, T1, T2, kb, name):
+        # 1/(kb*T) overflows to inf, or kb*T overflows and beta is 0, or kb*T underflows to 0
+        with pytest.raises(ValueError, match=re.escape(f"1/(kb*{name}) must be positive")):
+            BathPair.from_temperatures(T1, T2, kb)
 
     def test_thermal_frequency_is_hotter_bath(self):
         b = BathPair.from_temperatures(2.0, 7.0)

@@ -138,6 +138,22 @@ class TestHeatExact:
         b = BathPair.from_temperatures(2.0, 1.0)
         assert heat_exact(p, b) == 0.0
 
+    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+    def test_near_equilibrium_is_the_linear_response(self, mode):
+        # the Bose difference n(c1 w) - n(c2 w) is not formed as a difference,
+        # so T2 = T1 (1 + 1e-9) and T2 one ulp above T1 meet the relative
+        # tolerance (n1 - n2 used to cancel to a 1.8e-7 estimate and raise);
+        # the conductance is a central difference at dT = 1e-4, error O(1e-8)
+        circuit = CircuitParams(R=2.0, L=2.0, C=0.5, M=1.0, omega_c=1.0)  # gamma = omega_d
+        d = 1e-4
+        conductance = (
+            heat_exact(circuit, BathPair.from_temperatures(1.0, 1.0 - d), mode)
+            - heat_exact(circuit, BathPair.from_temperatures(1.0, 1.0 + d), mode)
+        ) / (2.0 * d)
+        for T2 in (1.0 + 1e-9, math.nextafter(1.0, 2.0)):
+            q = heat_exact(circuit, BathPair.from_temperatures(1.0, T2), mode)
+            assert q / (1.0 - T2) == pytest.approx(conductance, rel=1e-7)
+
     def test_matches_closed_form_total(self, circuit, scales, baths):
         # gamma/omega_d = 1e4: the overdamped closed forms should nail the
         # linear-mode integral well inside 100x the quadrature tolerance
@@ -165,13 +181,13 @@ class TestHeatExact:
 
     def test_monotone_tolerance(self, circuit, baths, monkeypatch):
         # tightening REL_TOL cannot move the result by more than the prior
-        # error budget REL_TOL*|value| + ABS_TOL
+        # error budget REL_TOL*|value|
         for mode in (LINEAR, CUBIC):
             monkeypatch.setattr(quadrature, "REL_TOL", 1e-6)
             v_loose = heat_exact(circuit, baths, mode)
             monkeypatch.setattr(quadrature, "REL_TOL", 1e-7)
             v_tight = heat_exact(circuit, baths, mode)
-            assert abs(v_loose - v_tight) <= 1e-6 * abs(v_loose) + quadrature.ABS_TOL
+            assert abs(v_loose - v_tight) <= 1e-6 * abs(v_loose)
 
     def test_tolerance_failure_carries_estimate(self, circuit, baths, monkeypatch):
         # a relative target below double rounding cannot be met within ten

@@ -1,12 +1,14 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from digamma_table import DIGAMMA_TABLE
 
 from overheat import PoleError, digamma
+from overheat.special import log_ratio
 from response_reference import coth_via_digamma
 
 EULER_GAMMA = 0.57721566490153286061
@@ -101,6 +103,36 @@ class TestDigamma:
         # compare against the recurrence identity instead of reflection
         via_recurrence = digamma(z + 1.0) - 1.0 / z
         assert direct == pytest.approx(via_recurrence, rel=1e-13)
+
+    @pytest.mark.parametrize("modulus", [1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("angle", [0.0, 0.25, 0.5, 0.7, -0.25, -0.6])
+    def test_large_modulus_against_mpmath(self, modulus, angle):
+        # z*z overflows beyond |z| ~ 1e154; angles in units of pi, the last
+        # three through the reflection formula
+        z = cmath.rect(modulus, angle * math.pi)
+        with mpmath.workdps(30):
+            expected = complex(mpmath.digamma(mpmath.mpc(z.real, z.imag)))
+        assert abs(digamma(z) - expected) <= 4 * 2.0**-52 * abs(expected)
+
+
+class TestLogRatio:
+    @pytest.mark.parametrize(
+        "x, y", [(2.0, 1.0), (0.3, 0.7), (1e-300, 1e10), (1e300, 1e-10), (5e-324, 1.7e308)]
+    )
+    def test_odd_and_finite(self, x, y):
+        assert log_ratio(y, x) == -log_ratio(x, y)
+        with mpmath.workdps(30):
+            expected = float(mpmath.log(mpmath.mpf(x) / mpmath.mpf(y)))
+        assert log_ratio(x, y) == pytest.approx(expected, rel=4 * 2.0**-52)
+
+    def test_equal_arguments_give_positive_zero(self):
+        assert math.copysign(1.0, log_ratio(3.0, 3.0)) == 1.0
+
+    def test_common_power_of_two_changes_nothing(self):
+        rng = np.random.default_rng(11)
+        for x, y in np.exp(rng.uniform(-20, 20, size=(100, 2))):
+            for k in (-60, -7, 13, 90):
+                assert log_ratio(x * 2.0**k, y * 2.0**k) == log_ratio(x, y)
 
 
 class TestCothViaDigamma:

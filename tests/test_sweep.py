@@ -138,8 +138,13 @@ class TestParseConfig:
                 "sweep = T1\nstart = 1e-300\nt2_over_t1 = 1e-30\n",
                 "T1 = 1e-300: T2 must be positive and finite, got 0.0",
             ),
+            # beta2 = 1/T2 overflows at T2 = 1e-310
+            (
+                "sweep = T2\nstart = 1e-310\nstop = 1\n",
+                "T2 = 1e-310: 1/(kb*T2) must be positive and finite at T2 = 1e-310",
+            ),
         ],
-        ids=["C_underflow", "T2_underflow"],
+        ids=["C_underflow", "T2_underflow", "beta2_overflow"],
     )
     def test_every_grid_point_is_checked(self, text, message, tmp_path, capsys):
         # both grids pass the raw-field checks; a derived point does not, so
@@ -448,8 +453,9 @@ class TestEmitPlotScript:
 
 
 def stub_matplotlib(monkeypatch):
-    """Install a matplotlib whose plot calls record (x, y); return the record."""
-    series = []
+    """Install a matplotlib whose plot calls record (x, y) and whose xlabel
+    calls record the label; return both records."""
+    series, xlabels = [], []
 
     def plot(x, y, *args, **kwargs):
         series.append((np.asarray(x), np.asarray(y)))
@@ -457,17 +463,19 @@ def stub_matplotlib(monkeypatch):
 
     pyplot = types.ModuleType("matplotlib.pyplot")
     pyplot.plot = pyplot.semilogx = pyplot.loglog = plot
-    for name in ("xlabel", "ylabel", "legend", "tight_layout", "savefig"):
+    pyplot.xlabel = lambda label, *args, **kwargs: xlabels.append(label)
+    for name in ("ylabel", "legend", "tight_layout", "savefig"):
         setattr(pyplot, name, lambda *args, **kwargs: None)
     package = types.ModuleType("matplotlib")
     package.pyplot = pyplot
     monkeypatch.setitem(sys.modules, "matplotlib", package)
     monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
-    return series
+    return series, xlabels
 
 
-# Sources of `heat sweep`: the presets, one generic config, and three configs
-# that share a preset's sweep variable but not its method set.
+# Sources of `heat sweep`: the presets, one generic config, three configs that
+# share a preset's sweep variable but not its method set, and a fig3 sweep at
+# fixed T2.
 PLOTTED_SWEEPS = {
     "fig2": ["--preset", "fig2"],
     "fig3": ["--preset", "fig3"],
@@ -484,7 +492,14 @@ PLOTTED_SWEEPS = {
     "hight_only": (
         "sweep = T2\nstart = 2\nstop = 200\npoints = 3\nmethods = HighTempAsymptotic\n"
     ),
+    "fig3_fixed_t2": (
+        "sweep = T1\nstart = 1e-2\nstop = 1\npoints = 3\nT2 = 0.005\n"
+        "methods = ClosedForm, LowTempAsymptotic\n"
+    ),
 }
+# The x-axis label of each sweep that the fig3 layout plots: the ratio only
+# when every row has the same T2/T1.
+FIG3_XLABELS = {"fig3": "$T_1$ (with $T_2/T_1 = 0.5$)", "fig3_fixed_t2": "$T_1$"}
 
 
 class TestGeneratedPlotScripts:
@@ -498,8 +513,11 @@ class TestGeneratedPlotScripts:
         script = tmp_path / "plot.py"
         args = ["sweep", *source, "--out", str(tmp_path / "data.csv"), "--plot", str(script)]
         assert main(args) == 0
-        series = stub_matplotlib(monkeypatch)
+        series, xlabels = stub_matplotlib(monkeypatch)
         runpy.run_path(str(script))
         assert series
         for x, y in series:
             assert x.size > 0 and x.shape == y.shape
+        assert len(xlabels) == 1
+        if name in FIG3_XLABELS:
+            assert xlabels == [FIG3_XLABELS[name]]
