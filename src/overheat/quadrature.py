@@ -36,12 +36,14 @@ here needs scipy; the tests keep the scipy panel quadrature as a reference.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import BathPair, CircuitParams, derive_scales
-from .response import TransferMode, horner, mode_polynomials, transfer_f12
+from .response import _CACHE_SIZE, TransferMode, horner, mode_polynomials, transfer_f12
 from .special import digamma, log_ratio
 
 
@@ -276,21 +278,13 @@ def classical_integral(
     H(s) = s/(u_plus(s) u_minus(s)), whose denominator is stable, so the
     integral is 2 omega_c^4 (R M/A)^2 times the squared H2 norm of H.  That
     norm is computed without quadrature, in exact integer arithmetic on the
-    floating-point mode-polynomial coefficients, and rounded once.
+    floating-point mode-polynomial coefficients, and rounded once.  It is a
+    field of `_circuit_solve`, cached in each process on the frozen (p, mode)
+    for the last `_CACHE_SIZE` (32) pairs, and never depends on the roots.
     """
     if p.M == 0.0:
         return 0.0
-    plus, minus = mode_polynomials(p, mode)
-    up, d_plus = _integer_coefficients(plus)
-    um, d_minus = _integer_coefficients(minus)
-    a = [0] * (len(up) + len(um) - 1)
-    for i, x in enumerate(up):
-        for j, y in enumerate(um):
-            a[i + j] += x * y
-    A = p.L * p.L - p.M * p.M
-    # a is (d_plus d_minus) u_plus u_minus, so B(s) = s takes the same factor
-    h2 = _h2_norm_squared(a, d_plus * d_minus)
-    return 2.0 * p.omega_c**4 * (p.R * p.M / A) ** 2 * h2
+    return _circuit_solve(p, mode).classical
 
 
 def _mode_roots(coeffs: tuple[float, ...]) -> list[complex]:
@@ -378,6 +372,10 @@ def _clusters(roots: list[complex]) -> list[list[int]]:
     the imaginary axis; groups grow until no root does.
     """
     groups = [[k] for k in range(len(roots))]
+    # the loop's first pass: no root near another's singleton group ends it
+    if all(abs(roots[j] - w) >= -_CLUSTER_GAP * w.real
+           for k, w in enumerate(roots) for j in range(len(roots)) if j != k):
+        return groups
     merged = True
     while merged:
         merged = False
@@ -394,6 +392,75 @@ def _clusters(roots: list[complex]) -> list[list[int]]:
                 merged = True
                 break
     return groups
+
+
+@dataclass(frozen=True)
+class _CircuitSolve:
+    """What the circuit alone fixes of both integrals.
+
+    `nodes` holds (s, s^3, D(-s), divisor, offset, n) in summation order: at
+    a residue, divisor = D'(s) and offset = n = None; at one of the n points
+    s = centre + offset of a cluster's contour, divisor = D(s).  `failure`
+    is the error of the pole step, raised by `quantum_integral`.
+    """
+
+    K: float
+    classical: float
+    nodes: tuple[tuple, ...]
+    failure: ArithmeticError | None
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
+    """The temperature-independent work of both integrals, for M > 0."""
+    polys = mode_polynomials(p, mode)
+    (up, d_plus), (um, d_minus) = (_integer_coefficients(c) for c in polys)
+    a = [0] * (len(up) + len(um) - 1)
+    for i, x in enumerate(up):
+        for j, y in enumerate(um):
+            a[i + j] += x * y
+    A = p.L * p.L - p.M * p.M
+    # a is (d_plus d_minus) u_plus u_minus, so B(s) = s takes the same factor
+    h2 = _h2_norm_squared(a, d_plus * d_minus)
+    classical = 2.0 * p.omega_c**4 * (p.R * p.M / A) ** 2 * h2
+    K = (2.0 / math.pi) * p.omega_c**4 * (p.R * p.M / A) ** 2
+    try:
+        return _CircuitSolve(K, classical, _residue_nodes(p, polys, 2.0 * p.R * p.M / A), None)
+    except ArithmeticError as error:
+        return _CircuitSolve(K, classical, (), error.with_traceback(None))
+
+
+def _residue_nodes(p: CircuitParams, polys, delta: float) -> tuple[tuple, ...]:
+    """The `_CircuitSolve.nodes` of the residue sum (see `quantum_integral`)."""
+    roots, slopes = [], []
+    for sign, coeffs in zip((1.0, -1.0), polys):
+        for s in _mode_roots(coeffs):
+            roots.append(s)
+            slopes.append(sign * horner(coeffs, s)[1] * delta * (s + p.omega_c))
+
+    def node(s: complex, divisor: complex, offset=None, n=None) -> tuple:
+        return s, s**3, horner(polys[0], -s)[0] * horner(polys[1], -s)[0], divisor, offset, n
+
+    nodes = []
+    for group in _clusters(roots):
+        if len(group) == 1:
+            nodes.append(node(roots[group[0]], slopes[group[0]]))
+            continue
+        centre, spread = _centre_and_spread([roots[k] for k in group])
+        reach = min(
+            [-centre.real]
+            + [abs(s - centre) for k, s in enumerate(roots) if k not in group]
+        )
+        if spread >= reach:
+            raise ArithmeticError(f"pole cluster at {centre!r} reaches the imaginary axis")
+        ratio = max(math.sqrt(spread / reach), 0.125)
+        n = math.ceil(_LOG_ROUNDING / math.log(ratio))
+        radius = ratio * reach
+        for j in range(n):
+            offset = radius * cmath.exp(2j * math.pi * j / n)
+            s = centre + offset
+            nodes.append(node(s, horner(polys[0], s)[0] * horner(polys[1], s)[0], offset, n))
+    return tuple(nodes)
 
 
 def quantum_integral(
@@ -429,48 +496,24 @@ def quantum_integral(
     part of the classical current.  Satisfies heat_exact = k_b (T1 - T2) *
     classical_integral + quantum_integral identically; exactly 0 at
     T1 == T2 and M == 0, and exactly odd under T1 <-> T2.
+
+    Only the digamma arguments depend on the temperatures: K, the nodes and
+    their weights are `_circuit_solve`, cached in each process on the frozen
+    (p, mode) for the last `_CACHE_SIZE` (32) pairs, so a cached circuit
+    costs two digammas per node.  A cluster reaching the imaginary axis
+    raises ArithmeticError on every call.
     """
     if b.T1 == b.T2 or p.M == 0.0:
         return 0.0
-
+    solve = _circuit_solve(p, mode)
+    if solve.failure is not None:
+        raise type(solve.failure)(*solve.failure.args)
     c1 = b.beta1 * p.hbar / (2.0 * math.pi)
     c2 = b.beta2 * p.hbar / (2.0 * math.pi)
     log_c = log_ratio(c2, c1)
-    A = p.L * p.L - p.M * p.M
-    delta = 2.0 * p.R * p.M / A
-    polys = mode_polynomials(p, mode)
-
-    def weight(s: complex) -> complex:
-        """s^3 [psi(1 - c2 s) - psi(1 - c1 s) - ln(c2/c1)]/D(-s)."""
-        bracket = (digamma(1.0 - c2 * s) - digamma(1.0 - c1 * s)) - log_c
-        return s**3 * bracket / (horner(polys[0], -s)[0] * horner(polys[1], -s)[0])
-
-    roots, slopes = [], []
-    for sign, coeffs in zip((1.0, -1.0), polys):
-        for s in _mode_roots(coeffs):
-            roots.append(s)
-            slopes.append(sign * horner(coeffs, s)[1] * delta * (s + p.omega_c))
-
     total = 0j
-    for group in _clusters(roots):
-        if len(group) == 1:
-            k = group[0]
-            total += weight(roots[k]) / slopes[k]
-            continue
-        centre, spread = _centre_and_spread([roots[k] for k in group])
-        reach = min(
-            [-centre.real]
-            + [abs(s - centre) for k, s in enumerate(roots) if k not in group]
-        )
-        if spread >= reach:
-            raise ArithmeticError(f"pole cluster at {centre!r} reaches the imaginary axis")
-        ratio = max(math.sqrt(spread / reach), 0.125)
-        n = math.ceil(_LOG_ROUNDING / math.log(ratio))
-        radius = ratio * reach
-        for j in range(n):
-            offset = radius * cmath.exp(2j * math.pi * j / n)
-            s = centre + offset
-            D = horner(polys[0], s)[0] * horner(polys[1], s)[0]
-            total += weight(s) / D * offset / n
-    K = (2.0 / math.pi) * p.omega_c**4 * (p.R * p.M / A) ** 2
-    return p.hbar * K * total.real
+    for s, s3, Dm, divisor, offset, n in solve.nodes:
+        # s^3 [psi(1 - c2 s) - psi(1 - c1 s) - ln(c2/c1)]/D(-s)
+        term = s3 * ((digamma(1.0 - c2 * s) - digamma(1.0 - c1 * s)) - log_c) / Dm
+        total += term / divisor if offset is None else term / divisor * offset / n
+    return p.hbar * solve.K * total.real

@@ -22,6 +22,7 @@ evaluated at s = i*omega.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -37,6 +38,12 @@ class TransferMode(Enum):
     OVERDAMPED_LINEAR = "OverdampedLinear"
 
 
+# Circuits kept by each per-circuit cache, here and in `quadrature`: the fig2
+# preset cycles through 20 circuits, and a temperature scan reuses one.
+_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def mode_polynomials(
     p: CircuitParams, mode: TransferMode
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -45,7 +52,9 @@ def mode_polynomials(
     Exact cubic form: (s^3 + omega_c s^2)/gamma + (omega_pm + omega_c) s
     + omega_pm omega_c, with gamma = 1/(R C) and omega_pm from
     `derive_scales`.  The overdamped form keeps only the last two (linear)
-    terms; its root is lambda_pm.
+    terms; its root is lambda_pm.  Cached in each process on the frozen
+    (p, mode) for the last `_CACHE_SIZE` (32) pairs, as every `transfer_f12`
+    call needs them.
     """
     scales = derive_scales(p)
     rc = p.R * p.C
