@@ -20,17 +20,20 @@ coefficients.  psi(1 - beta hbar s/2pi) is analytic in the left half plane,
 so closing the contour there turns the quantum remainder into a sum of
 digammas at the left-half-plane poles of f12 (see `quantum_integral`).  The
 total current itself, `heat_exact`, is the quadrature that checks both: it
-starts from log-graded panels spanning the dynamical scales and applies
-QUADPACK's 21-point Gauss-Kronrod rule (qk21) with its error estimate,
-evaluated in numpy on the nodes of all intervals at once.  As in QUADPACK's
-qagp, the whole integral has one error budget: intervals above their share
-of it are subdivided, all in one batch per round, up to `MAX_SUBDIVISIONS`
-intervals in total.  The total is truncated where the Bose factors are
-exponentially dead and the truncation bound is folded into the error
-estimate; the total must meet the relative tolerance `REL_TOL`, or
-`heat_exact` raises `ToleranceNotMetError`.  No tolerance is absolute: the
-integrand has one sign, so |total| sets the scale in any units.  Nothing
-here needs scipy; the tests keep the scipy panel quadrature as a reference.
+applies QUADPACK's 21-point Gauss-Kronrod rule (qk21) with its error
+estimate, evaluated in numpy on the nodes of all intervals at once.  As in
+QUADPACK's qagp, it starts from the integrand's known breakpoints: a log
+grid of ~3 panels per decade, the moduli and resonance flanks of the poles
+of f12 (stored by the cached circuit solve) and the thermal frequency, so
+most calls meet the tolerance in that first round.  The whole integral
+has one error budget: intervals above their share of it are subdivided,
+all in one batch per round, up to `MAX_SUBDIVISIONS` intervals in total.
+The total is truncated where the Bose factors are exponentially dead and
+the truncation bound is folded into the error estimate; the total must
+meet the relative tolerance `REL_TOL`, or `heat_exact` raises
+`ToleranceNotMetError`.  No tolerance is absolute: the integrand has one
+sign, so |total| sets the scale in any units.  Nothing here needs scipy;
+the tests keep the scipy panel quadrature as a reference.
 """
 
 from __future__ import annotations
@@ -81,16 +84,14 @@ def _bose(x):
     return np.exp(-x) / -np.expm1(-x)
 
 
-def _panel_edges(inner_lo: float, inner_hi: float) -> list[float]:
-    """Log-graded breakpoints [0, inner_lo, ..., inner_hi], ~2 per decade."""
+def _panel_edges(inner_lo: float, inner_hi: float, breaks=()) -> list[float]:
+    """Log-graded breakpoints [0, inner_lo, ..., inner_hi], ~3 per decade,
+    merged in order with `breaks`, which must lie inside (inner_lo, inner_hi)."""
     decades = math.log10(inner_hi / inner_lo)
-    n = max(6, int(math.ceil(2.0 * decades)) + 1)
+    n = max(6, int(math.ceil(3.0 * decades)) + 1)
     ratio = (inner_hi / inner_lo) ** (1.0 / (n - 1))
-    edges = [0.0, inner_lo]
-    for k in range(1, n - 1):
-        edges.append(inner_lo * ratio**k)
-    edges.append(inner_hi)
-    return edges
+    inner = sorted({inner_lo * ratio**k for k in range(1, n - 1)}.union(breaks))
+    return [0.0, inner_lo] + inner + [inner_hi]
 
 
 # QUADPACK's qk21 rule on [-1, 1]: the 21 Kronrod nodes (the 10 Gauss nodes
@@ -119,7 +120,8 @@ _WG = (
 )
 _NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
 _KRONROD = np.array(_WGK[:-1] + _WGK[::-1])
-_GAUSS = np.array(_WG[:-1] + _WG[::-1])
+# both rules in one product: column 0 Kronrod, column 1 Gauss
+_WEIGHTS = np.stack([_KRONROD, np.array(_WG[:-1] + _WG[::-1])], axis=1)
 _EPS = np.finfo(float).eps
 # An interval that misses its share of the tolerance is cut in four, two
 # bisections in one round: each round costs far more in numpy calls than in
@@ -132,18 +134,20 @@ def _qk21(integrand, a: np.ndarray, b: np.ndarray):
     """qk21 on every interval (a[i], b[i]) from one call of the integrand.
 
     Returns the Kronrod values, QUADPACK's error estimates and their rounding
-    floors 50 eps Int |f|, below which subdivision gains nothing.
+    floors 50 eps Int |f|, below which subdivision gains nothing.  The
+    integrand must be nonnegative, so that Int |f| is the Kronrod value, and
+    the caller must ignore division by zero and invalid values (see
+    `heat_exact`).
     """
     half = 0.5 * (b - a)
     nodes = (a + half)[:, None] + half[:, None] * _NODES
     f = integrand(nodes.ravel()).reshape(nodes.shape)
-    kronrod = np.dot(f, _KRONROD)
-    error = np.abs(kronrod - np.dot(f, _GAUSS)) * half
+    kronrod, gauss = np.dot(f, _WEIGHTS).T
+    error = np.abs(kronrod - gauss) * half
     resasc = np.dot(np.abs(f - 0.5 * kronrod[:, None]), _KRONROD) * half
-    floor = 50.0 * _EPS * np.dot(np.abs(f), _KRONROD) * half
+    floor = (50.0 * _EPS) * kronrod * half
     # resasc == 0 means f is equal at all nodes: scaled is 0 or nan, fmax keeps the floor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, 200.0 * error / resasc) ** 1.5
+    scaled = resasc * np.minimum(1.0, 200.0 * error / resasc) ** 1.5
     return kronrod * half, np.fmax(scaled, floor), floor
 
 
@@ -160,8 +164,8 @@ def _integrate_panels(integrand, edges: list[float]) -> tuple[float, float]:
     interval is at its floor, so the work is bounded whether or not the
     tolerance is met.
     """
-    a = np.array(edges[:-1])
-    b = np.array(edges[1:])
+    edges = np.array(edges)
+    a, b = edges[:-1], edges[1:]
     value, error, floor = _qk21(integrand, a, b)
     while True:
         total, estimate = math.fsum(value.tolist()), math.fsum(error.tolist())
@@ -191,11 +195,14 @@ def heat_exact(
 
     Valid for any parameters, overdamped or not; this is the reference
     against which the closed forms are checked.  The integrand is summed by
-    batched qk21 from 0 to the cut, starting from log-graded panels, every
-    node of a round in one numpy array (see `_integrate_panels`); the
-    intervals are subdivided adaptively, up to `MAX_SUBDIVISIONS` of them
-    in all.  Returns 0.0 exactly at equilibrium (T1 == T2) and for decoupled
-    loops (M == 0).  Raises `ToleranceNotMetError` (carrying the best
+    batched qk21 from 0 to the cut, every node of a round in one numpy array
+    (see `_integrate_panels`).  The starting panels are log-graded, ~3 per
+    decade, with breakpoints added at f12's own scales, which
+    `_circuit_solve` reads off the poles, and at omega_th {1/3, 1, 3}, so
+    that most calls meet the tolerance in the first round; the intervals
+    are subdivided adaptively, up to `MAX_SUBDIVISIONS` of them in all.
+    Returns 0.0 exactly at equilibrium (T1 == T2) and for decoupled loops
+    (M == 0).  Raises `ToleranceNotMetError` (carrying the best
     estimate) when the summed interval errors plus the truncation bound
     exceed REL_TOL * |value|.  hbar multiplies the integral once, so at the
     same beta_j hbar the result in units (hbar, k_b) is hbar times the
@@ -208,22 +215,27 @@ def heat_exact(
     omega_th = b.thermal_frequency(p.hbar)
     cut = TAIL_CUT_MULTIPLIER * max(omega_th, abs(s.lambda_minus))
     inner_lo = min(abs(s.lambda_plus), omega_th) / 100.0
+    thermal_breaks = (omega_th / 3.0, omega_th, 3.0 * omega_th)
+    breaks = [w for w in _circuit_solve(p, mode).breaks + thermal_breaks if inner_lo < w < cut]
     # n1 - n2 = +/- n(lo w) (1 - e^-(hi - lo) w)/(1 - e^-hi w), lo <= hi the two
-    # beta_j hbar: one sign at every node and no cancellation as T1 -> T2
+    # beta_j hbar: one sign at every node, applied to the total, and no
+    # cancellation as T1 -> T2
     sign = 1.0 if b.T1 > b.T2 else -1.0
     lo, hi = sorted((b.beta1 * p.hbar, b.beta2 * p.hbar))
 
     def integrand(w: np.ndarray) -> np.ndarray:
         # qk21 nodes are interior, so w > 0 and the Bose factors are finite
         thermal = _bose(lo * w) * np.expm1(-(hi - lo) * w) / np.expm1(-hi * w)
-        return sign * w * transfer_f12(w, p, mode) * thermal
+        return w * transfer_f12(w, p, mode) * thermal
 
-    value, estimate = _integrate_panels(integrand, _panel_edges(inner_lo, cut))
+    # qk21 divides by resasc, which is 0 on an interval where f is constant
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value, estimate = _integrate_panels(integrand, _panel_edges(inner_lo, cut, breaks))
     # beyond the cut, omega*f12 decreases and the Bose difference is bounded by
     # the hotter bath's occupation, so the discarded tail is under
     # cut * f12(cut) * n(lo cut)/lo
     tail_bound = cut * transfer_f12(cut, p, mode) * _bose(lo * cut) / lo
-    value, estimate = p.hbar * value, p.hbar * (estimate + tail_bound)
+    value, estimate = sign * p.hbar * value, p.hbar * (estimate + tail_bound)
     target = REL_TOL * abs(value)
     if estimate > target:
         raise ToleranceNotMetError(value, estimate, target)
@@ -396,23 +408,27 @@ def _clusters(roots: list[complex]) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class _CircuitSolve:
-    """What the circuit alone fixes of both integrals.
+    """What the circuit alone fixes of the three integrals.
 
-    `nodes` holds (s, s^3, D(-s), divisor, offset, n) in summation order: at
-    a residue, divisor = D'(s) and offset = n = None; at one of the n points
-    s = centre + offset of a cluster's contour, divisor = D(s).  `failure`
-    is the error of the pole step, raised by `quantum_integral`.
+    `breaks` are the frequencies, in increasing order, where f12 bends:
+    |s| at every root s of D, and at a resonant root (|Im s| > |Re s|) also
+    |Im s| +/- {0.5, 2} |Re s| on its flanks; `heat_exact` starts its panels
+    there.  `nodes` holds (s, s^3, D(-s), divisor, offset, n) in summation
+    order: at a residue, divisor = D'(s) and offset = n = None; at one of the
+    n points s = centre + offset of a cluster's contour, divisor = D(s).
+    `failure` is the error of the pole step, raised by `quantum_integral`.
     """
 
     K: float
     classical: float
+    breaks: tuple[float, ...]
     nodes: tuple[tuple, ...]
     failure: ArithmeticError | None
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
-    """The temperature-independent work of both integrals, for M > 0."""
+    """The temperature-independent work of all three integrals, for M > 0."""
     polys = mode_polynomials(p, mode)
     (up, d_plus), (um, d_minus) = (_integer_coefficients(c) for c in polys)
     a = [0] * (len(up) + len(um) - 1)
@@ -424,17 +440,26 @@ def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
     h2 = _h2_norm_squared(a, d_plus * d_minus)
     classical = 2.0 * p.omega_c**4 * (p.R * p.M / A) ** 2 * h2
     K = (2.0 / math.pi) * p.omega_c**4 * (p.R * p.M / A) ** 2
+    mode_roots = [_mode_roots(coeffs) for coeffs in polys]
+    breaks = set()
+    for s in mode_roots[0] + mode_roots[1]:
+        breaks.add(abs(s))
+        if abs(s.imag) > abs(s.real):
+            breaks.update(abs(s.imag) + k * abs(s.real) for k in (-2.0, -0.5, 0.5, 2.0))
+    breaks = tuple(sorted(breaks))
     try:
-        return _CircuitSolve(K, classical, _residue_nodes(p, polys, 2.0 * p.R * p.M / A), None)
+        nodes = _residue_nodes(p, polys, mode_roots, 2.0 * p.R * p.M / A)
+        return _CircuitSolve(K, classical, breaks, nodes, None)
     except ArithmeticError as error:
-        return _CircuitSolve(K, classical, (), error.with_traceback(None))
+        return _CircuitSolve(K, classical, breaks, (), error.with_traceback(None))
 
 
-def _residue_nodes(p: CircuitParams, polys, delta: float) -> tuple[tuple, ...]:
-    """The `_CircuitSolve.nodes` of the residue sum (see `quantum_integral`)."""
+def _residue_nodes(p: CircuitParams, polys, mode_roots, delta: float) -> tuple[tuple, ...]:
+    """The `_CircuitSolve.nodes` of the residue sum (see `quantum_integral`),
+    from the roots of u_plus and u_minus."""
     roots, slopes = [], []
-    for sign, coeffs in zip((1.0, -1.0), polys):
-        for s in _mode_roots(coeffs):
+    for sign, coeffs, u_roots in zip((1.0, -1.0), polys, mode_roots):
+        for s in u_roots:
             roots.append(s)
             slopes.append(sign * horner(coeffs, s)[1] * delta * (s + p.omega_c))
 

@@ -80,15 +80,15 @@ def _modulus_on_axis(coeffs: tuple[float, ...], omega):
 
     Real and imaginary parts are summed separately in real arithmetic, so a
     huge omega gives inf rather than the nan that complex products of inf
-    and 0 produce.  omega may be a float or a numpy array.
+    and 0 produce; the caller ignores the overflow.  omega may be a float or
+    a numpy array.
     """
-    with np.errstate(over="ignore"):
-        if len(coeffs) == 2:
-            c, d = coeffs
-            return np.hypot(d, omega * c)
-        a, b, c, d = coeffs
-        z = -omega * omega
-        return np.hypot(b * z + d, omega * (a * z + c))
+    if len(coeffs) == 2:
+        c, d = coeffs
+        return np.hypot(d, omega * c)
+    a, b, c, d = coeffs
+    z = -omega * omega
+    return np.hypot(b * z + d, omega * (a * z + c))
 
 
 def transfer_f12(omega, p: CircuitParams, mode: TransferMode):
@@ -105,8 +105,9 @@ def transfer_f12(omega, p: CircuitParams, mode: TransferMode):
     """
     A = p.L * p.L - p.M * p.M
     plus, minus = mode_polynomials(p, mode)
-    up = _modulus_on_axis(plus, omega)
-    um = _modulus_on_axis(minus, omega)
+    with np.errstate(over="ignore"):
+        up = _modulus_on_axis(plus, omega)
+        um = _modulus_on_axis(minus, omega)
     if not (up.all() and um.all()):
         raise ArithmeticError(f"mode polynomials vanish at omega = {omega!r}")
     ratio = (omega / up) * (p.omega_c * p.omega_c / um)

@@ -276,13 +276,54 @@ class TestHeatExact:
 
         monkeypatch.setattr(quadrature, "transfer_f12", counting_f12)
         monkeypatch.setattr(quadrature, "REL_TOL", 1e-15)
-        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 40)
+        # a cap below the starting panels allows no cut: one round, which
+        # counts them; the cap is then set 26 intervals above that count,
+        # room for a second round but not for every cut the tolerance wants
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 10)
+        with pytest.raises(ToleranceNotMetError):
+            heat_exact(p, b, CUBIC)
+        cap = sizes[0] // 21 + 26
+        sizes.clear()
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", cap)
         with pytest.raises(ToleranceNotMetError):
             heat_exact(p, b, CUBIC)
         rounds = [n for n in sizes if n > 1]  # the tail bound evaluates one point
         assert len(rounds) > 1 and all(n % 21 == 0 for n in rounds)
         intervals = rounds[0] // 21 + sum(3 * n // (4 * 21) for n in rounds[1:])
-        assert intervals <= 40
+        assert intervals <= cap
+
+    def test_first_round_usually_suffices(self, monkeypatch):
+        # panels that start at f12's poles and the thermal frequency meet the
+        # tolerance in the first qk21 round for most temperature-scan points
+        # (1.27 rounds per call here; 2.05 from a plain log grid of 2 panels
+        # per decade), and the result still matches the exact split (largest
+        # miss 1.5e-11)
+        rounds = counting(monkeypatch, quadrature, "_qk21")
+        rng = np.random.default_rng(151)
+        calls = 0
+        for _ in range(40):
+            p = CircuitParams(
+                R=2.0, L=2.0, C=1.0 / (2.0 * 10.0 ** rng.uniform(1.0, 5.0)),
+                M=2.0 * rng.uniform(0.2, 0.8), omega_c=5.0 * 3.0 ** rng.uniform(-1.0, 1.0),
+            )
+            t2_over_t1 = rng.uniform(0.1, 0.9)
+            for mode in (CUBIC, LINEAR):
+                for T1 in np.geomspace(1e-2, 1e2, 9):
+                    b = BathPair.from_temperatures(T1, t2_over_t1 * T1)
+                    assert split_error(p, b, mode) <= 1e-9
+                    calls += 1
+        assert len(rounds) / calls <= 1.35
+
+    def test_estimate_guards_its_budget(self):
+        # guards the 0.05 REL_TOL loop budget of `_integrate_panels`: with a
+        # budget of 0.5 REL_TOL |total| and panels of 2 per decade, the qk21
+        # estimate here read under 1e-9 while the value was 1.5e-6 off
+        p = CircuitParams(
+            R=2.0, L=2.0, C=3.542361398687936e-05, M=1.2296013710684641,
+            omega_c=1.686956320843052,
+        )
+        b = BathPair.from_temperatures(10.0, 1.9603571785607867)
+        assert split_error(p, b, CUBIC) <= 1e-9
 
 
 class TestClassicalIntegral:
@@ -561,6 +602,7 @@ class TestCircuitSolve:
             b = BathPair.from_temperatures(T1, 0.5 * T1)
             classical_integral(circuit, mode)
             quantum_integral(circuit, b, mode)
+            heat_exact(circuit, b, mode)
         assert (len(roots), len(h2)) == (2, 1)
 
     def test_heat_exact_derives_the_scales_once(self, circuit, baths, monkeypatch, fresh_solve):
@@ -589,14 +631,17 @@ class TestCircuitSolve:
         baths = [BathPair.from_temperatures(10.0**u, 10.0**v) for u, v in log_temperatures]
 
         def values():
-            return [classical_integral(p, mode)] + [quantum_integral(p, b, mode) for b in baths]
+            return [classical_integral(p, mode)] + [
+                f(p, b, mode) for b in baths for f in (quantum_integral, heat_exact)
+            ]
 
         quadrature._circuit_solve.cache_clear()
         cached = values()
         fresh = []
         for b in baths:
-            quadrature._circuit_solve.cache_clear()
-            fresh.append(quantum_integral(p, b, mode))
+            for f in (quantum_integral, heat_exact):
+                quadrature._circuit_solve.cache_clear()
+                fresh.append(f(p, b, mode))
         quadrature._circuit_solve.cache_clear()
         fresh.insert(0, classical_integral(p, mode))
         assert [v.hex() for v in cached] == [v.hex() for v in fresh]
