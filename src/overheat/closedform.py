@@ -7,7 +7,7 @@ of the heat current evaluate by residues:
 * classical piece: k_b (T1 - T2)/2 * (M/L)^2 * omega_c/(omega_c + omega_d)
   * lambda_plus lambda_minus / omega_d
 * quantum piece: a log(T2/T1) term plus digamma functions of the mode rates
-  scaled by the two inverse temperatures.
+  scaled by the two inverse temperatures (summed by `quantum_integral`).
 
 Two asymptotic windows have simpler laws: for thermal frequencies below the
 mode rates the total current follows a Stefan-Boltzmann-like T^4 difference
@@ -34,7 +34,8 @@ from .model import (
     classify_regime,
 )
 from .quadrature import classical_integral, quantum_integral
-from .special import digamma, log_ratio
+from .response import TransferMode
+from .special import log_ratio
 
 
 class Method(Enum):
@@ -44,8 +45,8 @@ class Method(Enum):
     classical/quantum split of the full cubic model (`classical_integral`
     and `quantum_integral` in ExactCubic mode).  The adaptive quadrature of
     the total, `heat_exact`, is the independent check of that split.
-    CLOSED_FORM is the split of the linearized model; the library functions
-    take a transfer mode for the residue route to the same split.
+    CLOSED_FORM is the split of the linearized model: the classical closed
+    formula plus `quantum_integral` in OverdampedLinear mode.
     """
 
     EXACT_QUADRATURE = "ExactQuadrature"
@@ -91,31 +92,18 @@ def heat_classical(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:
 def heat_quantum(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:
     """Quantum correction to the overdamped heat current.
 
-    Residue evaluation of the digamma-weighted frequency integral:
+    Defined in the paper by residues at the dressed mode rates:
 
         (hbar/pi)(M/L)^2 (lambda_+ lambda_-/omega_d)^2 log(T2/T1)
         + (hbar/4 pi)(omega_c/(omega_c + omega_d))(M/L)
           * {lambda_+^2 [psi(1 - beta1 hbar lambda_+/2pi)
                          - psi(1 - beta2 hbar lambda_+/2pi)] - (+ -> -)}.
 
-    All digamma arguments are real and > 1 because lambda_pm < 0.  Zero at
-    equilibrium, antisymmetric under T1 <-> T2, and negative for T1 > T2
-    (it reduces the classical flow).
+    Its blocks cancel as lambda_+ -> lambda_-, so the value is the residue
+    sum of the linearized model, `quantum_integral` in OverdampedLinear mode.
+    Zero at equilibrium, odd under T1 <-> T2, negative for T1 > T2.
     """
-    log_part = _quantum_log_term(p, s, b)
-    prefactor = (
-        p.hbar / (4.0 * math.pi) * (p.omega_c / (p.omega_c + s.omega_d)) * (p.M / p.L)
-    )
-    step = p.hbar / (2.0 * math.pi)
-
-    def mode_block(lam: float) -> float:
-        d1 = digamma(1.0 - b.beta1 * step * lam)
-        d2 = digamma(1.0 - b.beta2 * step * lam)
-        return lam * lam * (d1 - d2)
-
-    return log_part + prefactor * (
-        mode_block(s.lambda_plus) - mode_block(s.lambda_minus)
-    )
+    return quantum_integral(p, b, TransferMode.OVERDAMPED_LINEAR)
 
 
 def _quantum_log_term(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:
@@ -155,7 +143,7 @@ def assemble_report(
 
     Splits per method:
 
-    * ClosedForm: classical and quantum closed forms, total is their sum.
+    * ClosedForm: classical closed form plus the linear residue sum.
     * LowTempAsymptotic: total is the T^4 law; the quantum column is the
       difference from the classical piece.
     * HighTempAsymptotic: classical closed form plus the bare log term, the

@@ -292,7 +292,7 @@ def classical_integral(
     norm is computed without quadrature, in exact integer arithmetic on the
     floating-point mode-polynomial coefficients, and rounded once.  It is a
     field of `_circuit_solve`, cached in each process on the frozen (p, mode)
-    for the last `_CACHE_SIZE` (32) pairs, and never depends on the roots.
+    for the last `_CACHE_SIZE` (64) pairs, and never depends on the roots.
     """
     if p.M == 0.0:
         return 0.0
@@ -524,7 +524,7 @@ def quantum_integral(
 
     Only the digamma arguments depend on the temperatures: K, the nodes and
     their weights are `_circuit_solve`, cached in each process on the frozen
-    (p, mode) for the last `_CACHE_SIZE` (32) pairs, so a cached circuit
+    (p, mode) for the last `_CACHE_SIZE` (64) pairs, so a cached circuit
     costs two digammas per node.  A cluster reaching the imaginary axis
     raises ArithmeticError on every call.
     """

@@ -38,9 +38,9 @@ class TransferMode(Enum):
     OVERDAMPED_LINEAR = "OverdampedLinear"
 
 
-# Circuits kept by each per-circuit cache, here and in `quadrature`: the fig2
-# preset cycles through 20 circuits, and a temperature scan reuses one.
-_CACHE_SIZE = 32
+# (circuit, mode) pairs kept by each cache, here and in `quadrature`: fig2
+# cycles 20 circuits in both transfer modes; a temperature scan reuses one.
+_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -53,7 +53,7 @@ def mode_polynomials(
     + omega_pm omega_c, with gamma = 1/(R C) and omega_pm from
     `derive_scales`.  The overdamped form keeps only the last two (linear)
     terms; its root is lambda_pm.  Cached in each process on the frozen
-    (p, mode) for the last `_CACHE_SIZE` (32) pairs, as every `transfer_f12`
+    (p, mode) for the last `_CACHE_SIZE` (64) pairs, as every `transfer_f12`
     call needs them.
     """
     scales = derive_scales(p)

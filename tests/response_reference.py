@@ -7,6 +7,9 @@
   `overheat.transfer_f12`, up to the shared circuit constants.
 * `coth_via_digamma` is the identity pi coth(x) = pi/x + 2 Im psi(1 + i x/pi)
   that turns the thermal coth factors into digammas.
+* `heat_quantum_blocks` is the paper's lambda_pm-digamma formula for the
+  overdamped quantum piece.  Its two mode blocks cancel as lambda_+ and
+  lambda_- approach each other, so it is an oracle only at M/L >= 0.5.
 * `heat_quantum_high_temp` is the overdamped quantum piece to first order in
   1/T: the log term plus its 1/T correction.
 """
@@ -77,6 +80,31 @@ def coth_via_digamma(x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x!r}")
     return math.pi / x + 2.0 * digamma(complex(1.0, x / math.pi)).imag
+
+
+def heat_quantum_blocks(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:
+    """The overdamped quantum piece as log term plus two digamma mode blocks.
+
+        (hbar/4 pi)(omega_c/(omega_c + omega_d))(M/L)
+          * {lambda_+^2 [psi(1 - beta1 hbar lambda_+/2pi)
+                         - psi(1 - beta2 hbar lambda_+/2pi)] - (+ -> -)}
+
+    on top of the log term.  All digamma arguments are real and > 1 because
+    lambda_pm < 0.
+    """
+    prefactor = (
+        p.hbar / (4.0 * math.pi) * (p.omega_c / (p.omega_c + s.omega_d)) * (p.M / p.L)
+    )
+    step = p.hbar / (2.0 * math.pi)
+
+    def mode_block(lam: float) -> float:
+        d1 = digamma(1.0 - b.beta1 * step * lam)
+        d2 = digamma(1.0 - b.beta2 * step * lam)
+        return lam * lam * (d1 - d2)
+
+    return _quantum_log_term(p, s, b) + prefactor * (
+        mode_block(s.lambda_plus) - mode_block(s.lambda_minus)
+    )
 
 
 def heat_quantum_high_temp(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from overheat import (
 )
 from overheat import quadrature, response, run_preset
 from quad_reference import _f12_integral, reference_heat_exact
+from response_reference import heat_quantum_blocks
 
 LINEAR = TransferMode.OVERDAMPED_LINEAR
 CUBIC = TransferMode.EXACT_CUBIC
@@ -326,6 +328,38 @@ class TestHeatExact:
         assert split_error(p, b, CUBIC) <= 1e-9
 
 
+def lorentzian(centre, width):
+    return lambda x: 1.0 / (width * width + (x - centre) ** 2)
+
+
+# One-signed integrands on spans that one qk21 round cannot resolve, with the
+# points where mpmath must split its own quadrature.
+COARSE_PANEL_CASES = {
+    "narrow_lorentzian": (lorentzian(0.3, 1e-2), (0.0, 1.0), (0.3,)),
+    "gamma_shape": (lambda x: x**3 * np.exp(-x), (0.0, 40.0), (3.0,)),
+    "quartic_tail": (lambda x: 1.0 / (1.0 + x**4), (0.0, 1e3), (1.0, 10.0, 100.0)),
+    "lorentzian_pair": (
+        lambda x: lorentzian(0.3, 1e-2)(x) * lorentzian(0.7, 3e-2)(x),
+        (0.0, 1.0),
+        (0.3, 0.7),
+    ),
+}
+
+
+class TestIntegratePanels:
+    @pytest.mark.parametrize("case", sorted(COARSE_PANEL_CASES))
+    def test_meets_its_budget_from_coarse_panels(self, case):
+        # the loop's budget is 0.05 REL_TOL |total|, the share heat_exact
+        # leaves for the interval errors; a looser budget stops early
+        f, (a, b), kinks = COARSE_PANEL_CASES[case]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total, estimate = quadrature._integrate_panels(f, [a, b])
+        assert estimate <= 0.05 * quadrature.REL_TOL * abs(total)
+        with mpmath.workdps(30):
+            exact = float(mpmath.quad(lambda x: f(float(x)), [a, *kinks, b]))
+        assert total == pytest.approx(exact, rel=quadrature.REL_TOL)
+
+
 class TestClassicalIntegral:
     def test_decoupled_is_zero(self):
         p = CircuitParams(R=2.0, L=2.0, C=5e-5, M=0.0, omega_c=5.0)
@@ -381,10 +415,16 @@ class TestQuantumIntegral:
         b = BathPair.from_temperatures(3.0, 3.0)
         assert quantum_integral(circuit, b) == 0.0
 
-    def test_matches_closed_form(self, circuit, scales, baths):
-        expected = heat_quantum(circuit, scales, baths)
-        value = quantum_integral(circuit, baths, LINEAR)
-        assert abs(value - expected) <= 1e-6 * abs(expected)
+    def test_matches_closed_form(self):
+        # the paper's lambda_pm-digamma blocks, at M/L where they do not cancel
+        for M, (T1, T2) in itertools.product(
+            (1.0, 1.98), ((2.0, 1.0), (0.01, 0.005), (1e-3, 1e-6), (50.0, 10.0))
+        ):
+            p = CircuitParams(R=2.0, L=2.0, C=5e-5, M=M, omega_c=5.0)
+            b = BathPair.from_temperatures(T1, T2)
+            expected = heat_quantum_blocks(p, derive_scales(p), b)
+            value = quantum_integral(p, b, LINEAR)
+            assert abs(value - expected) <= 1e-9 * abs(expected), (M, T1, T2)
 
     def test_negative_when_bath1_hot(self, circuit, baths):
         # the quantum piece reduces the classical flow
@@ -658,6 +698,15 @@ class TestCircuitSolve:
             info = cache.cache_info()
             assert info.maxsize == response._CACHE_SIZE
             assert 0 < info.currsize <= info.maxsize
+
+    def test_fig2_fits_the_caches(self, fresh_solve):
+        # fig2 cycles 20 circuits in both transfer modes, ExactQuadrature and
+        # ClosedForm: a second pass must find every (circuit, mode) cached
+        caches = (quadrature._circuit_solve, response.mode_polynomials)
+        run_preset("fig2")
+        misses = [cache.cache_info().misses for cache in caches]
+        run_preset("fig2")
+        assert [cache.cache_info().misses for cache in caches] == misses
 
     def test_cluster_failure_leaves_the_classical_integral(self, circuit, baths, monkeypatch, fresh_solve):
         expected = classical_integral(circuit)

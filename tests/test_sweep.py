@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import runpy
@@ -23,6 +24,7 @@ from overheat import (
     parse_config,
     preset_specs,
     read_csv,
+    run_preset,
     run_sweep,
 )
 from overheat import quadrature, sweep
@@ -361,7 +363,23 @@ class TestEmitCsv:
         assert a.read_bytes() == b.read_bytes()
 
 
+# sha256 of each preset CSV.  Every cell is written in its shortest round-trip
+# form, so a digest moves with any change of any value in the last bit; a
+# change that moves one is an accuracy change and has to be declared.
+PRESET_SHA256 = {
+    "fig2": "6ba48e41d43fe521e93ef5059fbd495e04733793c46a672495cba6536f48cc7d",
+    "fig3": "75484ddf5daac81479ac828cce9803eeaa75129ad49aee00f22dab32607e01c7",
+    "fig4": "25b69dcba34b81cc8c4bf25eef86fac1d995af764fd5e9644890e8ca83ff8d24",
+}
+
+
 class TestPresets:
+    @pytest.mark.parametrize("name", sorted(PRESET_SHA256))
+    def test_csv_digest(self, name, tmp_path):
+        dest = tmp_path / f"{name}.csv"
+        emit_csv(run_preset(name), dest)
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == PRESET_SHA256[name]
+
     def test_fig2_specs(self):
         specs = preset_specs("fig2")
         assert len(specs) == 3
