@@ -76,14 +76,6 @@ class ToleranceNotMetError(RuntimeError):
         self.target = target
 
 
-def _bose(x):
-    """Occupation 1/(e^x - 1) for x > 0, elementwise, safe against overflow.
-
-    Written as e^-x/(1 - e^-x), which underflows to 0 instead of overflowing.
-    """
-    return np.exp(-x) / -np.expm1(-x)
-
-
 def _panel_edges(inner_lo: float, inner_hi: float, breaks=()) -> list[float]:
     """Log-graded breakpoints [0, inner_lo, ..., inner_hi], ~3 per decade,
     merged in order with `breaks`, which must lie inside (inner_lo, inner_hi)."""
@@ -130,29 +122,32 @@ _PIECES = 4
 _PIECE_EDGES = np.linspace(0.0, 1.0, _PIECES + 1)
 
 
-def _qk21(integrand, a: np.ndarray, b: np.ndarray):
-    """qk21 on every interval (a[i], b[i]) from one call of the integrand.
+def _qk21(integrand, a: np.ndarray, b: np.ndarray, *points: float):
+    """qk21 on every interval (a[i], b[i]) from one call of the integrand,
+    which also takes the extra `points`.
 
-    Returns the Kronrod values, QUADPACK's error estimates and their rounding
-    floors 50 eps Int |f|, below which subdivision gains nothing.  The
-    integrand must be nonnegative, so that Int |f| is the Kronrod value, and
-    the caller must ignore division by zero and invalid values (see
-    `heat_exact`).
+    Returns the Kronrod values, QUADPACK's error estimates, their rounding
+    floors 50 eps Int |f|, below which subdivision gains nothing, and the
+    integrand at the `points`.  The integrand must have one sign, so that
+    Int |f| is |Kronrod value|, and the caller must ignore division by zero
+    and invalid values (see `heat_exact`).
     """
     half = 0.5 * (b - a)
     nodes = (a + half)[:, None] + half[:, None] * _NODES
-    f = integrand(nodes.ravel()).reshape(nodes.shape)
+    f = integrand(np.concatenate((nodes.ravel(), points)))
+    f, at_points = f[: nodes.size].reshape(nodes.shape), f[nodes.size :]
     kronrod, gauss = np.dot(f, _WEIGHTS).T
     error = np.abs(kronrod - gauss) * half
     resasc = np.dot(np.abs(f - 0.5 * kronrod[:, None]), _KRONROD) * half
-    floor = (50.0 * _EPS) * kronrod * half
+    floor = (50.0 * _EPS) * np.abs(kronrod) * half
     # resasc == 0 means f is equal at all nodes: scaled is 0 or nan, fmax keeps the floor
     scaled = resasc * np.minimum(1.0, 200.0 * error / resasc) ** 1.5
-    return kronrod * half, np.fmax(scaled, floor), floor
+    return kronrod * half, np.fmax(scaled, floor), floor, at_points
 
 
-def _integrate_panels(integrand, edges: list[float]) -> tuple[float, float]:
-    """Integral over [edges[0], edges[-1]] and its error estimate, as QUADPACK's qagp.
+def _integrate_panels(integrand, edges: list[float]) -> tuple[float, float, float]:
+    """Integral over [edges[0], edges[-1]] and its error estimate, as QUADPACK's
+    qagp, and the integrand at edges[-1], taken in the first round's call.
 
     The panels between consecutive edges are only the starting intervals:
     the whole integral has one relative error budget, tol = 0.05 REL_TOL |total|,
@@ -166,7 +161,7 @@ def _integrate_panels(integrand, edges: list[float]) -> tuple[float, float]:
     """
     edges = np.array(edges)
     a, b = edges[:-1], edges[1:]
-    value, error, floor = _qk21(integrand, a, b)
+    value, error, floor, (at_end,) = _qk21(integrand, a, b, edges[-1])
     while True:
         total, estimate = math.fsum(value.tolist()), math.fsum(error.tolist())
         tol = 0.05 * REL_TOL * abs(total)
@@ -174,11 +169,11 @@ def _integrate_panels(integrand, edges: list[float]) -> tuple[float, float]:
         n_split = np.count_nonzero(split)
         grown = len(a) + (_PIECES - 1) * n_split
         if estimate <= tol or not n_split or grown > MAX_SUBDIVISIONS:
-            return total, estimate
+            return total, estimate, at_end
         keep = ~split
         cuts = a[split, None] + (b[split] - a[split])[:, None] * _PIECE_EDGES
         lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
-        new_value, new_error, new_floor = _qk21(integrand, lo, hi)
+        new_value, new_error, new_floor, _ = _qk21(integrand, lo, hi)
         a = np.concatenate([a[keep], lo])
         b = np.concatenate([b[keep], hi])
         value = np.concatenate([value[keep], new_value])
@@ -196,17 +191,18 @@ def heat_exact(
     Valid for any parameters, overdamped or not; this is the reference
     against which the closed forms are checked.  The integrand is summed by
     batched qk21 from 0 to the cut, every node of a round in one numpy array
-    (see `_integrate_panels`).  The starting panels are log-graded, ~3 per
-    decade, with breakpoints added at f12's own scales, which
-    `_circuit_solve` reads off the poles, and at omega_th {1/3, 1, 3}, so
-    that most calls meet the tolerance in the first round; the intervals
-    are subdivided adaptively, up to `MAX_SUBDIVISIONS` of them in all.
-    Returns 0.0 exactly at equilibrium (T1 == T2) and for decoupled loops
-    (M == 0).  Raises `ToleranceNotMetError` (carrying the best
-    estimate) when the summed interval errors plus the truncation bound
-    exceed REL_TOL * |value|.  hbar multiplies the integral once, so at the
-    same beta_j hbar the result in units (hbar, k_b) is hbar times the
-    natural-unit one, bit for bit.
+    and one call of f12 (see `_integrate_panels`).  The starting panels are
+    log-graded, ~3 per decade, with breakpoints added at f12's own scales,
+    which `_circuit_solve` reads off the poles (their moduli and graded
+    resonance flanks), and at omega_th {1/3, 1, 3}, so that nearly every call
+    meets the tolerance in the first round; the intervals are subdivided
+    adaptively, up to `MAX_SUBDIVISIONS` of them in all.  Returns 0.0 exactly
+    at equilibrium (T1 == T2) and for decoupled loops (M == 0).  Raises
+    `ToleranceNotMetError` (carrying the best estimate) when the summed
+    interval errors plus the truncation bound, from the integrand at the cut,
+    which the first round evaluates with its nodes, exceed REL_TOL * |value|.
+    hbar multiplies the integral once, so at the same beta_j hbar the result
+    in units (hbar, k_b) is hbar times the natural-unit one, bit for bit.
     """
     if b.T1 == b.T2 or p.M == 0.0:
         return 0.0
@@ -217,24 +213,25 @@ def heat_exact(
     inner_lo = min(abs(s.lambda_plus), omega_th) / 100.0
     thermal_breaks = (omega_th / 3.0, omega_th, 3.0 * omega_th)
     breaks = [w for w in _circuit_solve(p, mode).breaks + thermal_breaks if inner_lo < w < cut]
-    # n1 - n2 = +/- n(lo w) (1 - e^-(hi - lo) w)/(1 - e^-hi w), lo <= hi the two
-    # beta_j hbar: one sign at every node, applied to the total, and no
-    # cancellation as T1 -> T2
-    sign = 1.0 if b.T1 > b.T2 else -1.0
+    # n1 - n2 = -/+ e^y expm1(-(hi - lo) w)/(expm1(y) expm1(-hi w)), y = -lo w and
+    # lo <= hi the two beta_j hbar: the integrand leaves out the minus, and `sign`
+    # applies it and the sign of T1 - T2 to the total; nothing cancels as T1 -> T2
+    sign = -1.0 if b.T1 > b.T2 else 1.0
     lo, hi = sorted((b.beta1 * p.hbar, b.beta2 * p.hbar))
 
     def integrand(w: np.ndarray) -> np.ndarray:
-        # qk21 nodes are interior, so w > 0 and the Bose factors are finite
-        thermal = _bose(lo * w) * np.expm1(-(hi - lo) * w) / np.expm1(-hi * w)
+        # w > 0 at the interior qk21 nodes and at the cut: no denominator vanishes
+        y = -lo * w
+        thermal = np.exp(y) * np.expm1((lo - hi) * w) / (np.expm1(y) * np.expm1(-hi * w))
         return w * transfer_f12(w, p, mode) * thermal
 
     # qk21 divides by resasc, which is 0 on an interval where f is constant
     with np.errstate(divide="ignore", invalid="ignore"):
-        value, estimate = _integrate_panels(integrand, _panel_edges(inner_lo, cut, breaks))
-    # beyond the cut, omega*f12 decreases and the Bose difference is bounded by
-    # the hotter bath's occupation, so the discarded tail is under
-    # cut * f12(cut) * n(lo cut)/lo
-    tail_bound = cut * transfer_f12(cut, p, mode) * _bose(lo * cut) / lo
+        value, estimate, at_cut = _integrate_panels(integrand, _panel_edges(inner_lo, cut, breaks))
+    # beyond the cut w f12 decreases, and n1 - n2 = Int_lo^hi -w n'(t w) dt, with
+    # -n'(x) = 1/(4 sinh^2(x/2)), falls faster than (w/cut) e^-lo(w - cut) times its
+    # value at the cut: the discarded tail is under |integrand(cut)| (1 + 1/(lo cut))/lo
+    tail_bound = abs(at_cut) * (1.0 + 1.0 / (lo * cut)) / lo
     value, estimate = sign * p.hbar * value, p.hbar * (estimate + tail_bound)
     target = REL_TOL * abs(value)
     if estimate > target:
@@ -360,6 +357,10 @@ def _polish(coeffs: tuple[float, ...], z: complex) -> complex:
     return z
 
 
+# A resonant root s (|Im s| > |Re s|) bends f12 at |Im s| + k |Re s| for each k
+# here: its flanks, graded by 4 so that the panels next to the peak reach the
+# log grid in steps, not in one.
+_FLANKS = (-128.0, -32.0, -8.0, -2.0, -0.5, 0.5, 2.0, 8.0, 32.0, 128.0)
 # Roots nearer each other than this fraction of their distance from the
 # imaginary axis are summed as one cluster: root by root, their residues
 # would grow like the inverse of the gap and cancel.
@@ -412,11 +413,13 @@ class _CircuitSolve:
 
     `breaks` are the frequencies, in increasing order, where f12 bends:
     |s| at every root s of D, and at a resonant root (|Im s| > |Re s|) also
-    |Im s| +/- {0.5, 2} |Re s| on its flanks; `heat_exact` starts its panels
-    there.  `nodes` holds (s, s^3, D(-s), divisor, offset, n) in summation
-    order: at a residue, divisor = D'(s) and offset = n = None; at one of the
-    n points s = centre + offset of a cluster's contour, divisor = D(s).
-    `failure` is the error of the pole step, raised by `quantum_integral`.
+    |Im s| + k |Re s|, k in `_FLANKS`, on its flanks; `heat_exact` starts
+    its panels there.  `nodes` holds the pairs (s, weight) of the residue
+    sum, in summation order: at a residue, weight = s^3/(D(-s) D'(s)), twice
+    that at the upper root of a conjugate pair of residues, whose lower root
+    is left out; at one of the n points s = centre + offset of a cluster's
+    contour, weight = s^3/(D(-s) D(s)) offset/n.  `failure` is the error of
+    the pole step, raised by `quantum_integral`.
     """
 
     K: float
@@ -445,7 +448,7 @@ def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
     for s in mode_roots[0] + mode_roots[1]:
         breaks.add(abs(s))
         if abs(s.imag) > abs(s.real):
-            breaks.update(abs(s.imag) + k * abs(s.real) for k in (-2.0, -0.5, 0.5, 2.0))
+            breaks.update(abs(s.imag) + k * abs(s.real) for k in _FLANKS)
     breaks = tuple(sorted(breaks))
     try:
         nodes = _residue_nodes(p, polys, mode_roots, 2.0 * p.R * p.M / A)
@@ -463,13 +466,20 @@ def _residue_nodes(p: CircuitParams, polys, mode_roots, delta: float) -> tuple[t
             roots.append(s)
             slopes.append(sign * horner(coeffs, s)[1] * delta * (s + p.omega_c))
 
-    def node(s: complex, divisor: complex, offset=None, n=None) -> tuple:
-        return s, s**3, horner(polys[0], -s)[0] * horner(polys[1], -s)[0], divisor, offset, n
+    def node(s: complex, scale: complex) -> tuple[complex, complex]:
+        return s, scale * s**3 / (horner(polys[0], -s)[0] * horner(polys[1], -s)[0])
 
+    groups = _clusters(roots)
+    single = [roots[g[0]] for g in groups if len(g) == 1]
     nodes = []
-    for group in _clusters(roots):
+    for group in groups:
         if len(group) == 1:
-            nodes.append(node(roots[group[0]], slopes[group[0]]))
+            s = roots[group[0]]
+            # the residues at a conjugate pair of roots add conjugate terms, and
+            # only the real part of the sum is kept: the upper one counts twice
+            paired = s.imag != 0.0 and s.conjugate() in single
+            if not (paired and s.imag < 0.0):
+                nodes.append(node(s, (2.0 if paired else 1.0) / slopes[group[0]]))
             continue
         centre, spread = _centre_and_spread([roots[k] for k in group])
         reach = min(
@@ -484,7 +494,7 @@ def _residue_nodes(p: CircuitParams, polys, mode_roots, delta: float) -> tuple[t
         for j in range(n):
             offset = radius * cmath.exp(2j * math.pi * j / n)
             s = centre + offset
-            nodes.append(node(s, horner(polys[0], s)[0] * horner(polys[1], s)[0], offset, n))
+            nodes.append(node(s, offset / (n * horner(polys[0], s)[0] * horner(polys[1], s)[0])))
     return tuple(nodes)
 
 
@@ -525,8 +535,10 @@ def quantum_integral(
     Only the digamma arguments depend on the temperatures: K, the nodes and
     their weights are `_circuit_solve`, cached in each process on the frozen
     (p, mode) for the last `_CACHE_SIZE` (64) pairs, so a cached circuit
-    costs two digammas per node.  A cluster reaching the imaginary axis
-    raises ArithmeticError on every call.
+    costs two digammas per node.  The nodes are the roots, less the lower
+    root of each conjugate pair, whose term is the conjugate of the upper
+    one's, and the points of each cluster's contour.  A cluster reaching the
+    imaginary axis raises ArithmeticError on every call.
     """
     if b.T1 == b.T2 or p.M == 0.0:
         return 0.0
@@ -537,8 +549,6 @@ def quantum_integral(
     c2 = b.beta2 * p.hbar / (2.0 * math.pi)
     log_c = log_ratio(c2, c1)
     total = 0j
-    for s, s3, Dm, divisor, offset, n in solve.nodes:
-        # s^3 [psi(1 - c2 s) - psi(1 - c1 s) - ln(c2/c1)]/D(-s)
-        term = s3 * ((digamma(1.0 - c2 * s) - digamma(1.0 - c1 * s)) - log_c) / Dm
-        total += term / divisor if offset is None else term / divisor * offset / n
+    for s, weight in solve.nodes:
+        total += weight * ((digamma(1.0 - c2 * s) - digamma(1.0 - c1 * s)) - log_c)
     return p.hbar * solve.K * total.real

@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import shlex
@@ -225,6 +226,19 @@ class TestEntryPoints:
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "eval" in proc.stdout
+
+    def test_console_script_entry_point(self, capsys):
+        # the entry point that pyproject.toml declares for `heat`, resolved and
+        # run in process, so it is checked where the script is not installed
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["heat"]
+        assert target == "overheat.cli:main"
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        assert callable(entry)
+        assert entry(["--help"]) == 0
+        assert "eval" in capsys.readouterr().out
 
 
 def test_import_does_not_load_scipy():

@@ -127,11 +127,12 @@ class TestHeatQuantum:
 
     @pytest.mark.parametrize("m_over_l", GRID_RATIOS)
     def test_linear_residue_sum_matches_oracle(self, m_over_l):
-        # the library's residue route to the same split meets the bound everywhere
-        def residue_sum(p, b):
-            return quantum_integral(p, b, LINEAR)
+        # the ClosedForm report carries the linear residue sum to its quantum
+        # column unchanged, on the whole grid
+        def report_quantum(p, b):
+            return assemble_report(p, derive_scales(p), b, Method.CLOSED_FORM).q_quantum
 
-        assert worst_quantum_error(m_over_l, residue_sum) <= 1e-9
+        assert worst_quantum_error(m_over_l, report_quantum) <= 1e-9
 
     def test_reduces_classical_flow(self, circuit, scales, baths):
         assert heat_quantum(circuit, scales, baths) < 0.0

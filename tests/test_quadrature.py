@@ -265,9 +265,9 @@ class TestHeatExact:
 
     def test_subdivision_cap_counts_every_interval(self, monkeypatch):
         # MAX_SUBDIVISIONS caps the intervals of the whole integral, not of
-        # each panel: the first array of qk21 nodes holds the starting panels,
-        # and each later one the quarters of the intervals cut in that round,
-        # every cut adding three intervals
+        # each panel: the first array of qk21 nodes holds the starting panels
+        # and the cut, for the tail bound, and each later one the quarters of
+        # the intervals cut in that round, every cut adding three intervals
         p = CircuitParams(R=2.0, L=2.0, C=1.0 / 2e3, M=1.98, omega_c=0.3)
         b = BathPair.from_temperatures(50.0, 10.0)
         sizes = []
@@ -279,27 +279,28 @@ class TestHeatExact:
         monkeypatch.setattr(quadrature, "transfer_f12", counting_f12)
         monkeypatch.setattr(quadrature, "REL_TOL", 1e-15)
         # a cap below the starting panels allows no cut: one round, which
-        # counts them; the cap is then set 26 intervals above that count,
-        # room for a second round but not for every cut the tolerance wants
+        # counts them; the cap is then set 56 intervals above that count,
+        # room for the 18 cuts of the first round (54 intervals) but not for
+        # those the second round wants
         monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 10)
         with pytest.raises(ToleranceNotMetError):
             heat_exact(p, b, CUBIC)
-        cap = sizes[0] // 21 + 26
+        cap = sizes[0] // 21 + 56
         sizes.clear()
         monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", cap)
         with pytest.raises(ToleranceNotMetError):
             heat_exact(p, b, CUBIC)
-        rounds = [n for n in sizes if n > 1]  # the tail bound evaluates one point
-        assert len(rounds) > 1 and all(n % 21 == 0 for n in rounds)
-        intervals = rounds[0] // 21 + sum(3 * n // (4 * 21) for n in rounds[1:])
+        assert len(sizes) > 1 and sizes[0] % 21 == 1 and all(n % 21 == 0 for n in sizes[1:])
+        intervals = sizes[0] // 21 + sum(3 * n // (4 * 21) for n in sizes[1:])
         assert intervals <= cap
 
     def test_first_round_usually_suffices(self, monkeypatch):
-        # panels that start at f12's poles and the thermal frequency meet the
-        # tolerance in the first qk21 round for most temperature-scan points
-        # (1.27 rounds per call here; 2.05 from a plain log grid of 2 panels
-        # per decade), and the result still matches the exact split (largest
-        # miss 1.5e-11)
+        # panels that start at f12's poles, their graded resonance flanks and
+        # the thermal frequency meet the tolerance in the first qk21 round for
+        # nearly every temperature-scan point (1.02 rounds per call here;
+        # 1.27 with flanks out to 2 |Re s| only, 2.05 from a plain log grid of
+        # 2 panels per decade), and the result still matches the exact split
+        # (largest miss 1.5e-11)
         rounds = counting(monkeypatch, quadrature, "_qk21")
         rng = np.random.default_rng(151)
         calls = 0
@@ -314,7 +315,48 @@ class TestHeatExact:
                     b = BathPair.from_temperatures(T1, t2_over_t1 * T1)
                     assert split_error(p, b, mode) <= 1e-9
                     calls += 1
-        assert len(rounds) / calls <= 1.35
+        assert len(rounds) / calls <= 1.05
+
+    def test_resonant_high_temperature_point_takes_one_round(self, monkeypatch):
+        # resonances at |Im s| ~ 322 and 348 (|Re s| ~ 4), above the thermal
+        # frequency 100: with flanks out to 2 |Re s| only, the panel [356, 676]
+        # beside them had an error estimate of 2.8e-2 of the total and the
+        # call took 3 rounds
+        p = CircuitParams(
+            R=2.0, L=2.0, C=5.0016190027216934e-05, M=1.1661656057256327,
+            omega_c=9.744157516425929,
+        )
+        b = BathPair.from_temperatures(100.0, 78.81952821899625)
+        rounds = counting(monkeypatch, quadrature, "_qk21")
+        assert split_error(p, b, CUBIC) <= 1e-9
+        assert len(rounds) == 1
+
+    @pytest.mark.parametrize("gamma_over_omega_d, m_over_l", [(1e4, 0.5), (1e3, 0.99)])
+    def test_one_f12_call_per_round(self, gamma_over_omega_d, m_over_l, monkeypatch):
+        # the tail bound reads the integrand at the cut from the first round's
+        # array, so no round and no bound calls f12 on its own (the sharp
+        # resonance at 1e3, 0.99 takes several rounds)
+        p = CircuitParams(
+            R=2.0, L=2.0, C=1.0 / (2.0 * gamma_over_omega_d), M=2.0 * m_over_l, omega_c=0.3
+        )
+        rounds = counting(monkeypatch, quadrature, "_qk21")
+        f12 = counting(monkeypatch, quadrature, "transfer_f12")
+        heat_exact(p, BathPair.from_temperatures(50.0, 10.0), CUBIC)
+        assert len(f12) == len(rounds) >= 1
+
+    @pytest.mark.parametrize("temperatures", [(2.0, 1.0), (1.0, 1.0 + 1e-6), (50.0, 10.0)])
+    def test_tail_bound_covers_the_tail(self, circuit, temperatures, monkeypatch):
+        # a cut at 10 omega_th leaves a tail above the tolerance: the estimate
+        # must cover what the cut discards, and stay within a small factor of
+        # it near equilibrium too, where a bound by the hotter bath's
+        # occupation alone read 7e4 times the discarded tail
+        b = BathPair.from_temperatures(*temperatures)
+        full = heat_exact(circuit, b)
+        monkeypatch.setattr(quadrature, "TAIL_CUT_MULTIPLIER", 10.0)
+        with pytest.raises(ToleranceNotMetError) as excinfo:
+            heat_exact(circuit, b)
+        discarded = abs(excinfo.value.value - full)
+        assert discarded <= excinfo.value.estimate <= 3.0 * discarded
 
     def test_estimate_guards_its_budget(self):
         # guards the 0.05 REL_TOL loop budget of `_integrate_panels`: with a
@@ -353,7 +395,7 @@ class TestIntegratePanels:
         # leaves for the interval errors; a looser budget stops early
         f, (a, b), kinks = COARSE_PANEL_CASES[case]
         with np.errstate(divide="ignore", invalid="ignore"):
-            total, estimate = quadrature._integrate_panels(f, [a, b])
+            total, estimate, _ = quadrature._integrate_panels(f, [a, b])
         assert estimate <= 0.05 * quadrature.REL_TOL * abs(total)
         with mpmath.workdps(30):
             exact = float(mpmath.quad(lambda x: f(float(x)), [a, *kinks, b]))
@@ -425,6 +467,15 @@ class TestQuantumIntegral:
             expected = heat_quantum_blocks(p, derive_scales(p), b)
             value = quantum_integral(p, b, LINEAR)
             assert abs(value - expected) <= 1e-9 * abs(expected), (M, T1, T2)
+
+    @pytest.mark.parametrize("mode, expected", [(CUBIC, 8), (LINEAR, 4)])
+    def test_one_digamma_pair_per_conjugate_pair(self, circuit, baths, mode, expected, monkeypatch):
+        # each cubic has a real root and a conjugate pair: the pair's lower
+        # residue is the conjugate of the upper one, so 4 nodes, not 6; the
+        # linear mode has 2 real roots
+        digammas = counting(monkeypatch, quadrature, "digamma")
+        quantum_integral(circuit, baths, mode)
+        assert len(digammas) == expected
 
     def test_negative_when_bath1_hot(self, circuit, baths):
         # the quantum piece reduces the classical flow
@@ -646,7 +697,7 @@ class TestCircuitSolve:
         assert (len(roots), len(h2)) == (2, 1)
 
     def test_heat_exact_derives_the_scales_once(self, circuit, baths, monkeypatch, fresh_solve):
-        # transfer_f12 runs once per qk21 round and once for the tail bound
+        # transfer_f12 runs once per qk21 round, the tail bound's point included
         scales = counting(monkeypatch, response, "derive_scales")
         heat_exact(circuit, baths)
         heat_exact(circuit, BathPair.from_temperatures(5.0, 1.0))

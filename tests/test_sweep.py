@@ -367,9 +367,9 @@ class TestEmitCsv:
 # form, so a digest moves with any change of any value in the last bit; a
 # change that moves one is an accuracy change and has to be declared.
 PRESET_SHA256 = {
-    "fig2": "6ba48e41d43fe521e93ef5059fbd495e04733793c46a672495cba6536f48cc7d",
-    "fig3": "75484ddf5daac81479ac828cce9803eeaa75129ad49aee00f22dab32607e01c7",
-    "fig4": "25b69dcba34b81cc8c4bf25eef86fac1d995af764fd5e9644890e8ca83ff8d24",
+    "fig2": "ba85c4956a027ec22037e69dc62aea84cc69ef6d25797edbc48b1b4fbcc7d543",
+    "fig3": "8c29c68810a533a132b346dac9386ecc6f51ee88d65df93b55dabe928479a617",
+    "fig4": "ac1a619edcd31e9d60fe5a44e0872e4e834c15acd6a103d11961df1eacfdec34",
 }
 
 
