@@ -40,8 +40,9 @@ from .quadrature import (
     classical_integral,
     heat_exact,
     quantum_integral,
+    transfer_f12,
 )
-from .response import TransferMode, transfer_f12
+from .response import TransferMode
 from .special import PoleError, digamma
 from .sweep import (
     ConfigError,

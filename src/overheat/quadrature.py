@@ -33,7 +33,8 @@ the truncation bound is folded into the error estimate; the total must
 meet the relative tolerance `REL_TOL`, or `heat_exact` raises
 `ToleranceNotMetError`.  No tolerance is absolute: the integrand has one
 sign, so |total| sets the scale in any units.  Nothing here needs scipy;
-the tests keep the scipy panel quadrature as a reference.
+the tests keep the scipy panel quadrature as a reference.  `transfer_f12`
+and all three integrals read one cached record per circuit, `_circuit_solve`.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BathPair, CircuitParams, derive_scales
-from .response import _CACHE_SIZE, TransferMode, horner, mode_polynomials, transfer_f12
+from .model import BathPair, CircuitParams, DerivedScales, derive_scales
+from .response import TransferMode, horner, mode_polynomials
 from .special import digamma, log_ratio
 
 
@@ -207,12 +208,12 @@ def heat_exact(
     if b.T1 == b.T2 or p.M == 0.0:
         return 0.0
 
-    s = derive_scales(p)
+    solve = _circuit_solve(p, mode)
     omega_th = b.thermal_frequency(p.hbar)
-    cut = TAIL_CUT_MULTIPLIER * max(omega_th, abs(s.lambda_minus))
-    inner_lo = min(abs(s.lambda_plus), omega_th) / 100.0
+    cut = TAIL_CUT_MULTIPLIER * max(omega_th, abs(solve.scales.lambda_minus))
+    inner_lo = min(abs(solve.scales.lambda_plus), omega_th) / 100.0
     thermal_breaks = (omega_th / 3.0, omega_th, 3.0 * omega_th)
-    breaks = [w for w in _circuit_solve(p, mode).breaks + thermal_breaks if inner_lo < w < cut]
+    breaks = [w for w in solve.breaks + thermal_breaks if inner_lo < w < cut]
     # n1 - n2 = -/+ e^y expm1(-(hi - lo) w)/(expm1(y) expm1(-hi w)), y = -lo w and
     # lo <= hi the two beta_j hbar: the integrand leaves out the minus, and `sign`
     # applies it and the sign of T1 - T2 to the total; nothing cancels as T1 -> T2
@@ -288,8 +289,7 @@ def classical_integral(
     integral is 2 omega_c^4 (R M/A)^2 times the squared H2 norm of H.  That
     norm is computed without quadrature, in exact integer arithmetic on the
     floating-point mode-polynomial coefficients, and rounded once.  It is a
-    field of `_circuit_solve`, cached in each process on the frozen (p, mode)
-    for the last `_CACHE_SIZE` (64) pairs, and never depends on the roots.
+    field of the cached `_circuit_solve` record and never depends on the roots.
     """
     if p.M == 0.0:
         return 0.0
@@ -407,21 +407,30 @@ def _clusters(roots: list[complex]) -> list[list[int]]:
     return groups
 
 
+# (circuit, mode) pairs kept by `_circuit_solve`: fig2 cycles 20 circuits in
+# both transfer modes; a temperature scan reuses one.
+_CACHE_SIZE = 64
+
+
 @dataclass(frozen=True)
 class _CircuitSolve:
-    """What the circuit alone fixes of the three integrals.
+    """What the circuit alone fixes of f12 and the three integrals.
 
-    `breaks` are the frequencies, in increasing order, where f12 bends:
-    |s| at every root s of D, and at a resonant root (|Im s| > |Re s|) also
-    |Im s| + k |Re s|, k in `_FLANKS`, on its flanks; `heat_exact` starts
-    its panels there.  `nodes` holds the pairs (s, weight) of the residue
-    sum, in summation order: at a residue, weight = s^3/(D(-s) D'(s)), twice
-    that at the upper root of a conjugate pair of residues, whose lower root
-    is left out; at one of the n points s = centre + offset of a cluster's
-    contour, weight = s^3/(D(-s) D(s)) offset/n.  `failure` is the error of
-    the pole step, raised by `quantum_integral`.
+    `heat_exact` reads lambda_pm from `scales`, and `transfer_f12` evaluates
+    `polys`, the coefficients of u_plus and u_minus.  `breaks` are the
+    frequencies, in increasing order, where f12 bends: |s| at every root s
+    of D, and at a resonant root (|Im s| > |Re s|) also |Im s| + k |Re s|,
+    k in `_FLANKS`, on its flanks; `heat_exact` starts its panels there.
+    `nodes` holds the pairs (s, weight) of the residue sum, in summation
+    order: at a residue, weight = s^3/(D(-s) D'(s)), twice that at the upper
+    root of a conjugate pair of residues, whose lower root is left out; at
+    one of the n points s = centre + offset of a cluster's contour,
+    weight = s^3/(D(-s) D(s)) offset/n.  `failure` is the error of the pole
+    step, raised by `quantum_integral`.
     """
 
+    scales: DerivedScales
+    polys: tuple[tuple[float, ...], tuple[float, ...]]
     K: float
     classical: float
     breaks: tuple[float, ...]
@@ -431,7 +440,8 @@ class _CircuitSolve:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
-    """The temperature-independent work of all three integrals, for M > 0."""
+    """The record of (p, mode), cached in each process for the last `_CACHE_SIZE` pairs."""
+    scales = derive_scales(p)
     polys = mode_polynomials(p, mode)
     (up, d_plus), (um, d_minus) = (_integer_coefficients(c) for c in polys)
     a = [0] * (len(up) + len(um) - 1)
@@ -452,9 +462,50 @@ def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
     breaks = tuple(sorted(breaks))
     try:
         nodes = _residue_nodes(p, polys, mode_roots, 2.0 * p.R * p.M / A)
-        return _CircuitSolve(K, classical, breaks, nodes, None)
+        return _CircuitSolve(scales, polys, K, classical, breaks, nodes, None)
     except ArithmeticError as error:
-        return _CircuitSolve(K, classical, breaks, (), error.with_traceback(None))
+        return _CircuitSolve(scales, polys, K, classical, breaks, (), error.with_traceback(None))
+
+
+def _modulus_on_axis(coeffs: tuple[float, ...], omega):
+    """|u(i omega)| from the coefficients of a linear or cubic mode polynomial.
+
+    Real and imaginary parts are summed separately in real arithmetic, so a
+    huge omega gives inf rather than the nan that complex products of inf
+    and 0 produce; the caller ignores the overflow.  omega may be a float or
+    a numpy array.
+    """
+    if len(coeffs) == 2:
+        c, d = coeffs
+        return np.hypot(d, omega * c)
+    a, b, c, d = coeffs
+    z = -omega * omega
+    return np.hypot(b * z + d, omega * (a * z + c))
+
+
+def transfer_f12(omega, p: CircuitParams, mode: TransferMode):
+    """Heat transfer function f12(omega) in the factorized mode form.
+
+    Computed from |u_plus(i omega)| |u_minus(i omega)| instead of squaring
+    g12 directly; the factorized polynomials are numerically stable across
+    the full overdamped range where the direct determinant suffers
+    cancellation.  The ratio omega omega_c^2 / |u_plus u_minus| is formed
+    factor by factor before squaring, so f12 decays to 0 instead of
+    overflowing at large omega.  Nonnegative for all real omega and even in
+    omega.  A float omega gives a float; a numpy array gives f12 at each
+    element, equal to the scalar calls.  The first call on a circuit pays for
+    its `_circuit_solve` record, which holds the coefficients.
+    """
+    A = p.L * p.L - p.M * p.M
+    plus, minus = _circuit_solve(p, mode).polys
+    with np.errstate(over="ignore"):
+        up = _modulus_on_axis(plus, omega)
+        um = _modulus_on_axis(minus, omega)
+    if not (up.all() and um.all()):
+        raise ArithmeticError(f"mode polynomials vanish at omega = {omega!r}")
+    ratio = (omega / up) * (p.omega_c * p.omega_c / um)
+    f12 = (2.0 / math.pi) * (p.R * p.M / A) ** 2 * ratio * ratio
+    return f12 if isinstance(f12, np.ndarray) else float(f12)
 
 
 def _residue_nodes(p: CircuitParams, polys, mode_roots, delta: float) -> tuple[tuple, ...]:
@@ -533,9 +584,8 @@ def quantum_integral(
     T1 == T2 and M == 0, and exactly odd under T1 <-> T2.
 
     Only the digamma arguments depend on the temperatures: K, the nodes and
-    their weights are `_circuit_solve`, cached in each process on the frozen
-    (p, mode) for the last `_CACHE_SIZE` (64) pairs, so a cached circuit
-    costs two digammas per node.  The nodes are the roots, less the lower
+    their weights are fields of the cached `_circuit_solve` record, so a
+    cached circuit costs two digammas per node.  The nodes are the roots, less the lower
     root of each conjugate pair, whose term is the conjugate of the upper
     one's, and the points of each cluster's contour.  A cluster reaching the
     imaginary axis raises ArithmeticError on every call.

@@ -17,16 +17,12 @@ The spectral heat transfer function between the two baths is
 
     f12(omega) = (2/pi) omega^2 omega_c^4 (R M / A)^2 / |u_plus u_minus|^2
 
-evaluated at s = i*omega.
+evaluated at s = i*omega (`quadrature.transfer_f12`).
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from enum import Enum
-
-import numpy as np
 
 from .model import CircuitParams, derive_scales
 
@@ -38,12 +34,6 @@ class TransferMode(Enum):
     OVERDAMPED_LINEAR = "OverdampedLinear"
 
 
-# (circuit, mode) pairs kept by each cache, here and in `quadrature`: fig2
-# cycles 20 circuits in both transfer modes; a temperature scan reuses one.
-_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def mode_polynomials(
     p: CircuitParams, mode: TransferMode
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -52,9 +42,7 @@ def mode_polynomials(
     Exact cubic form: (s^3 + omega_c s^2)/gamma + (omega_pm + omega_c) s
     + omega_pm omega_c, with gamma = 1/(R C) and omega_pm from
     `derive_scales`.  The overdamped form keeps only the last two (linear)
-    terms; its root is lambda_pm.  Cached in each process on the frozen
-    (p, mode) for the last `_CACHE_SIZE` (64) pairs, as every `transfer_f12`
-    call needs them.
+    terms; its root is lambda_pm.  Uncached: `quadrature._circuit_solve` keeps them.
     """
     scales = derive_scales(p)
     rc = p.R * p.C
@@ -73,43 +61,3 @@ def horner(coeffs: tuple[float, ...], s):
         slope = slope * s + value
         value = value * s + c
     return value, slope
-
-
-def _modulus_on_axis(coeffs: tuple[float, ...], omega):
-    """|u(i omega)| from the coefficients of a linear or cubic mode polynomial.
-
-    Real and imaginary parts are summed separately in real arithmetic, so a
-    huge omega gives inf rather than the nan that complex products of inf
-    and 0 produce; the caller ignores the overflow.  omega may be a float or
-    a numpy array.
-    """
-    if len(coeffs) == 2:
-        c, d = coeffs
-        return np.hypot(d, omega * c)
-    a, b, c, d = coeffs
-    z = -omega * omega
-    return np.hypot(b * z + d, omega * (a * z + c))
-
-
-def transfer_f12(omega, p: CircuitParams, mode: TransferMode):
-    """Heat transfer function f12(omega) in the factorized mode form.
-
-    Computed from |u_plus(i omega)| |u_minus(i omega)| instead of squaring
-    g12 directly; the factorized polynomials are numerically stable across
-    the full overdamped range where the direct determinant suffers
-    cancellation.  The ratio omega omega_c^2 / |u_plus u_minus| is formed
-    factor by factor before squaring, so f12 decays to 0 instead of
-    overflowing at large omega.  Nonnegative for all real omega and even in
-    omega.  A float omega gives a float; a numpy array gives f12 at each
-    element, equal to the scalar calls.
-    """
-    A = p.L * p.L - p.M * p.M
-    plus, minus = mode_polynomials(p, mode)
-    with np.errstate(over="ignore"):
-        up = _modulus_on_axis(plus, omega)
-        um = _modulus_on_axis(minus, omega)
-    if not (up.all() and um.all()):
-        raise ArithmeticError(f"mode polynomials vanish at omega = {omega!r}")
-    ratio = (omega / up) * (p.omega_c * p.omega_c / um)
-    f12 = (2.0 / math.pi) * (p.R * p.M / A) ** 2 * ratio * ratio
-    return f12 if isinstance(f12, np.ndarray) else float(f12)

@@ -21,8 +21,9 @@ from overheat.quadrature import (
     TAIL_CUT_MULTIPLIER,
     ToleranceNotMetError,
     _panel_edges,
+    transfer_f12,
 )
-from overheat.response import TransferMode, transfer_f12
+from overheat.response import TransferMode
 
 
 def _bose(x: float) -> float:

@@ -661,14 +661,11 @@ class TestQuantumIntegral:
 
 @pytest.fixture
 def fresh_solve():
-    """Empty the per-circuit caches before and after the test, so that a test
+    """Empty the per-circuit cache before and after the test, so that a test
     which patches a part of the circuit solve neither reads nor leaves a record."""
-    caches = (quadrature._circuit_solve, response.mode_polynomials)
-    for cache in caches:
-        cache.cache_clear()
+    quadrature._circuit_solve.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    quadrature._circuit_solve.cache_clear()
 
 
 def counting(monkeypatch, module, name):
@@ -695,6 +692,24 @@ class TestCircuitSolve:
             quantum_integral(circuit, b, mode)
             heat_exact(circuit, b, mode)
         assert (len(roots), len(h2)) == (2, 1)
+
+    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+    def test_solved_circuit_derives_nothing_again(self, circuit, mode, monkeypatch):
+        # the record keeps the mode polynomials and the scales: on a solved
+        # circuit no temperature and no f12 call derives either again
+        classical_integral(circuit, mode)
+        calls = [
+            counting(monkeypatch, module, name)
+            for module in (quadrature, response)
+            for name in ("mode_polynomials", "derive_scales")
+        ]
+        for T1 in np.geomspace(1e-2, 1e2, 9):
+            b = BathPair.from_temperatures(T1, 0.5 * T1)
+            classical_integral(circuit, mode)
+            quantum_integral(circuit, b, mode)
+            heat_exact(circuit, b, mode)
+            transfer_f12(T1, circuit, mode)
+        assert calls == [[], [], [], []]
 
     def test_heat_exact_derives_the_scales_once(self, circuit, baths, monkeypatch, fresh_solve):
         # transfer_f12 runs once per qk21 round, the tail bound's point included
@@ -745,19 +760,17 @@ class TestCircuitSolve:
             for mode in (LINEAR, CUBIC):
                 quantum_integral(p, b, mode)
                 transfer_f12(1.0, p, mode)
-        for cache in (quadrature._circuit_solve, response.mode_polynomials):
-            info = cache.cache_info()
-            assert info.maxsize == response._CACHE_SIZE
-            assert 0 < info.currsize <= info.maxsize
+        info = quadrature._circuit_solve.cache_info()
+        assert info.maxsize == quadrature._CACHE_SIZE
+        assert 0 < info.currsize <= info.maxsize
 
     def test_fig2_fits_the_caches(self, fresh_solve):
         # fig2 cycles 20 circuits in both transfer modes, ExactQuadrature and
         # ClosedForm: a second pass must find every (circuit, mode) cached
-        caches = (quadrature._circuit_solve, response.mode_polynomials)
         run_preset("fig2")
-        misses = [cache.cache_info().misses for cache in caches]
+        misses = quadrature._circuit_solve.cache_info().misses
         run_preset("fig2")
-        assert [cache.cache_info().misses for cache in caches] == misses
+        assert quadrature._circuit_solve.cache_info().misses == misses
 
     def test_cluster_failure_leaves_the_classical_integral(self, circuit, baths, monkeypatch, fresh_solve):
         expected = classical_integral(circuit)
