@@ -81,7 +81,7 @@ def _panel_edges(inner_lo: float, inner_hi: float, breaks=()) -> list[float]:
     """Log-graded breakpoints [0, inner_lo, ..., inner_hi], ~3 per decade,
     merged in order with `breaks`, which must lie inside (inner_lo, inner_hi)."""
     decades = math.log10(inner_hi / inner_lo)
-    n = max(6, int(math.ceil(3.0 * decades)) + 1)
+    n = int(math.ceil(3.0 * decades)) + 1
     ratio = (inner_hi / inner_lo) ** (1.0 / (n - 1))
     inner = sorted({inner_lo * ratio**k for k in range(1, n - 1)}.union(breaks))
     return [0.0, inner_lo] + inner + [inner_hi]
@@ -210,8 +210,10 @@ def heat_exact(
 
     solve = _circuit_solve(p, mode)
     omega_th = b.thermal_frequency(p.hbar)
-    cut = TAIL_CUT_MULTIPLIER * max(omega_th, abs(solve.scales.lambda_minus))
     inner_lo = min(abs(solve.scales.lambda_plus), omega_th) / 100.0
+    # cut/inner_lo <= 1e300 stays finite; a float cap overflows to inf, not a numpy warning
+    cap = 1e300 * float(inner_lo)
+    cut = min(TAIL_CUT_MULTIPLIER * max(omega_th, abs(solve.scales.lambda_minus)), cap)
     thermal_breaks = (omega_th / 3.0, omega_th, 3.0 * omega_th)
     breaks = [w for w in solve.breaks + thermal_breaks if inner_lo < w < cut]
     # n1 - n2 = -/+ e^y expm1(-(hi - lo) w)/(expm1(y) expm1(-hi w)), y = -lo w and
@@ -221,10 +223,10 @@ def heat_exact(
     lo, hi = sorted((b.beta1 * p.hbar, b.beta2 * p.hbar))
 
     def integrand(w: np.ndarray) -> np.ndarray:
-        # w > 0 at the interior qk21 nodes and at the cut: no denominator vanishes
+        # w > 0 at every node: no denominator vanishes, and w/expm1(y) ~ -1/lo stays finite
         y = -lo * w
-        thermal = np.exp(y) * np.expm1((lo - hi) * w) / (np.expm1(y) * np.expm1(-hi * w))
-        return w * transfer_f12(w, p, mode) * thermal
+        thermal = np.exp(y) * np.expm1((lo - hi) * w) / np.expm1(-hi * w)
+        return (w / np.expm1(y)) * transfer_f12(w, p, mode) * thermal
 
     # qk21 divides by resasc, which is 0 on an interval where f is constant
     with np.errstate(divide="ignore", invalid="ignore"):

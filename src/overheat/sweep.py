@@ -121,9 +121,7 @@ class SweepSpec:
                 raise ConfigError("t2_over_t1 only applies to T1 sweeps")
             if not (math.isfinite(self.t2_over_t1) and self.t2_over_t1 > 0.0):
                 raise ConfigError(f"t2_over_t1 must be positive, got {self.t2_over_t1!r}")
-        # the domain objects enforce their invariants: fixed fields, then every grid point
-        CircuitParams(self.R, self.L, self.C, self.M, self.omega_c, self.hbar, self.kb)
-        BathPair.from_temperatures(self.T1, self.T2, self.kb)
+        # each grid point checks the fields it uses, and none that the sweep overrides
         for x in self.grid.values():
             try:
                 _grid_point(self, x)

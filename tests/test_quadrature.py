@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -131,6 +132,29 @@ def u_plus_discriminant(gamma, p):
 
 
 class TestHeatExact:
+    @pytest.mark.parametrize("T1", [1e303, 3e303, 1e305, 1e307])
+    def test_very_hot_bath_meets_the_split(self, circuit, T1):
+        # 1/expm1(-beta1 hbar w) passed the largest float from T1 ~ 3e303 (inf
+        # with a RuntimeWarning), and cut/inner_lo from T1 ~ 5e304 (OverflowError)
+        b = BathPair.from_temperatures(T1, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total = heat_exact(circuit, b)
+        split = (b.T1 - b.T2) * classical_integral(circuit) + quantum_integral(circuit, b)
+        assert math.isfinite(total)
+        assert abs(total - split) <= 1e-9 * abs(total)
+
+    def test_panel_cap_overflows_quietly_with_numpy_temperatures(self):
+        # inner_lo ~ 1e9 in numpy floats: 1e300 inner_lo overflowed with a
+        # RuntimeWarning instead of leaving the usual cut in place
+        p = CircuitParams(R=1e12, L=2.0, C=1e-20, M=1.0, omega_c=1e14)
+        b = BathPair.from_temperatures(np.float64(1e11), np.float64(5e10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total = heat_exact(p, b)
+        split = (b.T1 - b.T2) * classical_integral(p) + quantum_integral(p, b)
+        assert abs(total - split) <= 1e-9 * abs(total)
+
     def test_equilibrium_is_zero(self, circuit):
         b = BathPair.from_temperatures(1.0, 1.0)
         assert heat_exact(circuit, b) == 0.0
@@ -278,14 +302,14 @@ class TestHeatExact:
 
         monkeypatch.setattr(quadrature, "transfer_f12", counting_f12)
         monkeypatch.setattr(quadrature, "REL_TOL", 1e-15)
-        # a cap below the starting panels allows no cut: one round, which
-        # counts them; the cap is then set 56 intervals above that count,
-        # room for the 18 cuts of the first round (54 intervals) but not for
-        # those the second round wants
-        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 10)
+        # an uncapped run counts the starting panels and the cuts of the first
+        # round, a quarter of the second array's intervals; the cap then leaves
+        # room for exactly those cuts, three intervals each, and none for the
+        # cuts the second round wants
         with pytest.raises(ToleranceNotMetError):
             heat_exact(p, b, CUBIC)
-        cap = sizes[0] // 21 + 56
+        assert len(sizes) > 2
+        cap = sizes[0] // 21 + 3 * (sizes[1] // (4 * 21))
         sizes.clear()
         monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", cap)
         with pytest.raises(ToleranceNotMetError):

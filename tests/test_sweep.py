@@ -220,6 +220,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"{variable} must be positive"):
             SweepSpec(sweep_variable=variable, grid=Grid(float(start), 10.0, 3, "linear"))
 
+    @pytest.mark.parametrize(
+        "variable, ignored",
+        [
+            ("gamma_over_omega_d", {"C": -1.0}),
+            ("T1", {"T1": -1.0}),
+            ("T1", {"t2_over_t1": 0.5, "T2": math.nan}),
+            ("T2", {"T2": 0.0}),
+        ],
+    )
+    def test_swept_field_is_ignored(self, variable, ignored):
+        # the sweep overrides the field at every point, so a bad fixed value
+        # of it is never used and never refused
+        grid = Grid(1.0, 2.0, 2)
+        spec = SweepSpec(variable, grid, methods=(Method.CLOSED_FORM,), **ignored)
+        assert [row.swept_value for row in run_sweep(spec)] == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "variable, field",
+        [("gamma_over_omega_d", "R"), ("gamma_over_omega_d", "T2"), ("T1", "C"), ("T1", "T2"),
+         ("T2", "T1")],
+    )
+    def test_bad_fixed_field_is_refused(self, variable, field):
+        with pytest.raises(ConfigError, match=f"{variable} = 1.0: {field} must be positive"):
+            SweepSpec(sweep_variable=variable, grid=Grid(1.0, 2.0, 2), **{field: -1.0})
+
 
 def small_spec(**overrides):
     base = dict(
