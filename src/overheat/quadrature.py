@@ -587,10 +587,10 @@ def quantum_integral(
 
     Only the digamma arguments depend on the temperatures: K, the nodes and
     their weights are fields of the cached `_circuit_solve` record, so a
-    cached circuit costs two digammas per node.  The nodes are the roots, less the lower
-    root of each conjugate pair, whose term is the conjugate of the upper
-    one's, and the points of each cluster's contour.  A cluster reaching the
-    imaginary axis raises ArithmeticError on every call.
+    cached circuit costs two digammas per node.  The nodes are the roots,
+    less the lower root of each conjugate pair, whose term is the conjugate
+    of the upper one's, and the points of each cluster's contour.  A cluster
+    reaching the imaginary axis raises ArithmeticError on every call.
     """
     if b.T1 == b.T2 or p.M == 0.0:
         return 0.0

@@ -145,8 +145,8 @@ class TestHeatExact:
         assert abs(total - split) <= 1e-9 * abs(total)
 
     def test_panel_cap_overflows_quietly_with_numpy_temperatures(self):
-        # inner_lo ~ 1e9 in numpy floats: 1e300 inner_lo overflowed with a
-        # RuntimeWarning instead of leaving the usual cut in place
+        # inner_lo ~ 1e9 in numpy floats, where the product 1e300 inner_lo would
+        # overflow with a RuntimeWarning: the cap must drop out quietly
         p = CircuitParams(R=1e12, L=2.0, C=1e-20, M=1.0, omega_c=1e14)
         b = BathPair.from_temperatures(np.float64(1e11), np.float64(5e10))
         with warnings.catch_warnings():
@@ -736,8 +736,8 @@ class TestCircuitSolve:
         assert calls == [[], [], [], []]
 
     def test_heat_exact_derives_the_scales_once(self, circuit, baths, monkeypatch, fresh_solve):
-        # transfer_f12 runs once per qk21 round, the tail bound's point included
-        scales = counting(monkeypatch, response, "derive_scales")
+        # the solve derives the scales for its record, which every call then reads
+        scales = counting(monkeypatch, quadrature, "derive_scales")
         heat_exact(circuit, baths)
         heat_exact(circuit, BathPair.from_temperatures(5.0, 1.0))
         assert len(scales) == 1
