@@ -16,14 +16,13 @@ from overheat import (
     Method,
     assemble_report,
     classify_regime,
-    derive_scales,
 )
 
 # The reference circuit: omega_d = R/L = 1 sets the unit of frequency, and
 # the small capacitance puts gamma = 1/(RC) four decades above omega_d,
 # deep in the overdamped regime (hbar = kb = 1 throughout).
 circuit = CircuitParams(R=2.0, L=2.0, C=5e-5, M=1.0, omega_c=5.0)
-scales = derive_scales(circuit)
+scales = circuit.scales
 
 print("derived frequency scales")
 print(f"  gamma   = {scales.gamma:10.4g}   (charge relaxation, 1/RC)")
@@ -39,7 +38,7 @@ print()
 # reports where this point sits relative to the overdamped validity
 # conditions and the temperature rows, with the margin of each inequality.
 baths = BathPair.from_temperatures(T1=2.0, T2=1.0)
-label = classify_regime(circuit, scales, baths)
+label = classify_regime(circuit, baths)
 print(f"regime: {label.tag.value}")
 for cond in label.conditions:
     mark = "ok" if cond.satisfied else "FAILED"
@@ -50,8 +49,8 @@ print()
 # integral plus the residue sum of its quantum part), then by the
 # overdamped closed form.  At gamma/omega_d = 1e4 the two agree to
 # a few parts in 1e4; the residual is the genuine finite-gamma correction.
-exact = assemble_report(circuit, scales, baths, Method.EXACT_QUADRATURE)
-closed = assemble_report(circuit, scales, baths, Method.CLOSED_FORM)
+exact = assemble_report(circuit, baths, Method.EXACT_QUADRATURE)
+closed = assemble_report(circuit, baths, Method.CLOSED_FORM)
 
 print("heat current out of the hot bath (hbar = kb = 1)")
 print(f"  exact            : {exact.q_total:+.10f}")

@@ -17,14 +17,13 @@ import numpy as np
 from overheat import (
     BathPair,
     CircuitParams,
-    derive_scales,
     heat_classical,
     heat_low_temp,
     heat_quantum,
 )
 
 circuit = CircuitParams(R=2.0, L=2.0, C=5e-5, M=1.0, omega_c=5.0)
-scales = derive_scales(circuit)
+scales = circuit.scales
 
 # |lambda_+| ~ 0.59 is the smallest relaxation rate, so the law is expected
 # to hold once T1 (the thermal frequency, with hbar = kb = 1) drops two
@@ -34,9 +33,7 @@ print()
 print(f"{'T1':>10s} {'closed total':>14s} {'T^4 law':>14s} {'ratio':>9s}")
 for T1 in np.logspace(0, -3, 7):
     baths = BathPair.from_temperatures(T1, T1 / 2.0)
-    total = heat_classical(circuit, scales, baths) + heat_quantum(
-        circuit, scales, baths
-    )
+    total = heat_classical(circuit, baths) + heat_quantum(circuit, baths)
     law = heat_low_temp(circuit, baths)
     print(f"{T1:10.4g} {total:14.6e} {law:14.6e} {total / law:9.5f}")
 

@@ -33,7 +33,6 @@ from .model import (
     RegimeLabel,
     RegimeTag,
     classify_regime,
-    derive_scales,
 )
 from .quadrature import (
     ToleranceNotMetError,
@@ -79,7 +78,6 @@ __all__ = [
     "assemble_report",
     "classical_integral",
     "classify_regime",
-    "derive_scales",
     "digamma",
     "emit_csv",
     "emit_plot_script",

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .closedform import Method, assemble_report
-from .model import BathPair, CircuitParams, derive_scales
+from .model import BathPair, CircuitParams
 from .sweep import PRESETS, emit_csv, emit_plot_script, parse_config, run_preset, run_sweep
 
 
@@ -64,9 +64,8 @@ def _run_sweep(args) -> int:
 
 def _run_eval(args) -> int:
     p = CircuitParams(args.R, args.L, args.C, args.M, args.omega_c, args.hbar, args.kb)
-    s = derive_scales(p)
     b = BathPair.from_temperatures(args.T1, args.T2, args.kb)
-    report = assemble_report(p, s, b, Method(args.method))
+    report = assemble_report(p, b, Method(args.method))
     print(f"method={report.method.value}")
     print(f"q_classical={report.q_classical!r}")
     print(f"q_quantum={report.q_quantum!r}")

@@ -1,8 +1,8 @@
 """Closed-form heat currents in the overdamped regime and their asymptotics.
 
 Deep in the overdamped regime the transfer function is a rational function of
-omega with simple poles at the dressed mode rates lambda_pm, and both pieces
-of the heat current evaluate by residues:
+omega with simple poles at the dressed mode rates lambda_pm (`p.scales`), and
+both pieces of the heat current evaluate by residues:
 
 * classical piece: k_b (T1 - T2)/2 * (M/L)^2 * omega_c/(omega_c + omega_d)
   * lambda_plus lambda_minus / omega_d
@@ -16,7 +16,7 @@ collapses onto the pure logarithmic term, which survives even as both
 temperatures grow.  `assemble_report` packages any of these routes, or the
 exact split of the full model (the exact classical integral plus the residue
 sum of the quantum part), together with the regime classification and
-validity warnings.
+validity warnings.  Every function here takes the circuit and the baths, (p, b).
 """
 
 from __future__ import annotations
@@ -25,14 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import (
-    BathPair,
-    CircuitParams,
-    DerivedScales,
-    RegimeLabel,
-    RegimeTag,
-    classify_regime,
-)
+from .model import BathPair, CircuitParams, RegimeLabel, RegimeTag, classify_regime
 from .quadrature import classical_integral, quantum_integral
 from .response import TransferMode
 from .special import log_ratio
@@ -72,13 +65,14 @@ class HeatReport:
     validity_warnings: tuple[str, ...]
 
 
-def heat_classical(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:
+def heat_classical(p: CircuitParams, b: BathPair) -> float:
     """Classical (equipartition) heat current in the overdamped regime.
 
     (k_b/2)(T1 - T2)(M/L)^2 (omega_c/(omega_c + omega_d)) lambda_+ lambda_-/omega_d.
     Linear in the temperature difference; positive for T1 > T2 since
     lambda_+ lambda_- > 0.
     """
+    s = p.scales
     return (
         0.5
         * p.kb
@@ -89,7 +83,7 @@ def heat_classical(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:
     )
 
 
-def heat_quantum(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:
+def heat_quantum(p: CircuitParams, b: BathPair) -> float:
     """Quantum correction to the overdamped heat current.
 
     Defined in the paper by residues at the dressed mode rates:
@@ -106,8 +100,9 @@ def heat_quantum(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:
     return quantum_integral(p, b, TransferMode.OVERDAMPED_LINEAR)
 
 
-def _quantum_log_term(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:
+def _quantum_log_term(p: CircuitParams, b: BathPair) -> float:
     """The logarithmic piece of the quantum current; its full high-T survivor."""
+    s = p.scales
     return (
         (p.hbar / math.pi)
         * (p.M / p.L) ** 2
@@ -123,22 +118,16 @@ def heat_low_temp(p: CircuitParams, b: BathPair) -> float:
     thermal frequencies sit below |lambda_pm|; notably independent of the
     bath cutoff omega_c.
     """
-    omega_d = p.R / p.L
     return (
         (2.0 / 15.0)
         * (math.pi / p.hbar) ** 3
         * (p.M / p.L) ** 2
-        * (p.kb**4 / omega_d**2)
+        * (p.kb**4 / p.scales.omega_d**2)
         * (b.T1**4 - b.T2**4)
     )
 
 
-def assemble_report(
-    p: CircuitParams,
-    s: DerivedScales,
-    b: BathPair,
-    method: Method,
-) -> HeatReport:
+def assemble_report(p: CircuitParams, b: BathPair, method: Method) -> HeatReport:
     """Evaluate the heat current by the requested route and attach diagnostics.
 
     Splits per method:
@@ -152,7 +141,8 @@ def assemble_report(
       from the exact rational integral, quantum from the residue sum, total
       as their sum.  No quadrature runs.
     """
-    regime = classify_regime(p, s, b)
+    # b by keyword: bench/tracing.py reads it by name or by its old slot, 2
+    regime = classify_regime(p, b=b)
     warnings: list[str] = []
     if regime.tag is RegimeTag.OUTSIDE_OVERDAMPED:
         failed = [c.name for c in regime.conditions if not c.satisfied]
@@ -161,21 +151,21 @@ def assemble_report(
         )
 
     if method is Method.CLOSED_FORM:
-        qc = heat_classical(p, s, b)
-        qq = heat_quantum(p, s, b)
+        qc = heat_classical(p, b)
+        qq = heat_quantum(p, b)
         qt = qc + qq
     elif method is Method.LOW_TEMP_ASYMPTOTIC:
         qt = heat_low_temp(p, b)
-        qc = heat_classical(p, s, b)
+        qc = heat_classical(p, b)
         qq = qt - qc
         omega_th = b.thermal_frequency(p.hbar)
-        if min(abs(s.lambda_plus), abs(s.lambda_minus)) <= omega_th:
+        if min(abs(p.scales.lambda_plus), abs(p.scales.lambda_minus)) <= omega_th:
             warnings.append(
                 "low-temperature expansion marginal: |lambda_pm|/omega_th <= 1"
             )
     elif method is Method.HIGH_TEMP_ASYMPTOTIC:
-        qc = heat_classical(p, s, b)
-        qq = _quantum_log_term(p, s, b)
+        qc = heat_classical(p, b)
+        qq = _quantum_log_term(p, b)
         qt = qc + qq
     elif method is Method.EXACT_QUADRATURE:
         qc = p.kb * (b.T1 - b.T2) * classical_integral(p)

@@ -3,7 +3,7 @@
 Two identical series RLC loops are coupled by a mutual inductance M and each
 loop carries its own resistive bath (Lorentz-Drude cutoff omega_c).  All
 frequency scales that control the steady-state heat current derive from five
-circuit constants (R, L, C, M, omega_c):
+circuit constants (R, L, C, M, omega_c); `CircuitParams.scales` holds them:
 
 * charge relaxation rate     gamma   = 1/(R C)
 * natural frequency          omega_0 = 1/sqrt(L C)
@@ -18,6 +18,7 @@ validity inequalities and assigns a coarse temperature tag.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,6 +26,19 @@ from typing import NamedTuple
 
 # Margin of every scale separation: "a << b" reads a * SAFETY_FACTOR <= b.
 SAFETY_FACTOR = 10.0
+
+
+@dataclass(frozen=True)
+class DerivedScales:
+    """Frequency scales of a circuit, read as `CircuitParams.scales`."""
+
+    gamma: float
+    omega_0: float
+    omega_d: float
+    omega_plus: float
+    omega_minus: float
+    lambda_plus: float
+    lambda_minus: float
 
 
 @dataclass(frozen=True)
@@ -58,45 +72,30 @@ class CircuitParams:
                 f"got M={self.M!r}, L={self.L!r}"
             )
 
+    @functools.cached_property
+    def scales(self) -> DerivedScales:
+        """All derived frequency scales, computed on first use and kept.
 
-@dataclass(frozen=True)
-class DerivedScales:
-    """Frequency scales computed once from `CircuitParams` by `derive_scales`."""
-
-    gamma: float
-    omega_0: float
-    omega_d: float
-    omega_plus: float
-    omega_minus: float
-    lambda_plus: float
-    lambda_minus: float
-
-
-def derive_scales(p: CircuitParams) -> DerivedScales:
-    """Compute all derived frequency scales for a parameter set.
-
-    The normal modes of the coupled flux dynamics relax at
-    omega_pm = (R/L)/(1 +/- M/L); the finite bath cutoff drags those rates to
-    lambda_pm = -omega_c*omega_pm/(omega_c + omega_pm), which sit between
-    -omega_pm and 0 and tend to -omega_pm as omega_c -> infinity.
-    """
-    gamma = 1.0 / (p.R * p.C)
-    omega_0 = 1.0 / math.sqrt(p.L * p.C)
-    omega_d = p.R / p.L
-    # omega_d/(1 +/- M/L) written as R/(L +/- M) to avoid the ratio roundoff
-    omega_plus = p.R / (p.L + p.M)
-    omega_minus = p.R / (p.L - p.M)
-    lambda_plus = -p.omega_c * omega_plus / (p.omega_c + omega_plus)
-    lambda_minus = -p.omega_c * omega_minus / (p.omega_c + omega_minus)
-    return DerivedScales(
-        gamma=gamma,
-        omega_0=omega_0,
-        omega_d=omega_d,
-        omega_plus=omega_plus,
-        omega_minus=omega_minus,
-        lambda_plus=lambda_plus,
-        lambda_minus=lambda_minus,
-    )
+        The normal modes of the coupled flux dynamics relax at
+        omega_pm = (R/L)/(1 +/- M/L); the finite bath cutoff drags those rates to
+        lambda_pm = -omega_c*omega_pm/(omega_c + omega_pm), which sit between
+        -omega_pm and 0 and tend to -omega_pm as omega_c -> infinity.  Not a
+        field: eq, hash, `asdict` and `replace` see only the constants.
+        """
+        # omega_d/(1 +/- M/L) written as R/(L +/- M) to avoid the ratio roundoff
+        omega_plus = self.R / (self.L + self.M)
+        omega_minus = self.R / (self.L - self.M)
+        if self.omega_c * omega_minus == math.inf:
+            raise OverflowError(f"lambda_pm overflows at omega_c = {self.omega_c!r}")
+        return DerivedScales(
+            gamma=1.0 / (self.R * self.C),
+            omega_0=1.0 / math.sqrt(self.L * self.C),
+            omega_d=self.R / self.L,
+            omega_plus=omega_plus,
+            omega_minus=omega_minus,
+            lambda_plus=-self.omega_c * omega_plus / (self.omega_c + omega_plus),
+            lambda_minus=-self.omega_c * omega_minus / (self.omega_c + omega_minus),
+        )
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,7 @@ def _bath_row(omega_th: float, s: DerivedScales) -> RegimeTag | None:
     return None
 
 
-def classify_regime(p: CircuitParams, s: DerivedScales, b: BathPair) -> RegimeLabel:
+def classify_regime(p: CircuitParams, b: BathPair) -> RegimeLabel:
     """Tag a parameter/temperature combination with its overdamped regime.
 
     The closed-form currents require the thermal frequency
@@ -185,6 +184,7 @@ def classify_regime(p: CircuitParams, s: DerivedScales, b: BathPair) -> RegimeLa
     is Mixed: the two baths in different rows, or one or both baths in no
     row, as for a thermal frequency between omega_plus and omega_minus.
     """
+    s = p.scales
     omega_th = b.thermal_frequency(p.hbar)
     checks = [
         RegimeCondition(name, omega_th * SAFETY_FACTOR <= bound, bound / omega_th)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BathPair, CircuitParams, DerivedScales, derive_scales
+from .model import BathPair, CircuitParams
 from .response import TransferMode, horner, mode_polynomials
 from .special import digamma, log_ratio
 
@@ -164,7 +164,10 @@ def _integrate_panels(integrand, edges: list[float]) -> tuple[float, float, floa
     a, b = edges[:-1], edges[1:]
     value, error, floor, (at_end,) = _qk21(integrand, a, b, edges[-1])
     while True:
-        total, estimate = math.fsum(value.tolist()), math.fsum(error.tolist())
+        try:
+            total, estimate = math.fsum(value.tolist()), math.fsum(error.tolist())
+        except OverflowError:  # past the largest float fsum raises and sum gives +/-inf
+            total, estimate = sum(value.tolist()), sum(error.tolist())
         tol = 0.05 * REL_TOL * abs(total)
         split = (error > tol / len(a)) & (error > floor)
         n_split = np.count_nonzero(split)
@@ -210,10 +213,10 @@ def heat_exact(
 
     solve = _circuit_solve(p, mode)
     omega_th = b.thermal_frequency(p.hbar)
-    inner_lo = min(abs(solve.scales.lambda_plus), omega_th) / 100.0
+    inner_lo = min(abs(p.scales.lambda_plus), omega_th) / 100.0
     # cut/inner_lo <= 1e300 stays finite; a float cap overflows to inf, not a numpy warning
     cap = 1e300 * float(inner_lo)
-    cut = min(TAIL_CUT_MULTIPLIER * max(omega_th, abs(solve.scales.lambda_minus)), cap)
+    cut = min(TAIL_CUT_MULTIPLIER * max(omega_th, abs(p.scales.lambda_minus)), cap)
     thermal_breaks = (omega_th / 3.0, omega_th, 3.0 * omega_th)
     breaks = [w for w in solve.breaks + thermal_breaks if inner_lo < w < cut]
     # n1 - n2 = -/+ e^y expm1(-(hi - lo) w)/(expm1(y) expm1(-hi w)), y = -lo w and
@@ -295,7 +298,10 @@ def classical_integral(
     """
     if p.M == 0.0:
         return 0.0
-    return _circuit_solve(p, mode).classical
+    classical = _circuit_solve(p, mode).classical
+    if not math.isfinite(classical):
+        raise OverflowError(f"the classical integral overflows at omega_c = {p.omega_c!r}")
+    return classical
 
 
 def _mode_roots(coeffs: tuple[float, ...]) -> list[complex]:
@@ -418,20 +424,19 @@ _CACHE_SIZE = 64
 class _CircuitSolve:
     """What the circuit alone fixes of f12 and the three integrals.
 
-    `heat_exact` reads lambda_pm from `scales`, and `transfer_f12` evaluates
-    `polys`, the coefficients of u_plus and u_minus.  `breaks` are the
-    frequencies, in increasing order, where f12 bends: |s| at every root s
-    of D, and at a resonant root (|Im s| > |Re s|) also |Im s| + k |Re s|,
-    k in `_FLANKS`, on its flanks; `heat_exact` starts its panels there.
+    `transfer_f12` evaluates `polys`, the coefficients of u_plus and u_minus.
+    `breaks` are the frequencies, in increasing order, where f12 bends: |s|
+    at every root s of D, and at a resonant root (|Im s| > |Re s|) also
+    |Im s| + k |Re s|, k in `_FLANKS`, on its flanks; `heat_exact` starts its
+    panels there.
     `nodes` holds the pairs (s, weight) of the residue sum, in summation
     order: at a residue, weight = s^3/(D(-s) D'(s)), twice that at the upper
     root of a conjugate pair of residues, whose lower root is left out; at
     one of the n points s = centre + offset of a cluster's contour,
     weight = s^3/(D(-s) D(s)) offset/n.  `failure` is the error of the pole
-    step, raised by `quantum_integral`.
+    step, or of weights that overflow, raised by `quantum_integral`.
     """
 
-    scales: DerivedScales
     polys: tuple[tuple[float, ...], tuple[float, ...]]
     K: float
     classical: float
@@ -443,7 +448,8 @@ class _CircuitSolve:
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
     """The record of (p, mode), cached in each process for the last `_CACHE_SIZE` pairs."""
-    scales = derive_scales(p)
+    if p.omega_c * p.omega_c == math.inf:  # f12's omega_c^2: no record to cache
+        raise OverflowError(f"f12 overflows at omega_c = {p.omega_c!r}")
     polys = mode_polynomials(p, mode)
     (up, d_plus), (um, d_minus) = (_integer_coefficients(c) for c in polys)
     a = [0] * (len(up) + len(um) - 1)
@@ -453,8 +459,12 @@ def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
     A = p.L * p.L - p.M * p.M
     # a is (d_plus d_minus) u_plus u_minus, so B(s) = s takes the same factor
     h2 = _h2_norm_squared(a, d_plus * d_minus)
-    classical = 2.0 * p.omega_c**4 * (p.R * p.M / A) ** 2 * h2
-    K = (2.0 / math.pi) * p.omega_c**4 * (p.R * p.M / A) ** 2
+    try:
+        wc4 = p.omega_c**4
+    except OverflowError:  # a cutoff past ~1.3e77: classical and K are not finite
+        wc4 = math.inf
+    classical = 2.0 * wc4 * (p.R * p.M / A) ** 2 * h2
+    K = (2.0 / math.pi) * wc4 * (p.R * p.M / A) ** 2
     mode_roots = [_mode_roots(coeffs) for coeffs in polys]
     breaks = set()
     for s in mode_roots[0] + mode_roots[1]:
@@ -464,9 +474,11 @@ def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
     breaks = tuple(sorted(breaks))
     try:
         nodes = _residue_nodes(p, polys, mode_roots, 2.0 * p.R * p.M / A)
-        return _CircuitSolve(scales, polys, K, classical, breaks, nodes, None)
+        if not all(cmath.isfinite(K * weight) for _, weight in nodes):
+            raise OverflowError(f"residue weights overflow at omega_c = {p.omega_c!r}")
+        return _CircuitSolve(polys, K, classical, breaks, nodes, None)
     except ArithmeticError as error:
-        return _CircuitSolve(scales, polys, K, classical, breaks, (), error.with_traceback(None))
+        return _CircuitSolve(polys, K, classical, breaks, (), error.with_traceback(None))
 
 
 def _modulus_on_axis(coeffs: tuple[float, ...], omega):
@@ -520,7 +532,8 @@ def _residue_nodes(p: CircuitParams, polys, mode_roots, delta: float) -> tuple[t
             slopes.append(sign * horner(coeffs, s)[1] * delta * (s + p.omega_c))
 
     def node(s: complex, scale: complex) -> tuple[complex, complex]:
-        return s, scale * s**3 / (horner(polys[0], -s)[0] * horner(polys[1], -s)[0])
+        # s * s * s: the same bits as s**3, which raises OverflowError where it is inf
+        return s, scale * (s * s * s) / (horner(polys[0], -s)[0] * horner(polys[1], -s)[0])
 
     groups = _clusters(roots)
     single = [roots[g[0]] for g in groups if len(g) == 1]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .model import CircuitParams, derive_scales
+from .model import CircuitParams
 
 
 class TransferMode(Enum):
@@ -40,16 +40,15 @@ def mode_polynomials(
     """Coefficients of u_plus and u_minus, highest power first.
 
     Exact cubic form: (s^3 + omega_c s^2)/gamma + (omega_pm + omega_c) s
-    + omega_pm omega_c, with gamma = 1/(R C) and omega_pm from
-    `derive_scales`.  The overdamped form keeps only the last two (linear)
-    terms; its root is lambda_pm.  Uncached: `quadrature._circuit_solve` keeps them.
+    + omega_pm omega_c, with gamma = 1/(R C) and omega_pm from `p.scales`.
+    The overdamped form keeps only the last two (linear) terms; its root is
+    lambda_pm.  Uncached: `quadrature._circuit_solve` keeps them.
     """
-    scales = derive_scales(p)
     rc = p.R * p.C
     inertial = () if mode is TransferMode.OVERDAMPED_LINEAR else (rc, rc * p.omega_c)
     plus, minus = (
         inertial + (w + p.omega_c, w * p.omega_c)
-        for w in (scales.omega_plus, scales.omega_minus)
+        for w in (p.scales.omega_plus, p.scales.omega_minus)
     )
     return plus, minus
 

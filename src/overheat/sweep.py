@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .closedform import Method, assemble_report
-from .model import BathPair, CircuitParams, classify_regime, derive_scales
+from .model import BathPair, CircuitParams, classify_regime
 
 SWEEP_VARIABLES = ("gamma_over_omega_d", "T1", "T2")
 PRESETS = ("fig2", "fig3", "fig4")
@@ -251,13 +251,13 @@ def parse_config(text: str) -> SweepSpec:
 def _evaluate_point(spec: SweepSpec, x: float) -> SweepRow:
     """Evaluate every method at one grid point."""
     p, b = _grid_point(spec, x)
-    s = derive_scales(p)
-    regime = classify_regime(p, s, b)
+    # b and method by keyword: bench/tracing.py reads them by name or by old slot
+    regime = classify_regime(p, b=b)
     cells: list[float] = []
     warning_count = 0
     for method in spec.methods:
         try:
-            report = assemble_report(p, s, b, method)
+            report = assemble_report(p, b, method=method)
         except ArithmeticError:
             cells += [math.nan, math.nan, math.nan]
             warning_count += 1

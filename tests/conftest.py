@@ -1,6 +1,6 @@
 import pytest
 
-from overheat import BathPair, CircuitParams, derive_scales
+from overheat import BathPair, CircuitParams
 
 
 @pytest.fixture
@@ -11,7 +11,7 @@ def circuit():
 
 @pytest.fixture
 def scales(circuit):
-    return derive_scales(circuit)
+    return circuit.scales
 
 
 @pytest.fixture

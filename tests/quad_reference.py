@@ -15,7 +15,7 @@ import sys
 from scipy.integrate import quad
 
 from overheat import quadrature
-from overheat.model import BathPair, CircuitParams, derive_scales
+from overheat.model import BathPair, CircuitParams
 from overheat.quadrature import (
     MAX_SUBDIVISIONS,
     TAIL_CUT_MULTIPLIER,
@@ -71,7 +71,7 @@ def reference_heat_exact(
     if b.T1 == b.T2 or p.M == 0.0:
         return 0.0
 
-    s = derive_scales(p)
+    s = p.scales
     omega_th = b.thermal_frequency(p.hbar)
     cut = TAIL_CUT_MULTIPLIER * max(omega_th, abs(s.lambda_minus))
     inner_lo = min(abs(s.lambda_plus), omega_th) / 100.0
@@ -101,7 +101,7 @@ def reference_heat_exact(
 
 def _f12_edges(p: CircuitParams, mode: TransferMode):
     """Master panel grid covering all algebraic structure of f12."""
-    s = derive_scales(p)
+    s = p.scales
     anchors = [abs(s.lambda_minus), p.omega_c]
     if mode is TransferMode.EXACT_CUBIC:
         anchors.append(math.sqrt(s.gamma * (s.omega_minus + p.omega_c)))

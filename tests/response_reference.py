@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from overheat.closedform import _quantum_log_term
-from overheat.model import BathPair, CircuitParams, DerivedScales
+from overheat.model import BathPair, CircuitParams
 from overheat.special import digamma
 
 
@@ -82,7 +82,7 @@ def coth_via_digamma(x: float) -> float:
     return math.pi / x + 2.0 * digamma(complex(1.0, x / math.pi)).imag
 
 
-def heat_quantum_blocks(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:
+def heat_quantum_blocks(p: CircuitParams, b: BathPair) -> float:
     """The overdamped quantum piece as log term plus two digamma mode blocks.
 
         (hbar/4 pi)(omega_c/(omega_c + omega_d))(M/L)
@@ -92,6 +92,7 @@ def heat_quantum_blocks(p: CircuitParams, s: DerivedScales, b: BathPair) -> floa
     on top of the log term.  All digamma arguments are real and > 1 because
     lambda_pm < 0.
     """
+    s = p.scales
     prefactor = (
         p.hbar / (4.0 * math.pi) * (p.omega_c / (p.omega_c + s.omega_d)) * (p.M / p.L)
     )
@@ -102,17 +103,18 @@ def heat_quantum_blocks(p: CircuitParams, s: DerivedScales, b: BathPair) -> floa
         d2 = digamma(1.0 - b.beta2 * step * lam)
         return lam * lam * (d1 - d2)
 
-    return _quantum_log_term(p, s, b) + prefactor * (
+    return _quantum_log_term(p, b) + prefactor * (
         mode_block(s.lambda_plus) - mode_block(s.lambda_minus)
     )
 
 
-def heat_quantum_high_temp(p: CircuitParams, s: DerivedScales, b: BathPair) -> float:
+def heat_quantum_high_temp(p: CircuitParams, b: BathPair) -> float:
     """High-temperature expansion of the overdamped quantum correction.
 
         log-term + (hbar^2/48)(omega_c/(omega_c + omega_d))(M/L)
                    (lambda_+^3 - lambda_-^3)(1/T2 - 1/T1)/k_b.
     """
+    s = p.scales
     correction = (
         (p.hbar**2 / 48.0)
         * (p.omega_c / (p.omega_c + s.omega_d))
@@ -121,4 +123,4 @@ def heat_quantum_high_temp(p: CircuitParams, s: DerivedScales, b: BathPair) -> f
         * (1.0 / b.T2 - 1.0 / b.T1)
         / p.kb
     )
-    return _quantum_log_term(p, s, b) + correction
+    return _quantum_log_term(p, b) + correction

@@ -25,7 +25,6 @@ from overheat import (
     Method,
     TransferMode,
     assemble_report,
-    derive_scales,
     digamma,
     emit_csv,
     heat_classical,
@@ -48,8 +47,7 @@ def reference_circuit(gamma_over_omega_d: float = 1e4) -> CircuitParams:
 
 
 def closed_total(p: CircuitParams, b: BathPair) -> float:
-    s = derive_scales(p)
-    return heat_classical(p, s, b) + heat_quantum(p, s, b)
+    return heat_classical(p, b) + heat_quantum(p, b)
 
 
 def test_criterion_1_transfer_function_matches_trace_route():
@@ -63,7 +61,7 @@ def test_criterion_1_transfer_function_matches_trace_route():
         C = math.exp(rng.uniform(math.log(1e-6), math.log(1.0)))
         omega_c = math.exp(rng.uniform(math.log(1e-2), math.log(1e3)))
         p = CircuitParams(R, L, C, M, omega_c)
-        s = derive_scales(p)
+        s = p.scales
         scale = max(abs(s.lambda_minus), s.omega_0, p.omega_c)
         omega = scale * math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
         a = transfer_f12(omega, p, TransferMode.EXACT_CUBIC)
@@ -124,7 +122,7 @@ def test_criterion_3_overdamped_convergence_sweep():
 def test_criterion_4_low_temperature_quartic_law():
     """T^4 law within 5% once omega_th <= 1e-2 |lambda_+|; remainder ~ T^2."""
     p = reference_circuit()
-    s = derive_scales(p)
+    s = p.scales
     threshold = 1e-2 * abs(s.lambda_plus)  # omega_th == T1 with hbar = kb = 1
     ratios = []
     for T1 in (threshold, threshold / 2.0, threshold / 5.0):
@@ -149,18 +147,17 @@ def test_criterion_4_low_temperature_quartic_law():
 def test_criterion_5_quantum_log_term_survives_high_temperature():
     """Quantum piece tends to a nonzero log term; residual decays as 1/T."""
     p = reference_circuit()
-    s = derive_scales(p)
     T1s = np.logspace(1.0, 3.0, 7)
     residuals = []
     for T1 in T1s:
         b = BathPair.from_temperatures(T1, 2.0 * T1)
-        log_term = assemble_report(p, s, b, Method.HIGH_TEMP_ASYMPTOTIC).q_quantum
-        residuals.append(abs(heat_quantum(p, s, b) - log_term))
+        log_term = assemble_report(p, b, Method.HIGH_TEMP_ASYMPTOTIC).q_quantum
+        residuals.append(abs(heat_quantum(p, b) - log_term))
     exponent = np.polyfit(np.log(T1s), np.log(residuals), 1)[0]
     assert exponent == pytest.approx(-1.0, abs=0.1)
 
     b = BathPair.from_temperatures(10.0, 20.0)
-    surviving = assemble_report(p, s, b, Method.HIGH_TEMP_ASYMPTOTIC).q_quantum
+    surviving = assemble_report(p, b, Method.HIGH_TEMP_ASYMPTOTIC).q_quantum
     assert abs(surviving) > 1e-3
     print(
         f"ACCEPTANCE 5 PASS: residual exponent {exponent:.3f}, "
@@ -207,7 +204,6 @@ def test_criterion_6_digamma_kernel():
 def test_criterion_7_symmetries_and_signs():
     """Antisymmetry in T1<->T2, positivity for hot first bath, exact zeros."""
     p = reference_circuit()
-    s = derive_scales(p)
     closed_methods = (
         Method.CLOSED_FORM,
         Method.LOW_TEMP_ASYMPTOTIC,
@@ -220,8 +216,8 @@ def test_criterion_7_symmetries_and_signs():
         fwd = BathPair.from_temperatures(T1, T2)
         rev = BathPair.from_temperatures(T2, T1)
         for method in closed_methods:
-            a = assemble_report(p, s, fwd, method).q_total
-            b = assemble_report(p, s, rev, method).q_total
+            a = assemble_report(p, fwd, method).q_total
+            b = assemble_report(p, rev, method).q_total
             assert a == pytest.approx(-b, rel=1e-12)
         ex_f = heat_exact(p, fwd)
         ex_r = heat_exact(p, rev)
@@ -232,10 +228,8 @@ def test_criterion_7_symmetries_and_signs():
     uncoupled = CircuitParams(p.R, p.L, p.C, 0.0, p.omega_c)
     hot_cold = BathPair.from_temperatures(3.0, 1.0)
     for method in (*closed_methods, Method.EXACT_QUADRATURE):
-        assert assemble_report(p, s, equilibrium, method).q_total == 0.0
-        report = assemble_report(
-            uncoupled, derive_scales(uncoupled), hot_cold, method
-        )
+        assert assemble_report(p, equilibrium, method).q_total == 0.0
+        report = assemble_report(uncoupled, hot_cold, method)
         assert report.q_total == 0.0
     print("ACCEPTANCE 7 PASS: antisymmetry, positivity, and exact zeros hold")
 

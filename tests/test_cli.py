@@ -1,4 +1,6 @@
 import importlib
+import inspect
+import math
 import os
 import re
 import shlex
@@ -14,7 +16,6 @@ from overheat import (
     CircuitParams,
     Method,
     assemble_report,
-    derive_scales,
     read_csv,
 )
 from overheat import cli
@@ -54,7 +55,7 @@ class TestEval:
         report = parse_report(capsys.readouterr().out)
         p = CircuitParams(2.0, 2.0, 5e-5, 1.0, 5.0)
         expected = assemble_report(
-            p, derive_scales(p), BathPair.from_temperatures(2.0, 1.0), Method.CLOSED_FORM
+            p, BathPair.from_temperatures(2.0, 1.0), Method.CLOSED_FORM
         )
         assert report["method"] == "ClosedForm"
         assert float(report["q_classical"]) == expected.q_classical
@@ -108,6 +109,22 @@ class TestEval:
         args[args.index("--T1") + 1] = "1e100"
         assert main(args) == 2
         assert "numerical failure:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omega_c", ["1e55", "1e80", "1e300"])
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_huge_cutoff_prints_finite_values_or_exits_2(self, capsys, omega_c, method):
+        # ExactQuadrature printed q_quantum=nan from omega_c ~ 4e52, with exit 0
+        args = list(EVAL_ARGS) + ["--method", method]
+        args[args.index("--omega-c") + 1] = omega_c
+        code = main(args)
+        captured = capsys.readouterr()
+        if code == 0:
+            report = parse_report(captured.out)
+            for key in ("q_classical", "q_quantum", "q_total"):
+                assert math.isfinite(float(report[key])), key
+        else:
+            assert code == 2
+            assert "at omega_c = " in captured.err
 
     def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
         # the package's own ArithmeticError (not an OverflowError) exits 2 too
@@ -204,6 +221,16 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         assert main(args) == 0, " ".join(["heat", *args])
 
 
+def test_readme_python_blocks_run(capsys):
+    # the README's library examples stay in step with the API
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
 # The package for a child interpreter, whether or not it is installed.
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -257,7 +284,14 @@ def test_public_api():
         assert hasattr(overheat, name), name
     removed = {
         "g12", "trace_f12", "coth_via_digamma",
-        "heat_quantum_high_temp", "heat_high_temp_total",
+        "heat_quantum_high_temp", "heat_high_temp_total", "derive_scales",
     }
     assert removed.isdisjoint(overheat.__all__)
     assert not any(hasattr(overheat, name) for name in removed)
+    assert not hasattr(overheat.model, "derive_scales")
+    # the circuit carries its scales: no public function takes them separately
+    for name in overheat.__all__:
+        obj = getattr(overheat, name)
+        if inspect.isfunction(obj):
+            for param in inspect.signature(obj).parameters.values():
+                assert "DerivedScales" not in str(param.annotation), (name, param.name)

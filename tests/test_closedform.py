@@ -14,7 +14,6 @@ from overheat import (
     TransferMode,
     assemble_report,
     classical_integral,
-    derive_scales,
     heat_classical,
     heat_exact,
     heat_low_temp,
@@ -70,58 +69,58 @@ def worst_quantum_error(m_over_l, route):
     )
 
 
-def high_temp_total(p, s, b):
-    return assemble_report(p, s, b, Method.HIGH_TEMP_ASYMPTOTIC).q_total
+def high_temp_total(p, b):
+    return assemble_report(p, b, Method.HIGH_TEMP_ASYMPTOTIC).q_total
 
 
 class TestHeatClassical:
-    def test_equilibrium_is_zero(self, circuit, scales):
-        assert heat_classical(circuit, scales, at_temperatures(1.5, 1.5)) == 0.0
+    def test_equilibrium_is_zero(self, circuit):
+        assert heat_classical(circuit, at_temperatures(1.5, 1.5)) == 0.0
 
-    def test_reference_value(self, circuit, scales, baths):
+    def test_reference_value(self, circuit, baths):
         expected = 0.5 * 0.25 * (5.0 / 6.0) * (100.0 / 119.0)
-        assert heat_classical(circuit, scales, baths) == pytest.approx(
+        assert heat_classical(circuit, baths) == pytest.approx(
             expected, rel=1e-14
         )
 
     def test_markovian_limit(self, baths):
         p = CircuitParams(R=2.0, L=2.0, C=5e-5, M=1.0, omega_c=1e12)
-        s = derive_scales(p)
+        s = p.scales
         markovian = 0.5 * 1.0 * 0.25 * s.omega_plus * s.omega_minus / s.omega_d
-        assert heat_classical(p, s, baths) == pytest.approx(markovian, rel=1e-10)
+        assert heat_classical(p, baths) == pytest.approx(markovian, rel=1e-10)
 
     @pytest.mark.parametrize("m_over_l", GRID_RATIOS)
     def test_matches_classical_integral(self, m_over_l):
         # the exact rational integral of the same linearized function
         for p, b, classical, _ in linear_accuracy_grid(m_over_l):
-            value = heat_classical(p, derive_scales(p), b)
+            value = heat_classical(p, b)
             assert value == pytest.approx(classical, rel=1e-13)
 
     def test_cutoff_monotonicity(self, baths):
         values = []
         for wc in np.geomspace(0.1, 1e4, 30):
             p = CircuitParams(R=2.0, L=2.0, C=5e-5, M=1.0, omega_c=float(wc))
-            values.append(heat_classical(p, derive_scales(p), baths))
+            values.append(heat_classical(p, baths))
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
 class TestHeatQuantum:
-    def test_equilibrium_is_exactly_zero(self, circuit, scales):
-        assert heat_quantum(circuit, scales, at_temperatures(2.0, 2.0)) == 0.0
+    def test_equilibrium_is_exactly_zero(self, circuit):
+        assert heat_quantum(circuit, at_temperatures(2.0, 2.0)) == 0.0
 
-    def test_antisymmetry(self, circuit, scales):
+    def test_antisymmetry(self, circuit):
         rng = np.random.default_rng(89)
         for _ in range(20):
             T1, T2 = (float(v) for v in np.exp(rng.uniform(-3, 3, size=2)))
-            forward = heat_quantum(circuit, scales, at_temperatures(T1, T2))
-            backward = heat_quantum(circuit, scales, at_temperatures(T2, T1))
+            forward = heat_quantum(circuit, at_temperatures(T1, T2))
+            backward = heat_quantum(circuit, at_temperatures(T2, T1))
             assert backward == pytest.approx(-forward, rel=1e-12)
 
     @pytest.mark.parametrize("m_over_l", GRID_RATIOS)
     def test_matches_quadrature(self, m_over_l):
         # against a 50-digit residue sum of the same linearized function
         def closed_form(p, b):
-            return heat_quantum(p, derive_scales(p), b)
+            return heat_quantum(p, b)
 
         assert worst_quantum_error(m_over_l, closed_form) <= 1e-9
 
@@ -130,17 +129,17 @@ class TestHeatQuantum:
         # the ClosedForm report carries the linear residue sum to its quantum
         # column unchanged, on the whole grid
         def report_quantum(p, b):
-            return assemble_report(p, derive_scales(p), b, Method.CLOSED_FORM).q_quantum
+            return assemble_report(p, b, Method.CLOSED_FORM).q_quantum
 
         assert worst_quantum_error(m_over_l, report_quantum) <= 1e-9
 
-    def test_reduces_classical_flow(self, circuit, scales, baths):
-        assert heat_quantum(circuit, scales, baths) < 0.0
+    def test_reduces_classical_flow(self, circuit, baths):
+        assert heat_quantum(circuit, baths) < 0.0
 
-    def test_extreme_ratio_finite(self, circuit, scales):
+    def test_extreme_ratio_finite(self, circuit):
         # log evaluated as difference of logs for extreme temperature ratios
         b = at_temperatures(1e-150, 1e150)
-        value = heat_quantum(circuit, scales, b)
+        value = heat_quantum(circuit, b)
         assert math.isfinite(value)
         assert value > 0.0  # bath 2 vastly hotter drives heat backward
 
@@ -164,7 +163,7 @@ class TestHeatLowTemp:
     def test_matches_closed_total_at_low_temperature(self, circuit, scales):
         T1 = 0.01 * scales.omega_plus
         b = at_temperatures(T1, T1 / 2.0)
-        closed = heat_classical(circuit, scales, b) + heat_quantum(circuit, scales, b)
+        closed = heat_classical(circuit, b) + heat_quantum(circuit, b)
         assert heat_low_temp(circuit, b) == pytest.approx(closed, rel=5e-2)
 
     def test_asymptotic_matching_improves(self, circuit, scales):
@@ -173,26 +172,22 @@ class TestHeatLowTemp:
         for frac in (0.3, 0.1, 0.03, 0.01):
             T1 = frac * abs(scales.lambda_plus)
             b = at_temperatures(T1, T1 / 2.0)
-            closed = heat_classical(circuit, scales, b) + heat_quantum(
-                circuit, scales, b
-            )
+            closed = heat_classical(circuit, b) + heat_quantum(circuit, b)
             errors.append(abs(closed / heat_low_temp(circuit, b) - 1.0))
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 5e-3
 
 
 class TestHeatQuantumHighTemp:
-    def test_equilibrium_is_zero(self, circuit, scales):
-        assert heat_quantum_high_temp(circuit, scales, at_temperatures(40.0, 40.0)) == 0.0
+    def test_equilibrium_is_zero(self, circuit):
+        assert heat_quantum_high_temp(circuit, at_temperatures(40.0, 40.0)) == 0.0
 
     def test_matches_heat_quantum_at_high_temperature(self, circuit, scales):
         # omega_th = 1e3*|lambda_minus|: remainder is far below the log term
         T2 = 1e3 * abs(scales.lambda_minus)
         b = at_temperatures(T2 / 2.0, T2)
-        log_term = _quantum_log_term(circuit, scales, b)
-        diff = heat_quantum(circuit, scales, b) - heat_quantum_high_temp(
-            circuit, scales, b
-        )
+        log_term = _quantum_log_term(circuit, b)
+        diff = heat_quantum(circuit, b) - heat_quantum_high_temp(circuit, b)
         assert abs(diff) <= 1e-4 * abs(log_term)
 
     def test_log_growth_with_hot_second_bath(self, circuit, scales):
@@ -206,7 +201,7 @@ class TestHeatQuantumHighTemp:
         previous = 0.0
         gaps = []
         for T2 in (1e2, 1e4, 1e6):
-            value = heat_quantum_high_temp(circuit, scales, at_temperatures(2.0, T2))
+            value = heat_quantum_high_temp(circuit, at_temperatures(2.0, T2))
             assert value > previous
             log_term = coeff * math.log(T2 / 2.0)
             gaps.append(abs(value - log_term) / log_term)
@@ -216,17 +211,13 @@ class TestHeatQuantumHighTemp:
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 2e-2
 
-    def test_high_matching_correction_term(self, circuit, scales):
+    def test_high_matching_correction_term(self, circuit):
         # heat_quantum - log-term approaches the 1/T correction, then -> 0
         diffs = []
         for T1 in (10.0, 100.0, 1000.0):
             b = at_temperatures(T1, T1 / 2.0)
-            diff = heat_quantum(circuit, scales, b) - _quantum_log_term(
-                circuit, scales, b
-            )
-            corr = heat_quantum_high_temp(circuit, scales, b) - _quantum_log_term(
-                circuit, scales, b
-            )
+            diff = heat_quantum(circuit, b) - _quantum_log_term(circuit, b)
+            corr = heat_quantum_high_temp(circuit, b) - _quantum_log_term(circuit, b)
             if T1 >= 100.0:
                 assert diff == pytest.approx(corr, rel=2e-2)
             diffs.append(abs(diff))
@@ -234,31 +225,29 @@ class TestHeatQuantumHighTemp:
 
 
 class TestHeatHighTempTotal:
-    def test_equilibrium_is_zero(self, circuit, scales):
-        assert high_temp_total(circuit, scales, at_temperatures(7.0, 7.0)) == 0.0
+    def test_equilibrium_is_zero(self, circuit):
+        assert high_temp_total(circuit, at_temperatures(7.0, 7.0)) == 0.0
 
-    def test_near_closed_total_at_high_temperature(self, circuit, scales):
+    def test_near_closed_total_at_high_temperature(self, circuit):
         b = at_temperatures(200.0, 100.0)
-        closed = heat_classical(circuit, scales, b) + heat_quantum(circuit, scales, b)
-        correction = heat_quantum_high_temp(circuit, scales, b) - _quantum_log_term(
-            circuit, scales, b
-        )
-        gap = abs(high_temp_total(circuit, scales, b) - closed)
+        closed = heat_classical(circuit, b) + heat_quantum(circuit, b)
+        correction = heat_quantum_high_temp(circuit, b) - _quantum_log_term(circuit, b)
+        gap = abs(high_temp_total(circuit, b) - closed)
         assert gap <= 1.05 * abs(correction)
 
-    def test_antisymmetry_of_every_method_total(self, circuit, scales):
+    def test_antisymmetry_of_every_method_total(self, circuit):
         T1, T2 = 3.0, 1.2
         b = at_temperatures(T1, T2)
         r = at_temperatures(T2, T1)
         pairs = [
             (
-                heat_classical(circuit, scales, b) + heat_quantum(circuit, scales, b),
-                heat_classical(circuit, scales, r) + heat_quantum(circuit, scales, r),
+                heat_classical(circuit, b) + heat_quantum(circuit, b),
+                heat_classical(circuit, r) + heat_quantum(circuit, r),
             ),
             (heat_low_temp(circuit, b), heat_low_temp(circuit, r)),
             (
-                high_temp_total(circuit, scales, b),
-                high_temp_total(circuit, scales, r),
+                high_temp_total(circuit, b),
+                high_temp_total(circuit, r),
             ),
         ]
         for forward, backward in pairs:
@@ -266,41 +255,40 @@ class TestHeatHighTempTotal:
 
 
 class TestAssembleReport:
-    def test_closed_form_equilibrium_clean(self, circuit, scales):
+    def test_closed_form_equilibrium_clean(self, circuit):
         b = at_temperatures(0.01, 0.01)  # low row, comfortably overdamped
-        report = assemble_report(circuit, scales, b, Method.CLOSED_FORM)
+        report = assemble_report(circuit, b, Method.CLOSED_FORM)
         assert report.q_classical == 0.0
         assert report.q_quantum == 0.0
         assert report.q_total == 0.0
         assert report.regime.tag is RegimeTag.LOW_T
         assert report.validity_warnings == ()
 
-    def test_closed_form_additivity_exact(self, circuit, scales, baths):
-        report = assemble_report(circuit, scales, baths, Method.CLOSED_FORM)
+    def test_closed_form_additivity_exact(self, circuit, baths):
+        report = assemble_report(circuit, baths, Method.CLOSED_FORM)
         assert report.q_total == report.q_classical + report.q_quantum
 
     def test_outside_overdamped_warns(self):
         p = CircuitParams(R=2.0, L=2.0, C=0.25, M=1.0, omega_c=5.0)  # gamma = 2
-        s = derive_scales(p)
         b = at_temperatures(100.0, 50.0)
-        report = assemble_report(p, s, b, Method.CLOSED_FORM)
+        report = assemble_report(p, b, Method.CLOSED_FORM)
         assert report.regime.tag is RegimeTag.OUTSIDE_OVERDAMPED
         assert report.validity_warnings
 
-    def test_low_temp_marginal_warning(self, circuit, scales):
+    def test_low_temp_marginal_warning(self, circuit):
         b = at_temperatures(5.0, 2.5)  # omega_th well above |lambda_pm|
-        report = assemble_report(circuit, scales, b, Method.LOW_TEMP_ASYMPTOTIC)
+        report = assemble_report(circuit, b, Method.LOW_TEMP_ASYMPTOTIC)
         assert any("marginal" in w for w in report.validity_warnings)
         assert report.q_total == heat_low_temp(circuit, b)
 
-    def test_high_temp_split(self, circuit, scales, baths):
-        report = assemble_report(circuit, scales, baths, Method.HIGH_TEMP_ASYMPTOTIC)
-        assert report.q_classical == heat_classical(circuit, scales, baths)
-        assert report.q_quantum == _quantum_log_term(circuit, scales, baths)
+    def test_high_temp_split(self, circuit, baths):
+        report = assemble_report(circuit, baths, Method.HIGH_TEMP_ASYMPTOTIC)
+        assert report.q_classical == heat_classical(circuit, baths)
+        assert report.q_quantum == _quantum_log_term(circuit, baths)
         assert report.q_total == report.q_classical + report.q_quantum
 
-    def test_exact_quadrature_report(self, circuit, scales, baths):
-        report = assemble_report(circuit, scales, baths, Method.EXACT_QUADRATURE)
+    def test_exact_quadrature_report(self, circuit, baths):
+        report = assemble_report(circuit, baths, Method.EXACT_QUADRATURE)
         direct = heat_exact(circuit, baths)
         assert report.q_total == pytest.approx(direct, rel=1e-12)
         split_sum = report.q_classical + report.q_quantum
@@ -308,14 +296,14 @@ class TestAssembleReport:
         assert report.validity_warnings == ()
 
     def test_exact_quadrature_is_the_exact_split(
-        self, circuit, scales, baths, monkeypatch
+        self, circuit, baths, monkeypatch
     ):
         def no_quadrature(*args, **kwargs):
             raise AssertionError("adaptive quadrature called")
 
         monkeypatch.setattr(quadrature, "_integrate_panels", no_quadrature)
         cubic = TransferMode.EXACT_CUBIC
-        report = assemble_report(circuit, scales, baths, Method.EXACT_QUADRATURE)
+        report = assemble_report(circuit, baths, Method.EXACT_QUADRATURE)
         dT = baths.T1 - baths.T2
         assert report.q_classical == circuit.kb * dT * classical_integral(circuit, cubic)
         assert report.q_quantum == quantum_integral(circuit, baths, cubic)
@@ -323,7 +311,7 @@ class TestAssembleReport:
         assert report.validity_warnings == ()
 
     @pytest.mark.parametrize("T1, T2", [(1e300, 1e-10), (1e-10, 1e300), (1e200, 1e-200)])
-    def test_extreme_temperature_ratios_stay_finite(self, circuit, scales, T1, T2):
+    def test_extreme_temperature_ratios_stay_finite(self, circuit, T1, T2):
         # T2/T1 overflows or underflows: the log of the temperature ratio falls
         # back to a log difference, and psi(1 - beta hbar s/2pi) at |z| ~ 1e200
         # must not square z into an overflow (it gave nan)
@@ -331,9 +319,9 @@ class TestAssembleReport:
         for method in Method:
             if method is Method.LOW_TEMP_ASYMPTOTIC:
                 with pytest.raises(OverflowError):  # T^4 is out of float range
-                    assemble_report(circuit, scales, b, method)
+                    assemble_report(circuit, b, method)
                 continue
-            report = assemble_report(circuit, scales, b, method)
+            report = assemble_report(circuit, b, method)
             columns = (report.q_classical, report.q_quantum, report.q_total)
             assert all(math.isfinite(v) for v in columns), method
         for mode in TransferMode:

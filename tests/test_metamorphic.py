@@ -32,7 +32,6 @@ from overheat import (
     assemble_report,
     classical_integral,
     classify_regime,
-    derive_scales,
     heat_exact,
     quantum_integral,
 )
@@ -71,19 +70,18 @@ def domain_circuit(log_ratio, m_over_l, omega_c, a=1.0, hbar=1.0, kb=1.0):
 
 def evaluate(p, T1, T2, keys):
     """{key: columns} for Methods and TransferModes in `keys`, and the regime tag."""
-    s = derive_scales(p)
     b = BathPair.from_temperatures(T1, T2, p.kb)
     out = {}
     for key in keys:
         if isinstance(key, Method):
-            r = assemble_report(p, s, b, key)
+            r = assemble_report(p, b, key)
             out[key] = (r.q_classical, r.q_quantum, r.q_total)
         else:
             out[key] = (
                 p.kb * (T1 - T2) * classical_integral(p, key),
                 quantum_integral(p, b, key),
             )
-    return out, classify_regime(p, s, b).tag
+    return out, classify_regime(p, b).tag
 
 
 def rel_error(got, want):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -9,7 +10,6 @@ from overheat import (
     CircuitParams,
     RegimeTag,
     classify_regime,
-    derive_scales,
 )
 from overheat import model
 from overheat.model import SAFETY_FACTOR
@@ -40,10 +40,26 @@ class TestCircuitParams:
         CircuitParams(R=1.0, L=2.0, C=1.0, M=0.0, omega_c=5.0)
 
 
-class TestDeriveScales:
+class TestScales:
+    def test_computed_once_and_not_a_field(self, circuit):
+        assert circuit.scales is circuit.scales
+        # eq, hash, asdict and replace see only the constants
+        assert "scales" not in dataclasses.asdict(circuit)
+        fresh = dataclasses.replace(circuit)
+        assert fresh == circuit and hash(fresh) == hash(circuit)
+        assert fresh.scales is not circuit.scales and fresh.scales == circuit.scales
+        wider = dataclasses.replace(circuit, omega_c=1e3)
+        assert wider.scales.lambda_plus != circuit.scales.lambda_plus
+
+    def test_overflowing_dressed_rate_names_omega_c(self):
+        # omega_c omega_minus past the largest float would make lambda_minus -inf
+        p = CircuitParams(R=2.0, L=2.0, C=5e-5, M=1.0, omega_c=1.7e308)
+        with pytest.raises(OverflowError, match="omega_c = 1.7e"):
+            p.scales
+
     def test_uncoupled_loops(self):
         # M = 0 collapses both normal modes onto omega_d
-        s = derive_scales(CircuitParams(R=1.0, L=2.0, C=1.0, M=0.0, omega_c=5.0))
+        s = CircuitParams(R=1.0, L=2.0, C=1.0, M=0.0, omega_c=5.0).scales
         assert s.omega_d == pytest.approx(0.5, rel=1e-15)
         assert s.omega_plus == pytest.approx(0.5, rel=1e-15)
         assert s.omega_minus == pytest.approx(0.5, rel=1e-15)
@@ -63,7 +79,7 @@ class TestDeriveScales:
     def test_markovian_limit(self):
         # omega_c -> infinity drags lambda_pm onto -omega_pm
         p = CircuitParams(R=2.0, L=2.0, C=5e-5, M=1.0, omega_c=1e12)
-        s = derive_scales(p)
+        s = p.scales
         assert abs(s.lambda_plus + s.omega_plus) / s.omega_plus < 1e-10
         assert abs(s.lambda_minus + s.omega_minus) / s.omega_minus < 1e-10
 
@@ -72,7 +88,7 @@ class TestDeriveScales:
         for _ in range(200):
             R, L, C, wc = np.exp(rng.uniform(-3, 3, size=4))
             M = L * rng.uniform(0.0, 0.999)
-            s = derive_scales(CircuitParams(R=R, L=L, C=C, M=M, omega_c=wc))
+            s = CircuitParams(R=R, L=L, C=C, M=M, omega_c=wc).scales
             assert s.omega_plus <= s.omega_d <= s.omega_minus
             if M > 0:
                 assert s.omega_plus < s.omega_d < s.omega_minus
@@ -88,10 +104,8 @@ class TestDeriveScales:
             R, L, C, wc = np.exp(rng.uniform(-2, 2, size=4))
             M = L * rng.uniform(0.0, 0.99)
             k = math.exp(rng.uniform(-2, 2))
-            s1 = derive_scales(CircuitParams(R=R, L=L, C=C, M=M, omega_c=wc))
-            s2 = derive_scales(
-                CircuitParams(R=R, L=L / k, C=C / k, M=M / k, omega_c=wc * k)
-            )
+            s1 = CircuitParams(R=R, L=L, C=C, M=M, omega_c=wc).scales
+            s2 = CircuitParams(R=R, L=L / k, C=C / k, M=M / k, omega_c=wc * k).scales
             for name in (
                 "gamma",
                 "omega_0",
@@ -111,16 +125,12 @@ class TestDeriveScales:
         lp = []
         lm = []
         for wc in cutoffs:
-            s = derive_scales(
-                CircuitParams(R=p0.R, L=p0.L, C=p0.C, M=p0.M, omega_c=float(wc))
-            )
+            s = CircuitParams(R=p0.R, L=p0.L, C=p0.C, M=p0.M, omega_c=float(wc)).scales
             lp.append(s.lambda_plus)
             lm.append(s.lambda_minus)
         assert all(b < a for a, b in zip(lp, lp[1:]))  # decreasing toward -omega_plus
         assert all(b < a for a, b in zip(lm, lm[1:]))
-        s_inf = derive_scales(
-            CircuitParams(R=p0.R, L=p0.L, C=p0.C, M=p0.M, omega_c=1e12)
-        )
+        s_inf = CircuitParams(R=p0.R, L=p0.L, C=p0.C, M=p0.M, omega_c=1e12).scales
         assert lp[-1] > s_inf.lambda_plus > -2.0 / 3.0
         assert lm[-1] > s_inf.lambda_minus > -2.0
 
@@ -161,29 +171,29 @@ class TestClassifyRegime:
         # at gamma = 1e6, omega_th = 3 sits between omega_minus = 2 and gamma
         # with every charge-sector separation above SAFETY_FACTOR
         p = CircuitParams(R=2.0, L=2.0, C=5e-7, M=1.0, omega_c=5.0)
-        label = classify_regime(p, derive_scales(p), BathPair.from_temperatures(3.0, 3.0))
+        label = classify_regime(p, BathPair.from_temperatures(3.0, 3.0))
         assert label.tag is RegimeTag.INTERMEDIATE_T
         assert all(c.satisfied for c in label.conditions)
 
-    def test_margin_is_the_module_constant(self, circuit, scales, monkeypatch):
+    def test_margin_is_the_module_constant(self, circuit, monkeypatch):
         # omega_th = 10*omega_d clears the sqrt(gamma*omega_plus) separation
         # only by ~8: outside at the fixed margin, intermediate at margin 1
         b = BathPair.from_temperatures(10.0, 10.0)
-        assert classify_regime(circuit, scales, b).tag is RegimeTag.OUTSIDE_OVERDAMPED
+        assert classify_regime(circuit, b).tag is RegimeTag.OUTSIDE_OVERDAMPED
         monkeypatch.setattr(model, "SAFETY_FACTOR", 1.0)
-        assert classify_regime(circuit, scales, b).tag is RegimeTag.INTERMEDIATE_T
+        assert classify_regime(circuit, b).tag is RegimeTag.INTERMEDIATE_T
 
     def test_low_row(self, circuit, scales):
         T = 0.01 * scales.omega_plus  # omega_th = 0.01*omega_plus
         b = BathPair.from_temperatures(T, T)
-        label = classify_regime(circuit, scales, b)
+        label = classify_regime(circuit, b)
         assert label.tag is RegimeTag.LOW_T
 
     def test_outside_overdamped(self):
         p = CircuitParams(R=2.0, L=2.0, C=0.25, M=1.0, omega_c=5.0)  # gamma = 2*omega_d
-        s = derive_scales(p)
+        s = p.scales
         T = 10.0 * s.gamma
-        label = classify_regime(p, s, BathPair.from_temperatures(T, T))
+        label = classify_regime(p, BathPair.from_temperatures(T, T))
         assert label.tag is RegimeTag.OUTSIDE_OVERDAMPED
         assert any(not c.satisfied for c in label.conditions)
 
@@ -191,22 +201,21 @@ class TestClassifyRegime:
         # the "both baths hotter than gamma" pattern inherently violates the
         # omega_th << gamma validity condition, so it cannot be certified
         T = 100.0 * scales.gamma
-        label = classify_regime(circuit, scales, BathPair.from_temperatures(T, T))
+        label = classify_regime(circuit, BathPair.from_temperatures(T, T))
         assert label.tag is RegimeTag.OUTSIDE_OVERDAMPED
         assert not any(c.satisfied for c in label.conditions if c.name.endswith(" row"))
 
     def test_mixed_rows(self):
         p = CircuitParams(R=2.0, L=2.0, C=5e-7, M=1.0, omega_c=5.0)  # gamma = 1e6
-        s = derive_scales(p)
         b = BathPair.from_temperatures(0.006, 3.0)  # bath1 low row, bath2 intermediate
-        label = classify_regime(p, s, b)
+        label = classify_regime(p, b)
         assert label.tag is RegimeTag.MIXED
 
-    def test_mixed_when_neither_bath_has_a_row(self, circuit, scales):
+    def test_mixed_when_neither_bath_has_a_row(self, circuit):
         # omega_plus < omega_th < omega_minus: both baths fit no row while the
         # three overdamped checks hold, and the label is Mixed
         for T in (1.0, 1.5):
-            label = classify_regime(circuit, scales, BathPair.from_temperatures(T, T))
+            label = classify_regime(circuit, BathPair.from_temperatures(T, T))
             assert label.tag is RegimeTag.MIXED
             assert all(c.satisfied for c in label.conditions[:3])
             rows = {c.name: c.satisfied for c in label.conditions[3:]}
@@ -214,7 +223,6 @@ class TestClassifyRegime:
 
     def test_every_tag_is_returned_for_some_input(self):
         p = CircuitParams(R=2.0, L=2.0, C=5e-7, M=1.0, omega_c=5.0)  # gamma = 1e6
-        s = derive_scales(p)
         witnesses = {
             RegimeTag.INTERMEDIATE_T: (3.0, 3.0),
             RegimeTag.LOW_T: (0.006, 0.006),
@@ -223,7 +231,7 @@ class TestClassifyRegime:
         }
         for tag in RegimeTag:
             assert tag in witnesses, f"no witness input for {tag}"
-            label = classify_regime(p, s, BathPair.from_temperatures(*witnesses[tag]))
+            label = classify_regime(p, BathPair.from_temperatures(*witnesses[tag]))
             assert label.tag is tag
 
     def test_agreement_with_inequality_chains(self):
@@ -238,10 +246,10 @@ class TestClassifyRegime:
             C = 1.0 / (R * gamma)
             wc = math.exp(rng.uniform(-2, 4))
             p = CircuitParams(R=R, L=L, C=C, M=M, omega_c=wc)
-            s = derive_scales(p)
+            s = p.scales
             T = math.exp(rng.uniform(-7, 3))
             b = BathPair.from_temperatures(T, T)
-            label = classify_regime(p, s, b)
+            label = classify_regime(p, b)
             seen.add(label.tag)
             omega_th = b.thermal_frequency(p.hbar)
             if label.tag is RegimeTag.INTERMEDIATE_T:
@@ -257,8 +265,8 @@ class TestClassifyRegime:
         assert RegimeTag.LOW_T in seen
         assert RegimeTag.OUTSIDE_OVERDAMPED in seen
 
-    def test_conditions_carry_margins(self, circuit, scales, baths):
-        label = classify_regime(circuit, scales, baths)
+    def test_conditions_carry_margins(self, circuit, baths):
+        label = classify_regime(circuit, baths)
         assert len(label.conditions) >= 5
         for cond in label.conditions[:5]:
             assert cond.margin > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -13,10 +14,11 @@ from scipy.integrate import quad
 from overheat import (
     BathPair,
     CircuitParams,
+    Method,
     ToleranceNotMetError,
     TransferMode,
+    assemble_report,
     classical_integral,
-    derive_scales,
     digamma,
     heat_classical,
     heat_exact,
@@ -25,7 +27,7 @@ from overheat import (
     quantum_integral,
     transfer_f12,
 )
-from overheat import quadrature, response, run_preset
+from overheat import model, quadrature, response, run_preset
 from quad_reference import _f12_integral, reference_heat_exact
 from response_reference import heat_quantum_blocks
 
@@ -144,6 +146,17 @@ class TestHeatExact:
         assert math.isfinite(total)
         assert abs(total - split) <= 1e-9 * abs(total)
 
+    @pytest.mark.parametrize("T1, T2", [(1.7e308, 1.0), (1.0, 1.7e308)])
+    def test_hottest_bath_gives_the_split_inf(self, circuit, T1, T2):
+        # every panel value is finite but their sum is past the largest float:
+        # fsum raised a bare OverflowError where the split gives +/-inf
+        b = BathPair.from_temperatures(T1, T2)
+        split = (b.T1 - b.T2) * classical_integral(circuit) + quantum_integral(circuit, b)
+        assert math.isinf(split)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert heat_exact(circuit, b) == split
+
     def test_panel_cap_overflows_quietly_with_numpy_temperatures(self):
         # inner_lo ~ 1e9 in numpy floats, where the product 1e300 inner_lo would
         # overflow with a RuntimeWarning: the cap must drop out quietly
@@ -180,12 +193,10 @@ class TestHeatExact:
             q = heat_exact(circuit, BathPair.from_temperatures(1.0, T2), mode)
             assert q / (1.0 - T2) == pytest.approx(conductance, rel=1e-7)
 
-    def test_matches_closed_form_total(self, circuit, scales, baths):
+    def test_matches_closed_form_total(self, circuit, baths):
         # gamma/omega_d = 1e4: the overdamped closed forms should nail the
         # linear-mode integral well inside 100x the quadrature tolerance
-        expected = heat_classical(circuit, scales, baths) + heat_quantum(
-            circuit, scales, baths
-        )
+        expected = heat_classical(circuit, baths) + heat_quantum(circuit, baths)
         value = heat_exact(circuit, baths, LINEAR)
         assert abs(value - expected) <= 1e-7 * abs(expected)
 
@@ -488,7 +499,7 @@ class TestQuantumIntegral:
         ):
             p = CircuitParams(R=2.0, L=2.0, C=5e-5, M=M, omega_c=5.0)
             b = BathPair.from_temperatures(T1, T2)
-            expected = heat_quantum_blocks(p, derive_scales(p), b)
+            expected = heat_quantum_blocks(p, b)
             value = quantum_integral(p, b, LINEAR)
             assert abs(value - expected) <= 1e-9 * abs(expected), (M, T1, T2)
 
@@ -697,12 +708,57 @@ def counting(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
 
-    def wrapper(*args):
-        calls.append(args)
-        return original(*args)
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def finite_or_names_omega_c(call):
+    """The value of call(), which must be finite unless it raises an
+    ArithmeticError whose message names omega_c; None when it raises."""
+    try:
+        value = call()
+    except ArithmeticError as error:
+        assert "omega_c" in str(error), repr(error)
+        return None
+    assert np.all(np.isfinite(value)), value
+    return value
+
+
+class TestHugeCutoff:
+    # on the reference circuit the fast pole's residue weight overflows from
+    # omega_c ~ 4e52, omega_c^4 from ~1.3e77, its s^3 from ~1e103 and f12's
+    # omega_c^2 from ~1.3e154: the quantum integral was nan, and omega_c**4
+    # and s**3 bare OverflowErrors
+    @pytest.mark.parametrize("omega_c", [1e55, 1e80, 1e120, 1e300])
+    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+    def test_finite_or_a_typed_error_naming_omega_c(self, circuit, baths, omega_c, mode):
+        p = dataclasses.replace(circuit, omega_c=omega_c)
+        for call in (
+            lambda: classical_integral(p, mode),
+            lambda: quantum_integral(p, baths, mode),
+            lambda: transfer_f12(np.array([1e-3, 1.0, 1e3]), p, mode),
+            lambda: transfer_f12(1.0, p, mode),
+        ):
+            finite_or_names_omega_c(call)
+        total = finite_or_names_omega_c(lambda: heat_exact(p, baths, mode))
+        if omega_c < 1e154:  # below f12's overflow the current is the omega_c -> inf one
+            limit = heat_exact(dataclasses.replace(circuit, omega_c=1e20), baths, mode)
+            assert total == pytest.approx(limit, rel=1e-9)
+
+    @pytest.mark.parametrize("omega_c", [1e55, 1e80, 1e300])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_reports_are_finite_or_a_typed_error(self, circuit, baths, omega_c, method):
+        p = dataclasses.replace(circuit, omega_c=omega_c)
+
+        def columns():
+            report = assemble_report(p, baths, method)
+            return [report.q_classical, report.q_quantum, report.q_total]
+
+        finite_or_names_omega_c(columns)
 
 
 class TestCircuitSolve:
@@ -718,14 +774,20 @@ class TestCircuitSolve:
         assert (len(roots), len(h2)) == (2, 1)
 
     @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+    def test_fresh_circuit_builds_its_scales_once(self, circuit, mode, monkeypatch, fresh_solve):
+        # the record's solve and its mode polynomials both read circuit.scales
+        built = counting(monkeypatch, model, "DerivedScales")
+        classical_integral(circuit, mode)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
     def test_solved_circuit_derives_nothing_again(self, circuit, mode, monkeypatch):
-        # the record keeps the mode polynomials and the scales: on a solved
-        # circuit no temperature and no f12 call derives either again
+        # the record keeps the mode polynomials and the circuit its scales: on a
+        # solved circuit no temperature and no f12 call builds either again
         classical_integral(circuit, mode)
         calls = [
-            counting(monkeypatch, module, name)
-            for module in (quadrature, response)
-            for name in ("mode_polynomials", "derive_scales")
+            counting(monkeypatch, quadrature, "mode_polynomials"),
+            counting(monkeypatch, model, "DerivedScales"),
         ]
         for T1 in np.geomspace(1e-2, 1e2, 9):
             b = BathPair.from_temperatures(T1, 0.5 * T1)
@@ -733,14 +795,14 @@ class TestCircuitSolve:
             quantum_integral(circuit, b, mode)
             heat_exact(circuit, b, mode)
             transfer_f12(T1, circuit, mode)
-        assert calls == [[], [], [], []]
+        assert calls == [[], []]
 
     def test_heat_exact_derives_the_scales_once(self, circuit, baths, monkeypatch, fresh_solve):
-        # the solve derives the scales for its record, which every call then reads
-        scales = counting(monkeypatch, quadrature, "derive_scales")
+        # the solve builds the circuit's scales, which every later call reads
+        built = counting(monkeypatch, model, "DerivedScales")
         heat_exact(circuit, baths)
         heat_exact(circuit, BathPair.from_temperatures(5.0, 1.0))
-        assert len(scales) == 1
+        assert len(built) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(

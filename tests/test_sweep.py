@@ -18,7 +18,6 @@ from overheat import (
     SweepSpec,
     assemble_report,
     classify_regime,
-    derive_scales,
     emit_csv,
     emit_plot_script,
     parse_config,
@@ -185,7 +184,7 @@ class TestParseConfig:
         ]
         assert main(args) == 1
 
-    def test_transfer_mode_is_not_settable(self, circuit, scales, baths):
+    def test_transfer_mode_is_not_settable(self, circuit, baths):
         # ExactQuadrature is always the split of the full cubic model; the
         # transfer mode is chosen only in the library functions
         with pytest.raises(ConfigError, match="line 1: unknown key 'mode'"):
@@ -200,7 +199,7 @@ class TestParseConfig:
             SweepSpec(mode="OverdampedLinear")
         with pytest.raises(TypeError, match="mode"):
             assemble_report(
-                circuit, scales, baths, Method.EXACT_QUADRATURE, mode="OverdampedLinear"
+                circuit, baths, Method.EXACT_QUADRATURE, mode="OverdampedLinear"
             )
 
     @pytest.mark.parametrize("value", ["0.5", "nan"])
@@ -303,9 +302,8 @@ class TestRunSweep:
         rows = run_sweep(spec)
         for row in rows:
             p = CircuitParams(spec.R, spec.L, spec.C, spec.M, spec.omega_c)
-            s = derive_scales(p)
             b = BathPair.from_temperatures(row.T1, row.T2)
-            expected = classify_regime(p, s, b)
+            expected = classify_regime(p, b)
             assert row.regime == expected.tag.value
 
     def test_exact_rows_run_no_quadrature(self, monkeypatch):
