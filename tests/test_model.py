@@ -41,7 +41,7 @@ class TestCircuitParams:
 
 
 class TestScales:
-    def test_computed_once_and_not_a_field(self, circuit):
+    def test_built_with_the_circuit_and_not_a_field(self, circuit):
         assert circuit.scales is circuit.scales
         # eq, hash, asdict and replace see only the constants
         assert "scales" not in dataclasses.asdict(circuit)
@@ -53,9 +53,8 @@ class TestScales:
 
     def test_overflowing_dressed_rate_names_omega_c(self):
         # omega_c omega_minus past the largest float would make lambda_minus -inf
-        p = CircuitParams(R=2.0, L=2.0, C=5e-5, M=1.0, omega_c=1.7e308)
         with pytest.raises(OverflowError, match="omega_c = 1.7e"):
-            p.scales
+            CircuitParams(R=2.0, L=2.0, C=5e-5, M=1.0, omega_c=1.7e308)
 
     def test_uncoupled_loops(self):
         # M = 0 collapses both normal modes onto omega_d

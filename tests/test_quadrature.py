@@ -774,10 +774,10 @@ class TestCircuitSolve:
         assert (len(roots), len(h2)) == (2, 1)
 
     @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
-    def test_fresh_circuit_builds_its_scales_once(self, circuit, mode, monkeypatch, fresh_solve):
-        # the record's solve and its mode polynomials both read circuit.scales
+    def test_fresh_circuit_builds_its_scales_once(self, mode, monkeypatch, fresh_solve):
+        # the circuit builds its scales, which the solve and its mode polynomials read
         built = counting(monkeypatch, model, "DerivedScales")
-        classical_integral(circuit, mode)
+        classical_integral(CircuitParams(R=2.0, L=2.0, C=5e-5, M=1.0, omega_c=5.0), mode)
         assert len(built) == 1
 
     @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
@@ -797,9 +797,10 @@ class TestCircuitSolve:
             transfer_f12(T1, circuit, mode)
         assert calls == [[], []]
 
-    def test_heat_exact_derives_the_scales_once(self, circuit, baths, monkeypatch, fresh_solve):
-        # the solve builds the circuit's scales, which every later call reads
+    def test_heat_exact_derives_the_scales_once(self, baths, monkeypatch, fresh_solve):
+        # the circuit builds its scales, which the solve and every call read
         built = counting(monkeypatch, model, "DerivedScales")
+        circuit = CircuitParams(R=2.0, L=2.0, C=5e-5, M=1.0, omega_c=5.0)
         heat_exact(circuit, baths)
         heat_exact(circuit, BathPair.from_temperatures(5.0, 1.0))
         assert len(built) == 1
