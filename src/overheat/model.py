@@ -82,7 +82,8 @@ class CircuitParams:
         omega_plus = self.R / (self.L + self.M)
         omega_minus = self.R / (self.L - self.M)
         if self.omega_c * omega_minus == math.inf:
-            raise OverflowError(f"lambda_pm overflows at omega_c = {self.omega_c!r}")
+            raise OverflowError(f"lambda_pm overflows at omega_c = {self.omega_c!r}, "
+                                f"omega_minus = R/(L - M) = {omega_minus!r}")
         # not a functools.cached_property: on CPython 3.11 the instance __dict__
         # it writes makes every later field read about four times slower
         object.__setattr__(self, "scales", DerivedScales(
