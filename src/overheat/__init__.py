@@ -52,7 +52,6 @@ from .sweep import (
     emit_plot_script,
     parse_config,
     preset_specs,
-    read_csv,
     run_preset,
     run_sweep,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "parse_config",
     "preset_specs",
     "quantum_integral",
-    "read_csv",
     "run_preset",
     "run_sweep",
     "transfer_f12",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import BathPair, CircuitParams, RegimeLabel, RegimeTag, classify_regime
-from .quadrature import classical_integral, quantum_integral
+from .quadrature import _quantum_integrals, classical_integral, quantum_integral
 from .response import TransferMode
 from .special import log_ratio
 
@@ -116,14 +116,20 @@ def heat_low_temp(p: CircuitParams, b: BathPair) -> float:
 
     (2/15)(pi/hbar)^3 (M/L)^2 (k_b^4/omega_d^2)(T1^4 - T2^4).  Valid when both
     thermal frequencies sit below |lambda_pm|; notably independent of the
-    bath cutoff omega_c.
+    bath cutoff omega_c.  Raises an OverflowError naming the hotter bath where
+    its T^4 is past the largest float, from T ~ 1.2e77.
     """
+    try:
+        t4 = b.T1**4 - b.T2**4
+    except OverflowError:
+        name, T = ("T1", b.T1) if b.T1 >= b.T2 else ("T2", b.T2)
+        raise OverflowError(f"{name}^4 overflows in the T^4 law at {name} = {T!r}") from None
     return (
         (2.0 / 15.0)
         * (math.pi / p.hbar) ** 3
         * (p.M / p.L) ** 2
         * (p.kb**4 / p.scales.omega_d**2)
-        * (b.T1**4 - b.T2**4)
+        * t4
     )
 
 
@@ -142,7 +148,46 @@ def assemble_report(p: CircuitParams, b: BathPair, method: Method) -> HeatReport
       as their sum.  No quadrature runs.
     """
     # b by keyword: bench/tracing.py reads it by name or by its old slot, 2
-    regime = classify_regime(p, b=b)
+    (report,) = _assemble_reports([(p, b)], [classify_regime(p, b=b)], method)
+    if isinstance(report, ArithmeticError):
+        raise report
+    return report
+
+
+# the transfer mode of the residue sum that a method's quantum column needs
+_RESIDUE_MODE = {
+    Method.EXACT_QUADRATURE: TransferMode.EXACT_CUBIC,
+    Method.CLOSED_FORM: TransferMode.OVERDAMPED_LINEAR,
+}
+
+
+def _assemble_reports(
+    points: list[tuple[CircuitParams, BathPair]], regimes: list[RegimeLabel], method: Method
+) -> list:
+    """`assemble_report` at every (p, b) of `points`, given its regime label,
+    or the ArithmeticError that it raises there.
+
+    The residue sums of all points come from one `_quantum_integrals` call,
+    which gives each the bits of its own `quantum_integral`; where that sum
+    fails, its error is the point's.
+    """
+    mode = _RESIDUE_MODE.get(method)
+    quantum = _quantum_integrals(points, mode) if mode else [None] * len(points)
+    reports: list = []
+    for (p, b), regime, qq in zip(points, regimes, quantum):
+        if isinstance(qq, ArithmeticError):
+            reports.append(qq)
+            continue
+        try:
+            reports.append(_report(p, b, method, regime, qq))
+        except ArithmeticError as error:
+            reports.append(error)
+    return reports
+
+
+def _report(p: CircuitParams, b: BathPair, method: Method, regime: RegimeLabel,
+            quantum: float | None) -> HeatReport:
+    """The report of `assemble_report`, from the regime and the method's residue sum."""
     warnings: list[str] = []
     if regime.tag is RegimeTag.OUTSIDE_OVERDAMPED:
         failed = [c.name for c in regime.conditions if not c.satisfied]
@@ -152,7 +197,7 @@ def assemble_report(p: CircuitParams, b: BathPair, method: Method) -> HeatReport
 
     if method is Method.CLOSED_FORM:
         qc = heat_classical(p, b)
-        qq = heat_quantum(p, b)
+        qq = quantum
         qt = qc + qq
     elif method is Method.LOW_TEMP_ASYMPTOTIC:
         qt = heat_low_temp(p, b)
@@ -169,7 +214,7 @@ def assemble_report(p: CircuitParams, b: BathPair, method: Method) -> HeatReport
         qt = qc + qq
     elif method is Method.EXACT_QUADRATURE:
         qc = p.kb * (b.T1 - b.T2) * classical_integral(p)
-        qq = quantum_integral(p, b)
+        qq = quantum
         qt = qc + qq
     else:
         raise ValueError(f"unknown method: {method!r}")

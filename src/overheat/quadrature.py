@@ -48,7 +48,7 @@ import numpy as np
 
 from .model import BathPair, CircuitParams
 from .response import TransferMode, horner, mode_polynomials
-from .special import digamma, log_ratio
+from .special import _digamma_array, log_ratio
 
 
 # Relative error the `heat_exact` total must meet.
@@ -429,19 +429,21 @@ class _CircuitSolve:
     at every root s of D, and at a resonant root (|Im s| > |Re s|) also
     |Im s| + k |Re s|, k in `_FLANKS`, on its flanks; `heat_exact` starts its
     panels there.
-    `nodes` holds the pairs (s, weight) of the residue sum, in summation
-    order: at a residue, weight = s^3/(D(-s) D'(s)), twice that at the upper
-    root of a conjugate pair of residues, whose lower root is left out; at
-    one of the n points s = centre + offset of a cluster's contour,
+    `s` and `weight` are complex arrays of the residue sum's nodes and their
+    weights: at a residue, weight = s^3/(D(-s) D'(s)), twice that at the
+    upper root of a conjugate pair of residues, whose lower root is left out;
+    at one of the n points s = centre + offset of a cluster's contour,
     weight = s^3/(D(-s) D(s)) offset/n.  `failure` is the error of the pole
-    step, or of weights that overflow, raised by `quantum_integral`.
+    step, or of weights that overflow, raised by `quantum_integral`; the
+    arrays are then empty.
     """
 
     polys: tuple[tuple[float, ...], tuple[float, ...]]
     K: float
     classical: float
     breaks: tuple[float, ...]
-    nodes: tuple[tuple, ...]
+    s: np.ndarray
+    weight: np.ndarray
     failure: ArithmeticError | None
 
 
@@ -476,9 +478,12 @@ def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
         nodes = _residue_nodes(p, polys, mode_roots, 2.0 * p.R * p.M / A)
         if not all(cmath.isfinite(K * weight) for _, weight in nodes):
             raise OverflowError(f"residue weights overflow at omega_c = {p.omega_c!r}")
-        return _CircuitSolve(polys, K, classical, breaks, nodes, None)
+        s, weight = (np.array(x) for x in zip(*nodes))
+        s.flags.writeable = weight.flags.writeable = False  # every caller shares the record
+        return _CircuitSolve(polys, K, classical, breaks, s, weight, None)
     except ArithmeticError as error:
-        return _CircuitSolve(polys, K, classical, breaks, (), error.with_traceback(None))
+        empty = np.zeros(0, complex)
+        return _CircuitSolve(polys, K, classical, breaks, empty, empty, error.with_traceback(None))
 
 
 def _modulus_on_axis(coeffs: tuple[float, ...], omega):
@@ -523,8 +528,8 @@ def transfer_f12(omega, p: CircuitParams, mode: TransferMode):
 
 
 def _residue_nodes(p: CircuitParams, polys, mode_roots, delta: float) -> tuple[tuple, ...]:
-    """The `_CircuitSolve.nodes` of the residue sum (see `quantum_integral`),
-    from the roots of u_plus and u_minus."""
+    """The pairs (s, weight) of the residue sum (see `quantum_integral` and
+    `_CircuitSolve`), from the roots of u_plus and u_minus."""
     roots, slopes = [], []
     for sign, coeffs, u_roots in zip((1.0, -1.0), polys, mode_roots):
         for s in u_roots:
@@ -600,20 +605,63 @@ def quantum_integral(
 
     Only the digamma arguments depend on the temperatures: K, the nodes and
     their weights are fields of the cached `_circuit_solve` record, so a
-    cached circuit costs two digammas per node.  The nodes are the roots,
-    less the lower root of each conjugate pair, whose term is the conjugate
-    of the upper one's, and the points of each cluster's contour.  A cluster
-    reaching the imaginary axis raises ArithmeticError on every call.
+    cached circuit costs one call of the digamma kernel, on the (2, n) array
+    of both baths' arguments at the n nodes, and a `math.fsum` of the terms'
+    real parts.  The nodes are the roots, less the lower root of each
+    conjugate pair, whose term is the conjugate of the upper one's, and the
+    points of each cluster's contour.  A cluster reaching the imaginary axis
+    raises ArithmeticError on every call.
     """
     if b.T1 == b.T2 or p.M == 0.0:
         return 0.0
+    solve = _residue_record(p, mode)
+    c1, c2 = _digamma_rates(p, b)
+    psi = _digamma_array(1.0 - np.multiply.outer((c2, c1), solve.s))
+    terms = solve.weight * ((psi[0] - psi[1]) - log_ratio(c2, c1))
+    return p.hbar * solve.K * math.fsum(terms.real.tolist())
+
+
+def _residue_record(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
+    """The record of (p, mode), raising its failure if the residue step failed."""
     solve = _circuit_solve(p, mode)
     if solve.failure is not None:
         raise type(solve.failure)(*solve.failure.args)
-    c1 = b.beta1 * p.hbar / (2.0 * math.pi)
-    c2 = b.beta2 * p.hbar / (2.0 * math.pi)
-    log_c = log_ratio(c2, c1)
-    total = 0j
-    for s, weight in solve.nodes:
-        total += weight * ((digamma(1.0 - c2 * s) - digamma(1.0 - c1 * s)) - log_c)
-    return p.hbar * solve.K * total.real
+    return solve
+
+
+def _digamma_rates(p: CircuitParams, b: BathPair) -> tuple[float, float]:
+    """c_j = beta_j hbar/2pi: the bracket of the residue sum holds psi(1 - c_j s)."""
+    return b.beta1 * p.hbar / (2.0 * math.pi), b.beta2 * p.hbar / (2.0 * math.pi)
+
+
+def _quantum_integrals(points: list[tuple[CircuitParams, BathPair]], mode: TransferMode) -> list:
+    """`quantum_integral(p, b, mode)` at every (p, b) of `points`, or the
+    ArithmeticError it raises there, bit for bit.
+
+    The nodes of all points go through one digamma kernel call; each
+    point's terms are then summed on their own by `math.fsum`, as in
+    `quantum_integral`, so a value does not depend on the batch around it.
+    """
+    out: list = [0.0] * len(points)
+    batch = []  # (index, p, record, c1, c2) of every point with a residue sum
+    for i, (p, b) in enumerate(points):
+        if b.T1 == b.T2 or p.M == 0.0:
+            continue
+        try:
+            batch.append((i, p, _residue_record(p, mode), *_digamma_rates(p, b)))
+        except ArithmeticError as error:
+            out[i] = error
+    if not batch:
+        return out
+    index, ps, solves, c1, c2 = zip(*batch)
+    counts = [solve.s.size for solve in solves]
+    c = np.repeat([c2, c1], counts, axis=1)
+    psi = _digamma_array(1.0 - c * np.concatenate([solve.s for solve in solves]))
+    log_c = np.repeat([log_ratio(x, y) for x, y in zip(c2, c1)], counts)
+    weight = np.concatenate([solve.weight for solve in solves])
+    terms = (weight * ((psi[0] - psi[1]) - log_c)).real.tolist()
+    end = 0
+    for i, p, solve, n in zip(index, ps, solves, counts):
+        out[i] = p.hbar * solve.K * math.fsum(terms[end : end + n])
+        end += n
+    return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .closedform import Method, assemble_report
+from .closedform import Method, _assemble_reports
 from .model import BathPair, CircuitParams, classify_regime
 
 SWEEP_VARIABLES = ("gamma_over_omega_d", "T1", "T2")
@@ -248,38 +248,41 @@ def parse_config(text: str) -> SweepSpec:
         raise ConfigError(str(exc)) from None
 
 
-def _evaluate_point(spec: SweepSpec, x: float) -> SweepRow:
-    """Evaluate every method at one grid point."""
-    p, b = _grid_point(spec, x)
-    # b and method by keyword: bench/tracing.py reads them by name or by old slot
-    regime = classify_regime(p, b=b)
-    cells: list[float] = []
-    warning_count = 0
-    for method in spec.methods:
-        try:
-            report = assemble_report(p, b, method=method)
-        except ArithmeticError:
-            cells += [math.nan, math.nan, math.nan]
-            warning_count += 1
-            continue
-        cells += [report.q_classical, report.q_quantum, report.q_total]
-        warning_count += len(report.validity_warnings)
-
-    return SweepRow(
-        sweep_variable=spec.sweep_variable,
-        swept_value=x,
-        T1=b.T1,
-        T2=b.T2,
-        methods=spec.methods,
-        cells=tuple(cells),
-        regime=regime.tag.value,
-        warnings=warning_count,
-    )
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the sweep, one row per grid point, ordered by swept value."""
-    return [_evaluate_point(spec, x) for x in spec.grid.values()]
+    """Evaluate the sweep, one row per grid point, ordered by swept value.
+
+    Each row is classified once.  Each method then runs over all rows at
+    once, so its residue sums take one digamma kernel call; a row's cells
+    equal `assemble_report`'s at its point, bit for bit.  A method that fails
+    at a row with an ArithmeticError gives that row nan cells and one warning.
+    """
+    xs = spec.grid.values()
+    points = [_grid_point(spec, x) for x in xs]
+    # b by keyword: bench/tracing.py reads it by name or by its old slot, 2
+    regimes = [classify_regime(p, b=b) for p, b in points]
+    cells: list[list[float]] = [[] for _ in xs]
+    warnings = [0] * len(xs)
+    for method in spec.methods:
+        for i, report in enumerate(_assemble_reports(points, regimes, method)):
+            if isinstance(report, ArithmeticError):
+                cells[i] += [math.nan, math.nan, math.nan]
+                warnings[i] += 1
+            else:
+                cells[i] += [report.q_classical, report.q_quantum, report.q_total]
+                warnings[i] += len(report.validity_warnings)
+    return [
+        SweepRow(
+            sweep_variable=spec.sweep_variable,
+            swept_value=x,
+            T1=b.T1,
+            T2=b.T2,
+            methods=spec.methods,
+            cells=tuple(row_cells),
+            regime=regime.tag.value,
+            warnings=count,
+        )
+        for x, (_, b), regime, row_cells, count in zip(xs, points, regimes, cells, warnings)
+    ]
 
 
 def _format_cell(value) -> str:
@@ -307,27 +310,6 @@ def emit_csv(rows: list[SweepRow], destination) -> None:
         lines.append(",".join(_format_cell(v) for v in record))
     with open(destination, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_csv(source) -> tuple[tuple[str, ...], list[list]]:
-    """Read back an emitted CSV; numeric cells become floats/ints again."""
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        content = fh.read()
-    lines = [line for line in content.split("\n") if line]
-    header = tuple(lines[0].split(","))
-    rows = []
-    for line in lines[1:]:
-        cells = []
-        for text in line.split(","):
-            try:
-                cells.append(int(text))
-            except ValueError:
-                try:
-                    cells.append(float(text))
-                except ValueError:
-                    cells.append(text)
-        rows.append(cells)
-    return header, rows
 
 
 def preset_specs(name: str) -> list[SweepSpec]:

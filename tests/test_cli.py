@@ -16,11 +16,10 @@ from overheat import (
     CircuitParams,
     Method,
     assemble_report,
-    read_csv,
 )
 from overheat import cli
 from overheat.cli import main
-from test_sweep import readme_config_example
+from test_sweep import read_csv, readme_config_example
 
 EVAL_ARGS = [
     "eval",
@@ -109,6 +108,12 @@ class TestEval:
         args[args.index("--T1") + 1] = "1e100"
         assert main(args) == 2
         assert "numerical failure:" in capsys.readouterr().err
+
+    def test_low_temp_overflow_names_t1(self, capsys):
+        args = list(EVAL_ARGS) + ["--method", "LowTempAsymptotic"]
+        args[args.index("--T1") + 1] = "1e100"
+        assert main(args) == 2
+        assert "numerical failure: T1^4 overflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("omega_c", ["1e55", "1e80", "1e300"])
     @pytest.mark.parametrize("method", [m.value for m in Method])
@@ -285,6 +290,7 @@ def test_public_api():
     removed = {
         "g12", "trace_f12", "coth_via_digamma",
         "heat_quantum_high_temp", "heat_high_temp_total", "derive_scales",
+        "read_csv",
     }
     assert removed.isdisjoint(overheat.__all__)
     assert not any(hasattr(overheat, name) for name in removed)

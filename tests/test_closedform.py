@@ -177,6 +177,15 @@ class TestHeatLowTemp:
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 5e-3
 
+    @pytest.mark.parametrize("T1, T2, name", [(1e100, 1.0, "T1"), (2.0, 1e78, "T2")])
+    def test_overflow_names_the_hot_bath(self, circuit, T1, T2, name):
+        # T^4 is past the largest float from T ~ 1.2e77
+        b = at_temperatures(T1, T2)
+        with pytest.raises(OverflowError, match=rf"{name}\^4 overflows .* at {name} = "):
+            heat_low_temp(circuit, b)
+        with pytest.raises(OverflowError, match=rf"at {name} = "):
+            assemble_report(circuit, b, Method.LOW_TEMP_ASYMPTOTIC)
+
 
 class TestHeatQuantumHighTemp:
     def test_equilibrium_is_zero(self, circuit):

@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -508,9 +510,10 @@ class TestQuantumIntegral:
         # each cubic has a real root and a conjugate pair: the pair's lower
         # residue is the conjugate of the upper one, so 4 nodes, not 6; the
         # linear mode has 2 real roots
-        digammas = counting(monkeypatch, quadrature, "digamma")
+        calls = counting(monkeypatch, quadrature, "_digamma_array")
         quantum_integral(circuit, baths, mode)
-        assert len(digammas) == expected
+        ((args, _),) = calls  # one kernel call, both baths' arguments at each node
+        assert args[0].shape == (2, expected // 2)
 
     def test_negative_when_bath1_hot(self, circuit, baths):
         # the quantum piece reduces the classical flow
@@ -647,6 +650,31 @@ class TestQuantumIntegral:
         b = BathPair.from_temperatures(*temperatures)
         expected = mpmath_quantum_integral(mp, p, b, mode)
         assert quantum_integral(p, b, mode) == pytest.approx(expected, rel=1e-9)
+
+    def test_bench_reference_points_against_mpmath_sum_of_the_nodes(self):
+        # the kernel and the fsum alone: the record's own nodes, weights and
+        # K, summed with 40-digit digammas; 6.0e-12 with scalar digammas and
+        # a running complex sum, 1.1e-11 with the kernel
+        path = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+        points = json.loads(path.read_text(encoding="utf-8"))["tscan_split"]
+        assert len(points) == 36
+        worst = 0.0
+        for point in points:
+            p = CircuitParams(**point["circuit"])
+            b = BathPair.from_temperatures(point["T1"], point["T2"], p.kb)
+            mode = TransferMode(point["mode"])
+            solve = quadrature._residue_record(p, mode)
+            c1, c2 = (mpmath.mpf(c) for c in quadrature._digamma_rates(p, b))
+            with mpmath.workdps(40):
+                total = mpmath.fsum(
+                    mpmath.mpc(w) * (mpmath.digamma(1 - c2 * mpmath.mpc(s))
+                                     - mpmath.digamma(1 - c1 * mpmath.mpc(s))
+                                     - mpmath.log(c2 / c1))
+                    for s, w in zip(solve.s, solve.weight)
+                )
+                expected = float(mpmath.mpf(p.hbar) * mpmath.mpf(solve.K) * total.real)
+            worst = max(worst, abs(quantum_integral(p, b, mode) - expected) / abs(expected))
+        assert worst <= 2e-11
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -8,7 +8,7 @@ import pytest
 from digamma_table import DIGAMMA_TABLE
 
 from overheat import PoleError, digamma
-from overheat.special import log_ratio
+from overheat.special import _digamma_array, log_ratio
 from response_reference import coth_via_digamma
 
 EULER_GAMMA = 0.57721566490153286061
@@ -113,6 +113,41 @@ class TestDigamma:
         with mpmath.workdps(30):
             expected = complex(mpmath.digamma(mpmath.mpc(z.real, z.imag)))
         assert abs(digamma(z) - expected) <= 4 * 2.0**-52 * abs(expected)
+
+
+class TestDigammaKernel:
+    @pytest.fixture(scope="class")
+    def arguments(self):
+        # the quantum sum's arguments 1 - c s: Re z > 1, Im z of either sign
+        rng = np.random.default_rng(2024)
+        n = 2000
+        real = 10.0 ** rng.uniform(0.0, 4.0, n)
+        imag = 10.0 ** rng.uniform(-3.0, 4.0, n) * rng.choice([-1.0, 1.0], n)
+        return real + 1j * imag
+
+    def test_against_mpmath(self, arguments):
+        # the error stays at the rounding of psi's terms, log(z + 10) and
+        # Sum 1/(z + k), which near the zero of psi at 1.46 exceeds |psi| itself
+        got = _digamma_array(arguments)
+        worst = 0.0
+        with mpmath.workdps(30):
+            for z, value in zip(arguments, got):
+                expected = complex(mpmath.digamma(mpmath.mpc(z.real, z.imag)))
+                worst = max(worst, abs(value - expected) / max(1.0, abs(expected)))
+        assert worst <= 4e-15
+
+    def test_each_value_independent_of_the_array(self, arguments):
+        whole = _digamma_array(arguments)
+        for size in (1, 2, 7, 8, 9, 17):
+            for start in range(0, 200, 13):
+                part = _digamma_array(arguments[start : start + size].copy())
+                assert (part == whole[start : start + size]).all()
+        pair = _digamma_array(np.stack([arguments, arguments[::-1]]))
+        assert (pair[0] == whole).all() and (pair[1] == whole[::-1]).all()
+
+    def test_scalar_digamma_calls_the_kernel(self, arguments):
+        for z in arguments[:50]:
+            assert digamma(complex(z)) == _digamma_array(np.array([z]))[0]
 
 
 class TestLogRatio:

@@ -16,18 +16,40 @@ from overheat import (
     Grid,
     Method,
     SweepSpec,
+    TransferMode,
     assemble_report,
     classify_regime,
     emit_csv,
     emit_plot_script,
+    heat_exact,
     parse_config,
     preset_specs,
-    read_csv,
     run_preset,
     run_sweep,
 )
-from overheat import quadrature, sweep
+from overheat import closedform, quadrature, sweep
 from overheat.cli import main
+
+
+def read_csv(source) -> tuple[tuple[str, ...], list[list]]:
+    """Read back an emitted CSV; numeric cells become floats/ints again."""
+    with open(source, "r", encoding="utf-8", newline="") as fh:
+        content = fh.read()
+    lines = [line for line in content.split("\n") if line]
+    header = tuple(lines[0].split(","))
+    rows = []
+    for line in lines[1:]:
+        cells = []
+        for text in line.split(","):
+            try:
+                cells.append(int(text))
+            except ValueError:
+                try:
+                    cells.append(float(text))
+                except ValueError:
+                    cells.append(text)
+        rows.append(cells)
+    return header, rows
 
 
 def readme_config_example() -> str:
@@ -317,13 +339,43 @@ class TestRunSweep:
 
     def test_arithmetic_error_becomes_nan_with_warning(self, monkeypatch):
         # the package's own ArithmeticError (not an OverflowError) is caught too
-        def vanishing(*args, **kwargs):
-            raise ArithmeticError("mode polynomials vanish")
+        def vanishing(points, mode):
+            return [ArithmeticError("mode polynomials vanish") for _ in points]
 
-        monkeypatch.setattr(sweep, "assemble_report", vanishing)
+        monkeypatch.setattr(closedform, "_quantum_integrals", vanishing)
         rows = run_sweep(small_spec())
         assert all(math.isnan(c) for row in rows for c in row.cells)
         assert all(row.warnings == 1 for row in rows)
+
+    def test_cluster_failure_is_one_nan_row(self, monkeypatch):
+        # a pole cluster that reaches the imaginary axis fails the cubic
+        # record of one circuit: its row's exact cells become nan with one
+        # warning, and no other cell of the sweep moves
+        spec = small_spec(methods=(Method.EXACT_QUADRATURE, Method.CLOSED_FORM))
+        xs = spec.grid.values()
+        target, baths = sweep._grid_point(spec, xs[1])
+        exact = assemble_report(target, baths, Method.EXACT_QUADRATURE)
+        residue_nodes, clusters = quadrature._residue_nodes, quadrature._clusters
+
+        def failing_at_target(p, *args):
+            with monkeypatch.context() as m:
+                if p == target:  # one group of the cubic model's six roots
+                    m.setattr(quadrature, "_clusters", lambda roots: (
+                        [list(range(6))] if len(roots) == 6 else clusters(roots)))
+                return residue_nodes(p, *args)
+
+        before = run_sweep(spec)
+        quadrature._circuit_solve.cache_clear()
+        monkeypatch.setattr(quadrature, "_residue_nodes", failing_at_target)
+        try:
+            rows = run_sweep(spec)
+        finally:
+            quadrature._circuit_solve.cache_clear()
+        assert all(math.isnan(c) for c in rows[1].cells[:3])
+        assert rows[1].cells[3:] == before[1].cells[3:]
+        # the failure is the exact method's one warning, in place of its regime warnings
+        assert rows[1].warnings == before[1].warnings - len(exact.validity_warnings) + 1
+        assert rows[:1] + rows[2:] == before[:1] + before[2:]
 
     def test_failing_method_becomes_nan_with_warning(self):
         # T1^4 overflows in the low-temperature law at absurd temperatures
@@ -390,9 +442,9 @@ class TestEmitCsv:
 # form, so a digest moves with any change of any value in the last bit; a
 # change that moves one is an accuracy change and has to be declared.
 PRESET_SHA256 = {
-    "fig2": "ba85c4956a027ec22037e69dc62aea84cc69ef6d25797edbc48b1b4fbcc7d543",
-    "fig3": "8c29c68810a533a132b346dac9386ecc6f51ee88d65df93b55dabe928479a617",
-    "fig4": "ac1a619edcd31e9d60fe5a44e0872e4e834c15acd6a103d11961df1eacfdec34",
+    "fig2": "8d256ceb6f6be64eda85769167d9f2f6388871f372112c1dcb062ca144696573",
+    "fig3": "69636764e71c34a08cb1b63147c26cc3dce953364817b6f1f9e0ece15e38130a",
+    "fig4": "9b833435b979533b7e5b7cd053254b8cf53b50311f7e2776d54db418c34b4cf6",
 }
 
 
@@ -402,6 +454,35 @@ class TestPresets:
         dest = tmp_path / f"{name}.csv"
         emit_csv(run_preset(name), dest)
         assert hashlib.sha256(dest.read_bytes()).hexdigest() == PRESET_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(PRESET_SHA256))
+    def test_rows_equal_per_point_reports_bit_for_bit(self, name):
+        # a sweep evaluates each method over all rows at once; every cell,
+        # regime and warning count is the one assemble_report gives alone
+        for spec in preset_specs(name):
+            for x, row in zip(spec.grid.values(), run_sweep(spec)):
+                p, b = sweep._grid_point(spec, x)
+                cells, warnings = [], 0
+                for method in spec.methods:
+                    report = assemble_report(p, b, method)
+                    cells += [report.q_classical, report.q_quantum, report.q_total]
+                    warnings += len(report.validity_warnings)
+                assert [c.hex() for c in row.cells] == [c.hex() for c in cells], x
+                assert row.regime == report.regime.tag.value
+                assert row.warnings == warnings
+
+    def test_fig3_closed_total_against_quadrature(self):
+        # the linear model's total at its cancelling low-temperature end,
+        # relative to the total itself: 6.43e-5 with a running complex sum of
+        # the residue terms, 2.2e-6 with math.fsum
+        (spec,) = preset_specs("fig3")
+        worst = 0.0
+        for x, row in zip(spec.grid.values(), run_sweep(spec)):
+            p, b = sweep._grid_point(spec, x)
+            expected = heat_exact(p, b, TransferMode.OVERDAMPED_LINEAR)
+            closed_total = row.cells[row.header().index("closed_q_total") - 3]
+            worst = max(worst, abs(closed_total - expected) / abs(expected))
+        assert worst <= 6.43e-5
 
     def test_fig2_specs(self):
         specs = preset_specs("fig2")
