@@ -9,6 +9,7 @@ state.  The package evaluates that heat current three ways:
   (`quantum_integral`), with its adaptive quadrature (`heat_exact`) as the
   independent check,
 * closed forms in the overdamped regime (`heat_classical`, `heat_quantum`),
+  read from the record of the linearized transfer function,
 * low- and high-temperature asymptotics (`heat_low_temp`, and the
   HighTempAsymptotic method of `assemble_report`),
 

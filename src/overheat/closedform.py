@@ -2,21 +2,22 @@
 
 Deep in the overdamped regime the transfer function is a rational function of
 omega with simple poles at the dressed mode rates lambda_pm (`p.scales`), and
-both pieces of the heat current evaluate by residues:
+both pieces of the heat current evaluate by residues, which the cached record
+of the linearized f12 holds (`classical_integral` and `quantum_integral` in
+OverdampedLinear mode):
 
 * classical piece: k_b (T1 - T2)/2 * (M/L)^2 * omega_c/(omega_c + omega_d)
   * lambda_plus lambda_minus / omega_d
 * quantum piece: a log(T2/T1) term plus digamma functions of the mode rates
-  scaled by the two inverse temperatures (summed by `quantum_integral`).
+  scaled by the two inverse temperatures.
 
 Two asymptotic windows have simpler laws: for thermal frequencies below the
 mode rates the total current follows a Stefan-Boltzmann-like T^4 difference
 (independent of the cutoff), while at high temperatures the quantum piece
-collapses onto the pure logarithmic term, which survives even as both
-temperatures grow.  `assemble_report` packages any of these routes, or the
-exact split of the full model (the exact classical integral plus the residue
-sum of the quantum part), together with the regime classification and
-validity warnings.  Every function here takes the circuit and the baths, (p, b).
+collapses onto the pure logarithmic term (the record's zeroth moment), which
+survives even as both temperatures grow.  `assemble_report` packages any of
+these routes, or the exact split of the full model, together with the regime
+classification and validity warnings.  Every function here takes (p, b).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import BathPair, CircuitParams, RegimeLabel, RegimeTag, classify_regime
-from .quadrature import _quantum_integrals, classical_integral, quantum_integral
+from .quadrature import _quantum_integrals, _residue_record, classical_integral, quantum_integral
 from .response import TransferMode
 from .special import log_ratio
 
@@ -38,8 +39,8 @@ class Method(Enum):
     classical/quantum split of the full cubic model (`classical_integral`
     and `quantum_integral` in ExactCubic mode).  The adaptive quadrature of
     the total, `heat_exact`, is the independent check of that split.
-    CLOSED_FORM is the split of the linearized model: the classical closed
-    formula plus `quantum_integral` in OverdampedLinear mode.
+    CLOSED_FORM is the same split of the linearized model, in OverdampedLinear
+    mode; both asymptotic methods share its classical column.
     """
 
     EXACT_QUADRATURE = "ExactQuadrature"
@@ -68,19 +69,11 @@ class HeatReport:
 def heat_classical(p: CircuitParams, b: BathPair) -> float:
     """Classical (equipartition) heat current in the overdamped regime.
 
-    (k_b/2)(T1 - T2)(M/L)^2 (omega_c/(omega_c + omega_d)) lambda_+ lambda_-/omega_d.
-    Linear in the temperature difference; positive for T1 > T2 since
-    lambda_+ lambda_- > 0.
+    (k_b/2)(T1 - T2)(M/L)^2 (omega_c/(omega_c + omega_d)) lambda_+ lambda_-/omega_d,
+    evaluated as k_b (T1 - T2) `classical_integral` in OverdampedLinear mode.
+    Positive for T1 > T2 since lambda_+ lambda_- > 0.
     """
-    s = p.scales
-    return (
-        0.5
-        * p.kb
-        * (b.T1 - b.T2)
-        * (p.M / p.L) ** 2
-        * (p.omega_c / (p.omega_c + s.omega_d))
-        * (s.lambda_plus * s.lambda_minus / s.omega_d)
-    )
+    return p.kb * (b.T1 - b.T2) * classical_integral(p, TransferMode.OVERDAMPED_LINEAR)
 
 
 def heat_quantum(p: CircuitParams, b: BathPair) -> float:
@@ -101,14 +94,12 @@ def heat_quantum(p: CircuitParams, b: BathPair) -> float:
 
 
 def _quantum_log_term(p: CircuitParams, b: BathPair) -> float:
-    """The logarithmic piece of the quantum current; its full high-T survivor."""
-    s = p.scales
-    return (
-        (p.hbar / math.pi)
-        * (p.M / p.L) ** 2
-        * (s.lambda_plus * s.lambda_minus / s.omega_d) ** 2
-        * log_ratio(b.T2, b.T1)
-    )
+    """The log term (hbar/pi)(M/L)^2 (lambda_+ lambda_-/omega_d)^2 log(T2/T1),
+    the quantum current's full high-T survivor: as psi(1 - c_j s) -> psi(1) the
+    linear residue sum keeps hbar K m_0 log(T2/T1), with m_0 = Re Sum weight."""
+    solve = _residue_record(p, TransferMode.OVERDAMPED_LINEAR)
+    m0 = math.fsum(solve.weight.real.tolist())
+    return p.hbar * solve.K * m0 * log_ratio(b.T2, b.T1)
 
 
 def heat_low_temp(p: CircuitParams, b: BathPair) -> float:
@@ -136,16 +127,15 @@ def heat_low_temp(p: CircuitParams, b: BathPair) -> float:
 def assemble_report(p: CircuitParams, b: BathPair, method: Method) -> HeatReport:
     """Evaluate the heat current by the requested route and attach diagnostics.
 
-    Splits per method:
+    Every method's classical column is k_b (T1 - T2) `classical_integral`,
+    in ExactCubic mode for ExactQuadrature and OverdampedLinear for the rest.
 
-    * ClosedForm: classical closed form plus the linear residue sum.
+    * ExactQuadrature and ClosedForm: quantum from the residue sum of the
+      same mode, total as their sum.  No quadrature runs.
     * LowTempAsymptotic: total is the T^4 law; the quantum column is the
       difference from the classical piece.
-    * HighTempAsymptotic: classical closed form plus the bare log term, the
-      whole of the quantum piece that survives at high temperature.
-    * ExactQuadrature: the exact split of the full cubic model: classical
-      from the exact rational integral, quantum from the residue sum, total
-      as their sum.  No quadrature runs.
+    * HighTempAsymptotic: quantum is the bare log term, the whole of the
+      quantum piece that survives at high temperature.
     """
     # b by keyword: bench/tracing.py reads it by name or by its old slot, 2
     (report,) = _assemble_reports([(p, b)], [classify_regime(p, b=b)], method)
@@ -188,36 +178,24 @@ def _assemble_reports(
 def _report(p: CircuitParams, b: BathPair, method: Method, regime: RegimeLabel,
             quantum: float | None) -> HeatReport:
     """The report of `assemble_report`, from the regime and the method's residue sum."""
+    if not isinstance(method, Method):
+        raise ValueError(f"unknown method: {method!r}")
     warnings: list[str] = []
     if regime.tag is RegimeTag.OUTSIDE_OVERDAMPED:
         failed = [c.name for c in regime.conditions if not c.satisfied]
-        warnings.append(
-            "outside overdamped validity: " + "; ".join(failed)
-        )
-
-    if method is Method.CLOSED_FORM:
-        qc = heat_classical(p, b)
-        qq = quantum
-        qt = qc + qq
-    elif method is Method.LOW_TEMP_ASYMPTOTIC:
+        warnings.append("outside overdamped validity: " + "; ".join(failed))
+    # the classical column reads the record of the method's residue sum, the linear one if none
+    mode = _RESIDUE_MODE.get(method, TransferMode.OVERDAMPED_LINEAR)
+    qc = p.kb * (b.T1 - b.T2) * classical_integral(p, mode)
+    if method is Method.LOW_TEMP_ASYMPTOTIC:
         qt = heat_low_temp(p, b)
-        qc = heat_classical(p, b)
         qq = qt - qc
         omega_th = b.thermal_frequency(p.hbar)
         if min(abs(p.scales.lambda_plus), abs(p.scales.lambda_minus)) <= omega_th:
-            warnings.append(
-                "low-temperature expansion marginal: |lambda_pm|/omega_th <= 1"
-            )
-    elif method is Method.HIGH_TEMP_ASYMPTOTIC:
-        qc = heat_classical(p, b)
-        qq = _quantum_log_term(p, b)
-        qt = qc + qq
-    elif method is Method.EXACT_QUADRATURE:
-        qc = p.kb * (b.T1 - b.T2) * classical_integral(p)
-        qq = quantum
-        qt = qc + qq
+            warnings.append("low-temperature expansion marginal: |lambda_pm|/omega_th <= 1")
     else:
-        raise ValueError(f"unknown method: {method!r}")
+        qq = _quantum_log_term(p, b) if method is Method.HIGH_TEMP_ASYMPTOTIC else quantum
+        qt = qc + qq
 
     return HeatReport(
         q_classical=qc,

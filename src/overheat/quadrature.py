@@ -424,7 +424,8 @@ _CACHE_SIZE = 64
 class _CircuitSolve:
     """What the circuit alone fixes of f12 and the three integrals.
 
-    `transfer_f12` evaluates `polys`, the coefficients of u_plus and u_minus.
+    `transfer_f12` evaluates `polys`, the coefficients of u_plus and u_minus,
+    and reads `rma2` = (R M/A)^2, with A = (L - M)(L + M) formed once here.
     `breaks` are the frequencies, in increasing order, where f12 bends: |s|
     at every root s of D, and at a resonant root (|Im s| > |Re s|) also
     |Im s| + k |Re s|, k in `_FLANKS`, on its flanks; `heat_exact` starts its
@@ -439,6 +440,7 @@ class _CircuitSolve:
     """
 
     polys: tuple[tuple[float, ...], tuple[float, ...]]
+    rma2: float
     K: float
     classical: float
     breaks: tuple[float, ...]
@@ -458,15 +460,17 @@ def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
     for i, x in enumerate(up):
         for j, y in enumerate(um):
             a[i + j] += x * y
-    A = p.L * p.L - p.M * p.M
+    # A = L^2 - M^2 as a product: the difference of squares cancels as M -> L
+    A = (p.L - p.M) * (p.L + p.M)
+    rma2 = (p.R * p.M / A) ** 2
     # a is (d_plus d_minus) u_plus u_minus, so B(s) = s takes the same factor
     h2 = _h2_norm_squared(a, d_plus * d_minus)
     try:
         wc4 = p.omega_c**4
     except OverflowError:  # a cutoff past ~1.3e77: classical and K are not finite
         wc4 = math.inf
-    classical = 2.0 * wc4 * (p.R * p.M / A) ** 2 * h2
-    K = (2.0 / math.pi) * wc4 * (p.R * p.M / A) ** 2
+    classical = 2.0 * wc4 * rma2 * h2
+    K = (2.0 / math.pi) * wc4 * rma2
     mode_roots = [_mode_roots(coeffs) for coeffs in polys]
     breaks = set()
     for s in mode_roots[0] + mode_roots[1]:
@@ -480,10 +484,11 @@ def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
             raise OverflowError(f"residue weights overflow at omega_c = {p.omega_c!r}")
         s, weight = (np.array(x) for x in zip(*nodes))
         s.flags.writeable = weight.flags.writeable = False  # every caller shares the record
-        return _CircuitSolve(polys, K, classical, breaks, s, weight, None)
+        return _CircuitSolve(polys, rma2, K, classical, breaks, s, weight, None)
     except ArithmeticError as error:
         empty = np.zeros(0, complex)
-        return _CircuitSolve(polys, K, classical, breaks, empty, empty, error.with_traceback(None))
+        failure = error.with_traceback(None)
+        return _CircuitSolve(polys, rma2, K, classical, breaks, empty, empty, failure)
 
 
 def _modulus_on_axis(coeffs: tuple[float, ...], omega):
@@ -515,15 +520,15 @@ def transfer_f12(omega, p: CircuitParams, mode: TransferMode):
     element, equal to the scalar calls.  The first call on a circuit pays for
     its `_circuit_solve` record, which holds the coefficients.
     """
-    A = p.L * p.L - p.M * p.M
-    plus, minus = _circuit_solve(p, mode).polys
+    solve = _circuit_solve(p, mode)
+    plus, minus = solve.polys
     with np.errstate(over="ignore"):
         up = _modulus_on_axis(plus, omega)
         um = _modulus_on_axis(minus, omega)
     if not (up.all() and um.all()):
         raise ArithmeticError(f"mode polynomials vanish at omega = {omega!r}")
     ratio = (omega / up) * (p.omega_c * p.omega_c / um)
-    f12 = (2.0 / math.pi) * (p.R * p.M / A) ** 2 * ratio * ratio
+    f12 = (2.0 / math.pi) * solve.rma2 * ratio * ratio
     return f12 if isinstance(f12, np.ndarray) else float(f12)
 
 

@@ -8,10 +8,10 @@ the two flux normal modes,
 
     g12(s) = -(M/A) * R^2 (s + omega_c)^2 / (u_plus(s) * u_minus(s)),
 
-with A = L^2 - M^2 and the cubic mode polynomials u_plus, u_minus
-(`mode_polynomials`).  Dropping their inertial s^3 and s^2 terms (valid deep
-in the overdamped regime) leaves linear polynomials whose roots are the
-dressed rates lambda_pm.
+with A = (L - M)(L + M), a product that does not cancel as M -> L, and the
+cubic mode polynomials u_plus, u_minus (`mode_polynomials`).  Dropping their
+inertial s^3 and s^2 terms (valid deep in the overdamped regime) leaves
+linear polynomials whose roots are the dressed rates lambda_pm.
 
 The spectral heat transfer function between the two baths is
 

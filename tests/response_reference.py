@@ -7,6 +7,9 @@
   `overheat.transfer_f12`, up to the shared circuit constants.
 * `coth_via_digamma` is the identity pi coth(x) = pi/x + 2 Im psi(1 + i x/pi)
   that turns the thermal coth factors into digammas.
+* `heat_classical_formula` and `quantum_log_term_formula` are the paper's
+  closed formulas for the classical piece and the quantum log term, which
+  the package reads from the linearized circuit record instead.
 * `heat_quantum_blocks` is the paper's lambda_pm-digamma formula for the
   overdamped quantum piece.  Its two mode blocks cancel as lambda_+ and
   lambda_- approach each other, so it is an oracle only at M/L >= 0.5.
@@ -20,9 +23,8 @@ import math
 
 import numpy as np
 
-from overheat.closedform import _quantum_log_term
 from overheat.model import BathPair, CircuitParams
-from overheat.special import digamma
+from overheat.special import digamma, log_ratio
 
 
 def green_matrix(s: complex, p: CircuitParams) -> np.ndarray:
@@ -32,7 +34,7 @@ def green_matrix(s: complex, p: CircuitParams) -> np.ndarray:
     ZeroDivisionError at s = -omega_c (kernel pole) and ArithmeticError if
     the determinant underflows to zero.
     """
-    A = p.L * p.L - p.M * p.M
+    A = (p.L - p.M) * (p.L + p.M)  # L^2 - M^2 without its cancellation as M -> L
     kernel = (p.omega_c / (s + p.omega_c)) / p.R
     diag = p.C * s * s + kernel * s + p.L / A
     off = p.M / A
@@ -82,6 +84,36 @@ def coth_via_digamma(x: float) -> float:
     return math.pi / x + 2.0 * digamma(complex(1.0, x / math.pi)).imag
 
 
+def heat_classical_formula(p: CircuitParams, b: BathPair) -> float:
+    """The paper's classical heat current,
+
+        (k_b/2)(T1 - T2)(M/L)^2 (omega_c/(omega_c + omega_d)) lambda_+ lambda_-/omega_d.
+    """
+    s = p.scales
+    return (
+        0.5
+        * p.kb
+        * (b.T1 - b.T2)
+        * (p.M / p.L) ** 2
+        * (p.omega_c / (p.omega_c + s.omega_d))
+        * (s.lambda_plus * s.lambda_minus / s.omega_d)
+    )
+
+
+def quantum_log_term_formula(p: CircuitParams, b: BathPair) -> float:
+    """The paper's logarithmic piece of the quantum current,
+
+        (hbar/pi)(M/L)^2 (lambda_+ lambda_-/omega_d)^2 log(T2/T1).
+    """
+    s = p.scales
+    return (
+        (p.hbar / math.pi)
+        * (p.M / p.L) ** 2
+        * (s.lambda_plus * s.lambda_minus / s.omega_d) ** 2
+        * log_ratio(b.T2, b.T1)
+    )
+
+
 def heat_quantum_blocks(p: CircuitParams, b: BathPair) -> float:
     """The overdamped quantum piece as log term plus two digamma mode blocks.
 
@@ -103,7 +135,7 @@ def heat_quantum_blocks(p: CircuitParams, b: BathPair) -> float:
         d2 = digamma(1.0 - b.beta2 * step * lam)
         return lam * lam * (d1 - d2)
 
-    return _quantum_log_term(p, b) + prefactor * (
+    return quantum_log_term_formula(p, b) + prefactor * (
         mode_block(s.lambda_plus) - mode_block(s.lambda_minus)
     )
 
@@ -123,4 +155,4 @@ def heat_quantum_high_temp(p: CircuitParams, b: BathPair) -> float:
         * (1.0 / b.T2 - 1.0 / b.T1)
         / p.kb
     )
-    return _quantum_log_term(p, b) + correction
+    return quantum_log_term_formula(p, b) + correction

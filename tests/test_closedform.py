@@ -22,7 +22,11 @@ from overheat import (
 )
 from overheat import quadrature
 from overheat.closedform import _quantum_log_term
-from response_reference import heat_quantum_high_temp
+from response_reference import (
+    heat_classical_formula,
+    heat_quantum_high_temp,
+    quantum_log_term_formula,
+)
 from test_quadrature import mpmath_quantum_integral
 
 LINEAR = TransferMode.OVERDAMPED_LINEAR
@@ -91,10 +95,11 @@ class TestHeatClassical:
 
     @pytest.mark.parametrize("m_over_l", GRID_RATIOS)
     def test_matches_classical_integral(self, m_over_l):
-        # the exact rational integral of the same linearized function
-        for p, b, classical, _ in linear_accuracy_grid(m_over_l):
+        # heat_classical is k_b dT times the exact rational integral of the
+        # linearized function; the paper's closed formula is its oracle
+        for p, b, _, _ in linear_accuracy_grid(m_over_l):
             value = heat_classical(p, b)
-            assert value == pytest.approx(classical, rel=1e-13)
+            assert value == pytest.approx(heat_classical_formula(p, b), rel=1e-13)
 
     def test_cutoff_monotonicity(self, baths):
         values = []
@@ -199,20 +204,26 @@ class TestHeatQuantumHighTemp:
         diff = heat_quantum(circuit, b) - heat_quantum_high_temp(circuit, b)
         assert abs(diff) <= 1e-4 * abs(log_term)
 
-    def test_log_growth_with_hot_second_bath(self, circuit, scales):
+    @pytest.mark.parametrize("m_over_l", GRID_RATIOS)
+    def test_log_term_matches_oracle(self, m_over_l):
+        # the record's zeroth moment against the paper's formula, at the bound
+        # of the grid's quantum columns: 2.1e-15 up to M/L = 0.5, 5.0e-13 at
+        # 0.99, where the residue slope's s + omega_c cancels at the root near
+        # -omega_c
+        for p, b, _, _ in linear_accuracy_grid(m_over_l):
+            oracle = quantum_log_term_formula(p, b)
+            assert _quantum_log_term(p, b) == pytest.approx(oracle, rel=1e-9)
+
+    def test_log_growth_with_hot_second_bath(self, circuit):
         # the dominant term grows like log(T2/T1): the quantum correction
         # survives at high temperature instead of vanishing
-        coeff = (
-            (circuit.hbar / math.pi)
-            * (circuit.M / circuit.L) ** 2
-            * (scales.lambda_plus * scales.lambda_minus / scales.omega_d) ** 2
-        )
         previous = 0.0
         gaps = []
         for T2 in (1e2, 1e4, 1e6):
-            value = heat_quantum_high_temp(circuit, at_temperatures(2.0, T2))
+            b = at_temperatures(2.0, T2)
+            value = heat_quantum_high_temp(circuit, b)
             assert value > previous
-            log_term = coeff * math.log(T2 / 2.0)
+            log_term = quantum_log_term_formula(circuit, b)
             gaps.append(abs(value - log_term) / log_term)
             previous = value
         # the fixed cold bath leaves a constant 1/T1 offset, so the log term
@@ -296,6 +307,19 @@ class TestAssembleReport:
         assert report.q_quantum == _quantum_log_term(circuit, baths)
         assert report.q_total == report.q_classical + report.q_quantum
 
+    def test_closed_form_is_the_linear_split(self, monkeypatch):
+        # bit for bit on the grid, where the paper's classical formula is up
+        # to 4.4e-16 off the exact integral
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called")
+
+        monkeypatch.setattr(quadrature, "_integrate_panels", no_quadrature)
+        for p, b, _, _ in linear_accuracy_grid(0.5):
+            report = assemble_report(p, b, Method.CLOSED_FORM)
+            assert report.q_classical == p.kb * (b.T1 - b.T2) * classical_integral(p, LINEAR)
+            assert report.q_quantum == quantum_integral(p, b, LINEAR)
+            assert report.q_total == report.q_classical + report.q_quantum
+
     def test_exact_quadrature_report(self, circuit, baths):
         report = assemble_report(circuit, baths, Method.EXACT_QUADRATURE)
         direct = heat_exact(circuit, baths)
@@ -318,6 +342,18 @@ class TestAssembleReport:
         assert report.q_quantum == quantum_integral(circuit, baths, cubic)
         assert report.q_total == report.q_classical + report.q_quantum
         assert report.validity_warnings == ()
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_huge_cutoff_raises_for_every_method(self, circuit, baths, method):
+        # omega_c^4 overflows from ~1.3e77: each report reads a record whose
+        # classical integral and K are past the largest float
+        p = CircuitParams(R=circuit.R, L=circuit.L, C=circuit.C, M=circuit.M, omega_c=1e80)
+        with pytest.raises(OverflowError, match="omega_c = 1e"):
+            assemble_report(p, baths, method)
+
+    def test_unknown_method_rejected(self, circuit, baths):
+        with pytest.raises(ValueError, match="unknown method: 'ClosedForm'"):
+            assemble_report(circuit, baths, "ClosedForm")
 
     @pytest.mark.parametrize("T1, T2", [(1e300, 1e-10), (1e-10, 1e300), (1e200, 1e-200)])
     def test_extreme_temperature_ratios_stay_finite(self, circuit, T1, T2):

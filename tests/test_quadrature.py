@@ -789,6 +789,69 @@ class TestHugeCutoff:
         finite_or_names_omega_c(columns)
 
 
+def linear_classical_formula(mp, p):
+    """(1/2)(M/L)^2 (omega_c/(omega_c + omega_d)) lambda_+ lambda_-/omega_d, the
+    integral of the linearized f12, at the working precision of `mp`."""
+    R, L, M, wc = (mp.mpf(v) for v in (p.R, p.L, p.M, p.omega_c))
+    wp, wm, wd = R / (L + M), R / (L - M), R / L
+    lam_p, lam_m = -wc * wp / (wc + wp), -wc * wm / (wc + wm)
+    return (M / L) ** 2 * (wc / (wc + wd)) * lam_p * lam_m / wd / 2
+
+
+def linear_heat_quad(mp, p, b):
+    """The heat current of the linearized f12 by mpmath.quad of
+    (hbar/2) Int_0^inf omega f12 [coth(beta1 hbar omega/2) - coth(beta2 hbar omega/2)],
+    at the working precision of `mp`, split at the pole moduli and the thermal scales."""
+    R, L, M, wc, hbar = (mp.mpf(v) for v in (p.R, p.L, p.M, p.omega_c, p.hbar))
+    beta1, beta2 = mp.mpf(b.beta1), mp.mpf(b.beta2)
+    wp, wm = R / (L + M), R / (L - M)
+    scale = (2 / mp.pi) * wc**4 * (R * M / ((L - M) * (L + M))) ** 2
+
+    def integrand(w):
+        u_plus, u_minus = ((v * wc) ** 2 + (w * (v + wc)) ** 2 for v in (wp, wm))
+        thermal = mp.coth(beta1 * hbar * w / 2) - mp.coth(beta2 * hbar * w / 2)
+        return scale * w**3 / (u_plus * u_minus) * thermal
+
+    scales = {wc * v / (wc + v) for v in (wp, wm)} | {1 / (beta * hbar) for beta in (beta1, beta2)}
+    edges = sorted(scales)
+    return hbar / 2 * mp.quad(integrand, [0] + edges + [10 * edges[-1], 100 * edges[-1], mp.inf])
+
+
+class TestInductancesNearlyEqual:
+    # A = L^2 - M^2 formed as a difference of squares lost ~1e-16 L^2/A
+    # relative: 2.2e-11 (M/L = 0.999999) and 1.0e-9 (1 - 1e-9) in both checks
+    @staticmethod
+    def point(m_over_l):
+        p = CircuitParams(R=2.0, L=2.0, C=5e-5, M=2.0 * m_over_l, omega_c=5.0)
+        return p, BathPair.from_temperatures(2.0, 1.0)
+
+    @pytest.mark.parametrize("m_over_l", [0.999999, 1.0 - 1e-9])
+    def test_classical_integral_meets_the_closed_formula(self, m_over_l):
+        p, _ = self.point(m_over_l)
+        with mpmath.mp.workdps(40):
+            expected = linear_classical_formula(mpmath.mp, p)
+            assert abs(classical_integral(p, LINEAR) - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("m_over_l", [0.999999, 1.0 - 1e-9])
+    def test_heat_exact_meets_mpmath_quad(self, m_over_l):
+        p, b = self.point(m_over_l)
+        with mpmath.mp.workdps(40):
+            expected = linear_heat_quad(mpmath.mp, p, b)
+            assert abs(heat_exact(p, b, LINEAR) - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.xfail(strict=True, reason="the residue sum loses digits as M -> L")
+    def test_split_meets_mpmath_quad(self):
+        # heat_exact is within 2.8e-16 here, but the split misses by 1.4e-8
+        # (4.9e-12 at M/L = 0.999999): the digits go in quantum_integral
+        p, b = self.point(1.0 - 1e-9)
+        split = p.kb * (b.T1 - b.T2) * classical_integral(p, LINEAR) + quantum_integral(
+            p, b, LINEAR
+        )
+        with mpmath.mp.workdps(40):
+            expected = linear_heat_quad(mpmath.mp, p, b)
+            assert abs(split - expected) <= 1e-9 * abs(expected)
+
+
 class TestCircuitSolve:
     @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
     def test_one_solve_per_temperature_scan(self, circuit, mode, monkeypatch, fresh_solve):
