@@ -66,14 +66,17 @@ class HeatReport:
     validity_warnings: tuple[str, ...]
 
 
-def heat_classical(p: CircuitParams, b: BathPair) -> float:
+def heat_classical(
+    p: CircuitParams, b: BathPair, mode: TransferMode = TransferMode.OVERDAMPED_LINEAR
+) -> float:
     """Classical (equipartition) heat current in the overdamped regime.
 
     (k_b/2)(T1 - T2)(M/L)^2 (omega_c/(omega_c + omega_d)) lambda_+ lambda_-/omega_d,
     evaluated as k_b (T1 - T2) `classical_integral` in OverdampedLinear mode.
-    Positive for T1 > T2 since lambda_+ lambda_- > 0.
+    Positive for T1 > T2 since lambda_+ lambda_- > 0.  ExactCubic mode gives
+    the classical current of the full model, the column of ExactQuadrature.
     """
-    return p.kb * (b.T1 - b.T2) * classical_integral(p, TransferMode.OVERDAMPED_LINEAR)
+    return p.kb * (b.T1 - b.T2) * classical_integral(p, mode)
 
 
 def heat_quantum(p: CircuitParams, b: BathPair) -> float:
@@ -127,8 +130,8 @@ def heat_low_temp(p: CircuitParams, b: BathPair) -> float:
 def assemble_report(p: CircuitParams, b: BathPair, method: Method) -> HeatReport:
     """Evaluate the heat current by the requested route and attach diagnostics.
 
-    Every method's classical column is k_b (T1 - T2) `classical_integral`,
-    in ExactCubic mode for ExactQuadrature and OverdampedLinear for the rest.
+    Every method's classical column is `heat_classical`, in ExactCubic mode
+    for ExactQuadrature and OverdampedLinear for the rest.
 
     * ExactQuadrature and ClosedForm: quantum from the residue sum of the
       same mode, total as their sum.  No quadrature runs.
@@ -185,8 +188,7 @@ def _report(p: CircuitParams, b: BathPair, method: Method, regime: RegimeLabel,
         failed = [c.name for c in regime.conditions if not c.satisfied]
         warnings.append("outside overdamped validity: " + "; ".join(failed))
     # the classical column reads the record of the method's residue sum, the linear one if none
-    mode = _RESIDUE_MODE.get(method, TransferMode.OVERDAMPED_LINEAR)
-    qc = p.kb * (b.T1 - b.T2) * classical_integral(p, mode)
+    qc = heat_classical(p, b, _RESIDUE_MODE.get(method, TransferMode.OVERDAMPED_LINEAR))
     if method is Method.LOW_TEMP_ASYMPTOTIC:
         qt = heat_low_temp(p, b)
         qq = qt - qc

@@ -539,7 +539,12 @@ def _residue_nodes(p: CircuitParams, polys, mode_roots, delta: float) -> tuple[t
     for sign, coeffs, u_roots in zip((1.0, -1.0), polys, mode_roots):
         for s in u_roots:
             roots.append(s)
-            slopes.append(sign * horner(coeffs, s)[1] * delta * (s + p.omega_c))
+            if len(coeffs) == 2:
+                # u'(s) (s + omega_c) = omega_c^2 at the root of a linear u, where
+                # s + omega_c itself cancels as omega_minus grows (M -> L)
+                slopes.append(sign * delta * (p.omega_c * p.omega_c))
+            else:
+                slopes.append(sign * horner(coeffs, s)[1] * delta * (s + p.omega_c))
 
     def node(s: complex, scale: complex) -> tuple[complex, complex]:
         # s * s * s: the same bits as s**3, which raises OverflowError where it is inf
@@ -598,10 +603,11 @@ def quantum_integral(
     bracket vanish at large |s|: without it the OverdampedLinear integrand
     leaves a contribution on the closing arc.  At a root of u_plus or u_minus,
     D'(s) = +/- u'(s) delta (s + omega_c), from u_minus - u_plus =
-    delta (s + omega_c) with delta = omega_minus - omega_plus = 2 R M/A.
-    Roots closer together than a fraction of their distance from the axis
-    (a repeated root, or the roots of u_plus and u_minus at small M/L) are
-    summed as one trapezoidal contour integral around their cluster.
+    delta (s + omega_c) with delta = omega_minus - omega_plus = 2 R M/A;
+    for a linear u, u'(s) (s + omega_c) is omega_c^2 exactly.  Roots closer
+    together than a fraction of their distance from the axis (a repeated
+    root, or the roots of u_plus and u_minus at small M/L) are summed as one
+    trapezoidal contour integral around their cluster.
 
     Negative for T1 > T2: it is the low-temperature correction that cancels
     part of the classical current.  Satisfies heat_exact = k_b (T1 - T2) *

@@ -20,7 +20,7 @@ from overheat import (
     heat_quantum,
     quantum_integral,
 )
-from overheat import quadrature
+from overheat import closedform, quadrature
 from overheat.closedform import _quantum_log_term
 from response_reference import (
     heat_classical_formula,
@@ -30,6 +30,7 @@ from response_reference import (
 from test_quadrature import mpmath_quantum_integral
 
 LINEAR = TransferMode.OVERDAMPED_LINEAR
+CUBIC = TransferMode.EXACT_CUBIC
 
 # M/L of the closed-form accuracy grid.  lambda_+ and lambda_- nearly
 # coincide at small M/L, where the paper's two digamma mode blocks cancel
@@ -43,26 +44,29 @@ def at_temperatures(T1, T2):
     return BathPair.from_temperatures(T1, T2)
 
 
-@functools.cache
-def linear_accuracy_grid(m_over_l):
-    """(circuit, baths, k_b dT classical, 50-digit quantum) at one M/L.
-
-    48 points of the grid R in {2, 30}, L in {0.5, 2}, omega_c in {0.3, 5, 1e3}
-    and (T1, T2) in {(2, 1), (0.01, 0.005), (1e-3, 1e-6), (50, 10)}, all on the
-    linearized transfer function the closed forms evaluate.
-    """
-    points = []
+def grid_points(m_over_l):
+    """The 48 (circuit, baths) of the grid R in {2, 30}, L in {0.5, 2},
+    omega_c in {0.3, 5, 1e3} and (T1, T2) in {(2, 1), (0.01, 0.005),
+    (1e-3, 1e-6), (50, 10)} at one M/L."""
     for R, L, wc, (T1, T2) in itertools.product(
         (2.0, 30.0),
         (0.5, 2.0),
         (0.3, 5.0, 1e3),
         ((2.0, 1.0), (0.01, 0.005), (1e-3, 1e-6), (50.0, 10.0)),
     ):
-        p = CircuitParams(R=R, L=L, C=5e-5, M=m_over_l * L, omega_c=wc)
-        b = at_temperatures(T1, T2)
-        classical = p.kb * (T1 - T2) * classical_integral(p, LINEAR)
-        points.append((p, b, classical, mpmath_quantum_integral(mpmath.mp, p, b, LINEAR)))
-    return tuple(points)
+        yield CircuitParams(R=R, L=L, C=5e-5, M=m_over_l * L, omega_c=wc), at_temperatures(T1, T2)
+
+
+@functools.cache
+def linear_accuracy_grid(m_over_l):
+    """(circuit, baths, k_b dT classical, 50-digit quantum) at the points of
+    `grid_points`, all on the linearized transfer function the closed forms
+    evaluate."""
+    return tuple(
+        (p, b, p.kb * (b.T1 - b.T2) * classical_integral(p, LINEAR),
+         mpmath_quantum_integral(mpmath.mp, p, b, LINEAR))
+        for p, b in grid_points(m_over_l)
+    )
 
 
 def worst_quantum_error(m_over_l, route):
@@ -99,7 +103,8 @@ class TestHeatClassical:
         # linearized function; the paper's closed formula is its oracle
         for p, b, _, _ in linear_accuracy_grid(m_over_l):
             value = heat_classical(p, b)
-            assert value == pytest.approx(heat_classical_formula(p, b), rel=1e-13)
+            oracle = heat_classical_formula(p, b)
+            assert abs(value - oracle) <= 1e-13 * abs(oracle)
 
     def test_cutoff_monotonicity(self, baths):
         values = []
@@ -204,15 +209,15 @@ class TestHeatQuantumHighTemp:
         diff = heat_quantum(circuit, b) - heat_quantum_high_temp(circuit, b)
         assert abs(diff) <= 1e-4 * abs(log_term)
 
-    @pytest.mark.parametrize("m_over_l", GRID_RATIOS)
+    @pytest.mark.parametrize("m_over_l", GRID_RATIOS + (0.999999, 1.0 - 1e-9))
     def test_log_term_matches_oracle(self, m_over_l):
-        # the record's zeroth moment against the paper's formula, at the bound
-        # of the grid's quantum columns: 2.1e-15 up to M/L = 0.5, 5.0e-13 at
-        # 0.99, where the residue slope's s + omega_c cancels at the root near
-        # -omega_c
-        for p, b, _, _ in linear_accuracy_grid(m_over_l):
+        # the record's zeroth moment against the paper's formula: against 50
+        # digits they are at most 2.9e-15 and 6.8e-16 off at every M/L here.
+        # With the residue slope's s + omega_c formed by subtraction at the
+        # linear root near -omega_c, the record was 5.0e-13 off at 0.99
+        for p, b in grid_points(m_over_l):
             oracle = quantum_log_term_formula(p, b)
-            assert _quantum_log_term(p, b) == pytest.approx(oracle, rel=1e-9)
+            assert abs(_quantum_log_term(p, b) - oracle) <= 1e-14 * abs(oracle)
 
     def test_log_growth_with_hot_second_bath(self, circuit):
         # the dominant term grows like log(T2/T1): the quantum correction
@@ -306,6 +311,20 @@ class TestAssembleReport:
         assert report.q_classical == heat_classical(circuit, baths)
         assert report.q_quantum == _quantum_log_term(circuit, baths)
         assert report.q_total == report.q_classical + report.q_quantum
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_classical_column_is_heat_classical(self, circuit, baths, method, monkeypatch):
+        # one function owns every method's classical column, in the mode of
+        # the method's residue sum (the linear one for the asymptotics)
+        modes = []
+
+        def recording(p, b, mode):
+            modes.append(mode)
+            return 1.0
+
+        monkeypatch.setattr(closedform, "heat_classical", recording)
+        assert assemble_report(circuit, baths, method).q_classical == 1.0
+        assert modes == [CUBIC if method is Method.EXACT_QUADRATURE else LINEAR]
 
     def test_closed_form_is_the_linear_split(self, monkeypatch):
         # bit for bit on the grid, where the paper's classical formula is up

@@ -839,17 +839,17 @@ class TestInductancesNearlyEqual:
             expected = linear_heat_quad(mpmath.mp, p, b)
             assert abs(heat_exact(p, b, LINEAR) - expected) <= 1e-12 * abs(expected)
 
-    @pytest.mark.xfail(strict=True, reason="the residue sum loses digits as M -> L")
-    def test_split_meets_mpmath_quad(self):
-        # heat_exact is within 2.8e-16 here, but the split misses by 1.4e-8
-        # (4.9e-12 at M/L = 0.999999): the digits go in quantum_integral
-        p, b = self.point(1.0 - 1e-9)
+    @pytest.mark.parametrize("m_over_l", [0.999999, 1.0 - 1e-9])
+    def test_split_meets_mpmath_quad(self, m_over_l):
+        # 1.7e-17 and 2.9e-15; with the residue slope's s + omega_c formed by
+        # subtraction at the linear root near -omega_c, 4.9e-12 and 1.4e-8
+        p, b = self.point(m_over_l)
         split = p.kb * (b.T1 - b.T2) * classical_integral(p, LINEAR) + quantum_integral(
             p, b, LINEAR
         )
         with mpmath.mp.workdps(40):
             expected = linear_heat_quad(mpmath.mp, p, b)
-            assert abs(split - expected) <= 1e-9 * abs(expected)
+            assert abs(split - expected) <= 1e-13 * abs(expected)
 
 
 class TestCircuitSolve:

@@ -442,9 +442,9 @@ class TestEmitCsv:
 # form, so a digest moves with any change of any value in the last bit; a
 # change that moves one is an accuracy change and has to be declared.
 PRESET_SHA256 = {
-    "fig2": "8d256ceb6f6be64eda85769167d9f2f6388871f372112c1dcb062ca144696573",
-    "fig3": "4126b3656ff659d6d506780c269941d4795020ae2e5f217678da82f17d0884da",
-    "fig4": "9a8bace78d1d9c27b2e35ebea9031d2f20788f1ffc1a1850839fd26777ab042b",
+    "fig2": "145f7c153af9d3a3949a080be10bf2a2df8a4dacd1f724bee265d82cb030bb5f",
+    "fig3": "2f85958aea39c5f25685737e86306bf9e14f2255a40152f485aa677dd8de475a",
+    "fig4": "31cdb2eebbc500efb173ecf3af63d076a2101122d16ee45d47721bacdcd5b1aa",
 }
 
 
