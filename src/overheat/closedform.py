@@ -48,6 +48,8 @@ class Method(Enum):
     LOW_TEMP_ASYMPTOTIC = "LowTempAsymptotic"
     HIGH_TEMP_ASYMPTOTIC = "HighTempAsymptotic"
 
+    __hash__ = object.__hash__  # as `TransferMode.__hash__`
+
 
 @dataclass(frozen=True)
 class HeatReport:
@@ -140,11 +142,32 @@ def assemble_report(p: CircuitParams, b: BathPair, method: Method) -> HeatReport
     * HighTempAsymptotic: quantum is the bare log term, the whole of the
       quantum piece that survives at high temperature.
     """
+    if not isinstance(method, Method):
+        raise ValueError(f"unknown method: {method!r}")
     # b by keyword: bench/tracing.py reads it by name or by its old slot, 2
-    (report,) = _assemble_reports([(p, b)], [classify_regime(p, b=b)], method)
-    if isinstance(report, ArithmeticError):
-        raise report
-    return report
+    regime = classify_regime(p, b=b)
+    ((cells,),) = _columns([(p, b)], (method,))
+    if isinstance(cells, ArithmeticError):
+        raise cells
+    warnings = []
+    if regime.tag is RegimeTag.OUTSIDE_OVERDAMPED:
+        failed = [c.name for c in regime.conditions if not c.satisfied]
+        warnings.append("outside overdamped validity: " + "; ".join(failed))
+    if _marginal(p, b, method):
+        warnings.append("low-temperature expansion marginal: |lambda_pm|/omega_th <= 1")
+    return HeatReport(*cells, method=method, regime=regime, validity_warnings=tuple(warnings))
+
+
+def _marginal(p: CircuitParams, b: BathPair, method: Method) -> bool:
+    """Whether the method is LowTempAsymptotic at omega_th >= min |lambda_pm|."""
+    return method is Method.LOW_TEMP_ASYMPTOTIC and min(
+        abs(p.scales.lambda_plus), abs(p.scales.lambda_minus)
+    ) <= b.thermal_frequency(p.hbar)
+
+
+def _warning_count(p: CircuitParams, b: BathPair, method: Method, tag: RegimeTag) -> int:
+    """len(assemble_report(p, b, method).validity_warnings), from the regime tag."""
+    return (tag is RegimeTag.OUTSIDE_OVERDAMPED) + _marginal(p, b, method)
 
 
 # the transfer mode of the residue sum that a method's quantum column needs
@@ -154,56 +177,40 @@ _RESIDUE_MODE = {
 }
 
 
-def _assemble_reports(
-    points: list[tuple[CircuitParams, BathPair]], regimes: list[RegimeLabel], method: Method
-) -> list:
-    """`assemble_report` at every (p, b) of `points`, given its regime label,
-    or the ArithmeticError that it raises there.
+def _columns(points: list[tuple[CircuitParams, BathPair]], methods) -> list[list]:
+    """The (q_classical, q_quantum, q_total) of `assemble_report` for every
+    method at every (p, b) of `points`: per point a list in method order, of
+    triples or of the ArithmeticError that `assemble_report` raises there.
 
-    The residue sums of all points come from one `_quantum_integrals` call,
-    which gives each the bits of its own `quantum_integral`; where that sum
-    fails, its error is the point's.
+    The residue sums of all points and methods come from one
+    `_quantum_integrals` call, which gives each the bits of its own
+    `quantum_integral`; where that sum fails, its error is the method's.
     """
-    mode = _RESIDUE_MODE.get(method)
-    quantum = _quantum_integrals(points, mode) if mode else [None] * len(points)
-    reports: list = []
-    for (p, b), regime, qq in zip(points, regimes, quantum):
-        if isinstance(qq, ArithmeticError):
-            reports.append(qq)
-            continue
-        try:
-            reports.append(_report(p, b, method, regime, qq))
-        except ArithmeticError as error:
-            reports.append(error)
-    return reports
+    summed = [m for m in methods if m in _RESIDUE_MODE]
+    sums = _quantum_integrals(points, [_RESIDUE_MODE[m] for m in summed])
+    columns = []
+    for (p, b), values in zip(points, sums):
+        quantum = dict(zip(summed, values))
+        row: list = []
+        for method in methods:
+            try:
+                row.append(_cells(p, b, method, quantum.get(method)))
+            except ArithmeticError as error:
+                row.append(error)
+        columns.append(row)
+    return columns
 
 
-def _report(p: CircuitParams, b: BathPair, method: Method, regime: RegimeLabel,
-            quantum: float | None) -> HeatReport:
-    """The report of `assemble_report`, from the regime and the method's residue sum."""
-    if not isinstance(method, Method):
-        raise ValueError(f"unknown method: {method!r}")
-    warnings: list[str] = []
-    if regime.tag is RegimeTag.OUTSIDE_OVERDAMPED:
-        failed = [c.name for c in regime.conditions if not c.satisfied]
-        warnings.append("outside overdamped validity: " + "; ".join(failed))
+def _cells(p: CircuitParams, b: BathPair, method: Method, quantum) -> tuple:
+    """A method's three columns at (p, b), given its residue sum (or that sum's
+    error, or None for the asymptotic methods)."""
+    if isinstance(quantum, ArithmeticError):
+        raise quantum
     # the classical column reads the record of the method's residue sum, the linear one if none
     qc = heat_classical(p, b, _RESIDUE_MODE.get(method, TransferMode.OVERDAMPED_LINEAR))
     if method is Method.LOW_TEMP_ASYMPTOTIC:
         qt = heat_low_temp(p, b)
-        qq = qt - qc
-        omega_th = b.thermal_frequency(p.hbar)
-        if min(abs(p.scales.lambda_plus), abs(p.scales.lambda_minus)) <= omega_th:
-            warnings.append("low-temperature expansion marginal: |lambda_pm|/omega_th <= 1")
-    else:
-        qq = _quantum_log_term(p, b) if method is Method.HIGH_TEMP_ASYMPTOTIC else quantum
-        qt = qc + qq
-
-    return HeatReport(
-        q_classical=qc,
-        q_quantum=qq,
-        q_total=qt,
-        method=method,
-        regime=regime,
-        validity_warnings=tuple(warnings),
-    )
+        return qc, qt - qc, qt
+    if method is Method.HIGH_TEMP_ASYMPTOTIC:
+        quantum = _quantum_log_term(p, b)
+    return qc, quantum, qc + quantum

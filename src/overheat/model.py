@@ -66,6 +66,11 @@ class CircuitParams:
     hbar: float = 1.0
     kb: float = 1.0
 
+    def __hash__(self) -> int:
+        # the generated hash of the fields, formed once: every lookup of the
+        # circuit's cached record (`quadrature._circuit_solve`) hashes it
+        return self._hash
+
     def __post_init__(self):
         for name in ("R", "L", "C", "omega_c", "hbar", "kb"):
             value = getattr(self, name)
@@ -95,6 +100,8 @@ class CircuitParams:
             lambda_plus=-self.omega_c * omega_plus / (self.omega_c + omega_plus),
             lambda_minus=-self.omega_c * omega_minus / (self.omega_c + omega_minus),
         ))
+        fields = (self.R, self.L, self.C, self.M, self.omega_c, self.hbar, self.kb)
+        object.__setattr__(self, "_hash", hash(fields))
 
 
 @dataclass(frozen=True)
@@ -168,6 +175,26 @@ def _bath_row(omega_th: float, s: DerivedScales) -> RegimeTag | None:
     return None
 
 
+def _overdamped_bounds(p: CircuitParams) -> tuple[float, float, float]:
+    """gamma, sqrt(gamma*omega_plus) and cbrt(gamma*omega_plus*omega_c): the
+    charge-sector scales that omega_th must stay below."""
+    s = p.scales
+    cbrt = (s.gamma * s.omega_plus * p.omega_c) ** (1.0 / 3.0)
+    return s.gamma, math.sqrt(s.gamma * s.omega_plus), cbrt
+
+
+def _regime_tag(p: CircuitParams, b: BathPair) -> RegimeTag:
+    """The tag of `classify_regime`, from the comparisons alone."""
+    limit = b.thermal_frequency(p.hbar) * SAFETY_FACTOR
+    gamma, sqrt_bound, cbrt_bound = _overdamped_bounds(p)
+    if not (limit <= gamma and limit <= sqrt_bound and limit <= cbrt_bound):
+        return RegimeTag.OUTSIDE_OVERDAMPED
+    row1 = _bath_row(1.0 / (p.hbar * b.beta1), p.scales)
+    if row1 is not None and row1 is _bath_row(1.0 / (p.hbar * b.beta2), p.scales):
+        return row1
+    return RegimeTag.MIXED
+
+
 def classify_regime(p: CircuitParams, b: BathPair) -> RegimeLabel:
     """Tag a parameter/temperature combination with its overdamped regime.
 
@@ -182,34 +209,17 @@ def classify_regime(p: CircuitParams, b: BathPair) -> RegimeLabel:
     both fall in the same row, that row's tag is returned.  Every other case
     is Mixed: the two baths in different rows, or one or both baths in no
     row, as for a thermal frequency between omega_plus and omega_minus.
+    The tag is `_regime_tag`'s, which a sweep reads without the conditions.
     """
-    s = p.scales
     omega_th = b.thermal_frequency(p.hbar)
-    checks = [
-        RegimeCondition(name, omega_th * SAFETY_FACTOR <= bound, bound / omega_th)
-        for name, bound in (
-            ("omega_th << gamma", s.gamma),
-            ("omega_th << sqrt(gamma*omega_plus)", math.sqrt(s.gamma * s.omega_plus)),
-            (
-                "omega_th << cbrt(gamma*omega_plus*omega_c)",
-                (s.gamma * s.omega_plus * p.omega_c) ** (1.0 / 3.0),
-            ),
-        )
+    names = ("gamma", "sqrt(gamma*omega_plus)", "cbrt(gamma*omega_plus*omega_c)")
+    conditions = [
+        RegimeCondition(f"omega_th << {name}", omega_th * SAFETY_FACTOR <= bound, bound / omega_th)
+        for name, bound in zip(names, _overdamped_bounds(p))
     ]
-    overdamped = all(c.satisfied for c in checks)
-
-    rows = []
+    # margin: where the bath sits relative to the slow mode
     for label, beta in (("bath1", b.beta1), ("bath2", b.beta2)):
         w = 1.0 / (p.hbar * beta)
-        row = _bath_row(w, s)
-        rows.append(row)
-        # margin: where the bath sits relative to the slow mode
-        checks.append(RegimeCondition(f"{label} row", row is not None, w / s.omega_plus))
-
-    conditions = tuple(checks)
-    if not overdamped:
-        return RegimeLabel(RegimeTag.OUTSIDE_OVERDAMPED, conditions)
-    row1, row2 = rows
-    if row1 is not None and row1 is row2:
-        return RegimeLabel(row1, conditions)
-    return RegimeLabel(RegimeTag.MIXED, conditions)
+        conditions.append(RegimeCondition(f"{label} row", _bath_row(w, p.scales) is not None,
+                                          w / p.scales.omega_plus))
+    return RegimeLabel(_regime_tag(p, b), tuple(conditions))

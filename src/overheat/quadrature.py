@@ -39,6 +39,7 @@ and all three integrals read one cached record per circuit, `_circuit_solve`.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -79,12 +80,15 @@ class ToleranceNotMetError(RuntimeError):
 
 def _panel_edges(inner_lo: float, inner_hi: float, breaks=()) -> list[float]:
     """Log-graded breakpoints [0, inner_lo, ..., inner_hi], ~3 per decade,
-    merged in order with `breaks`, which must lie inside (inner_lo, inner_hi)."""
+    merged in order with `breaks`, which must lie inside (inner_lo, inner_hi);
+    a value that occurs twice is kept once."""
     decades = math.log10(inner_hi / inner_lo)
     n = int(math.ceil(3.0 * decades)) + 1
     ratio = (inner_hi / inner_lo) ** (1.0 / (n - 1))
-    inner = sorted({inner_lo * ratio**k for k in range(1, n - 1)}.union(breaks))
-    return [0.0, inner_lo] + inner + [inner_hi]
+    inner = [inner_lo * ratio**k for k in range(1, n - 1)]
+    inner += breaks
+    inner.sort()  # a merge: the grid and sorted breaks are sorted runs
+    return [0.0, inner_lo, *dict.fromkeys(inner), inner_hi]
 
 
 # QUADPACK's qk21 rule on [-1, 1]: the 21 Kronrod nodes (the 10 Gauss nodes
@@ -217,8 +221,11 @@ def heat_exact(
     # cut/inner_lo <= 1e300 stays finite; a float cap overflows to inf, not a numpy warning
     cap = 1e300 * float(inner_lo)
     cut = min(TAIL_CUT_MULTIPLIER * max(omega_th, abs(p.scales.lambda_minus)), cap)
-    thermal_breaks = (omega_th / 3.0, omega_th, 3.0 * omega_th)
-    breaks = [w for w in solve.breaks + thermal_breaks if inner_lo < w < cut]
+    # the record's breaks are sorted: the ones inside (inner_lo, cut) are a slice
+    inside = solve.breaks[bisect.bisect_right(solve.breaks, inner_lo) :
+                          bisect.bisect_left(solve.breaks, cut)]
+    thermal = (omega_th / 3.0, omega_th, 3.0 * omega_th)
+    breaks = [*inside, *(w for w in thermal if inner_lo < w < cut)]
     # n1 - n2 = -/+ e^y expm1(-(hi - lo) w)/(expm1(y) expm1(-hi w)), y = -lo w and
     # lo <= hi the two beta_j hbar: the integrand leaves out the minus, and `sign`
     # applies it and the sign of T1 - T2 to the total; nothing cancels as T1 -> T2
@@ -645,34 +652,45 @@ def _digamma_rates(p: CircuitParams, b: BathPair) -> tuple[float, float]:
     return b.beta1 * p.hbar / (2.0 * math.pi), b.beta2 * p.hbar / (2.0 * math.pi)
 
 
-def _quantum_integrals(points: list[tuple[CircuitParams, BathPair]], mode: TransferMode) -> list:
-    """`quantum_integral(p, b, mode)` at every (p, b) of `points`, or the
-    ArithmeticError it raises there, bit for bit.
+def _quantum_integrals(points: list[tuple[CircuitParams, BathPair]], modes) -> list[list]:
+    """`quantum_integral(p, b, mode)` at every (p, b) of `points`, for every
+    mode of `modes`, bit for bit, or the ArithmeticError it raises there: per
+    point a list in the order of `modes`.
 
-    The nodes of all points go through one digamma kernel call; each
-    point's terms are then summed on their own by `math.fsum`, as in
-    `quantum_integral`, so a value does not depend on the batch around it.
+    c_j and ln(c2/c1) are formed once per point, and the nodes of every point
+    and mode go through one digamma kernel call; each record's terms are then
+    summed on their own by `math.fsum`, as in `quantum_integral`, so a value
+    does not depend on the batch around it.
     """
-    out: list = [0.0] * len(points)
-    batch = []  # (index, p, record, c1, c2) of every point with a residue sum
-    for i, (p, b) in enumerate(points):
+    out: list[list] = []
+    pending = []  # (values, slot, hbar K, node count) of every sum that the kernel gives
+    rates, totals, s, weight = [], [], [], []  # per point: (c2, c1, ln(c2/c1)), node count
+    for p, b in points:
+        values: list = [0.0] * len(modes)
+        out.append(values)
         if b.T1 == b.T2 or p.M == 0.0:
             continue
-        try:
-            batch.append((i, p, _residue_record(p, mode), *_digamma_rates(p, b)))
-        except ArithmeticError as error:
-            out[i] = error
-    if not batch:
+        total = 0
+        for k, mode in enumerate(modes):
+            try:
+                solve = _residue_record(p, mode)
+            except ArithmeticError as error:
+                values[k] = error
+                continue
+            pending.append((values, k, p.hbar * solve.K, solve.s.size))
+            total += solve.s.size
+            s.append(solve.s)
+            weight.append(solve.weight)
+        c1, c2 = _digamma_rates(p, b)
+        rates.append((c2, c1, log_ratio(c2, c1)))
+        totals.append(total)
+    if not pending:
         return out
-    index, ps, solves, c1, c2 = zip(*batch)
-    counts = [solve.s.size for solve in solves]
-    c = np.repeat([c2, c1], counts, axis=1)
-    psi = _digamma_array(1.0 - c * np.concatenate([solve.s for solve in solves]))
-    log_c = np.repeat([log_ratio(x, y) for x, y in zip(c2, c1)], counts)
-    weight = np.concatenate([solve.weight for solve in solves])
-    terms = (weight * ((psi[0] - psi[1]) - log_c)).real.tolist()
+    c = np.repeat(np.array(rates).T, totals, axis=1)
+    psi = _digamma_array(1.0 - c[:2] * np.concatenate(s))
+    terms = (np.concatenate(weight) * ((psi[0] - psi[1]) - c[2])).real.tolist()
     end = 0
-    for i, p, solve, n in zip(index, ps, solves, counts):
-        out[i] = p.hbar * solve.K * math.fsum(terms[end : end + n])
+    for values, k, scale, n in pending:
+        values[k] = scale * math.fsum(terms[end : end + n])
         end += n
     return out

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .closedform import Method, _assemble_reports
-from .model import BathPair, CircuitParams, classify_regime
+from .closedform import Method, _columns, _warning_count
+from .model import BathPair, CircuitParams, _regime_tag
 
 SWEEP_VARIABLES = ("gamma_over_omega_d", "T1", "T2")
 PRESETS = ("fig2", "fig3", "fig4")
@@ -85,7 +85,9 @@ class SweepSpec:
     must give a valid circuit and baths, and no method may be listed twice.
     The regime margin is not part of a spec: every row is classified with
     the constant `model.SAFETY_FACTOR`.  Neither is a transfer mode:
-    ExactQuadrature is always the split of the full cubic model.
+    ExactQuadrature is always the split of the full cubic model.  `points`
+    keeps the (swept value, CircuitParams, BathPair) of every grid point,
+    built once here to check it, for `run_sweep` to read.
     """
 
     sweep_variable: str = "gamma_over_omega_d"
@@ -122,11 +124,15 @@ class SweepSpec:
             if not (math.isfinite(self.t2_over_t1) and self.t2_over_t1 > 0.0):
                 raise ConfigError(f"t2_over_t1 must be positive, got {self.t2_over_t1!r}")
         # each grid point checks the fields it uses, and none that the sweep overrides
+        points = []
         for x in self.grid.values():
             try:
-                _grid_point(self, x)
+                points.append((x, *_grid_point(self, x)))
             except ValueError as exc:
                 raise ConfigError(f"{self.sweep_variable} = {x!r}: {exc}") from None
+        # not a field, as `CircuitParams.scales`: eq, hash, repr and `replace`
+        # see only the settings, and `run_sweep` builds no point again
+        object.__setattr__(self, "points", tuple(points))
 
 
 def _grid_point(spec: SweepSpec, x: float) -> tuple[CircuitParams, BathPair]:
@@ -251,63 +257,54 @@ def parse_config(text: str) -> SweepSpec:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the sweep, one row per grid point, ordered by swept value.
 
-    Each row is classified once.  Each method then runs over all rows at
-    once, so its residue sums take one digamma kernel call; a row's cells
-    equal `assemble_report`'s at its point, bit for bit.  A method that fails
+    The rows read the spec's stored `points`.  All methods run over all rows
+    at once, so the residue sums of the sweep take one digamma kernel call;
+    a row's cells, regime tag and warning count equal `assemble_report`'s at
+    its point, bit for bit, though no report is built.  A method that fails
     at a row with an ArithmeticError gives that row nan cells and one warning.
     """
-    xs = spec.grid.values()
-    points = [_grid_point(spec, x) for x in xs]
-    # b by keyword: bench/tracing.py reads it by name or by its old slot, 2
-    regimes = [classify_regime(p, b=b) for p, b in points]
-    cells: list[list[float]] = [[] for _ in xs]
-    warnings = [0] * len(xs)
-    for method in spec.methods:
-        for i, report in enumerate(_assemble_reports(points, regimes, method)):
-            if isinstance(report, ArithmeticError):
-                cells[i] += [math.nan, math.nan, math.nan]
-                warnings[i] += 1
+    columns = _columns([(p, b) for _, p, b in spec.points], spec.methods)
+    rows = []
+    for (x, p, b), row in zip(spec.points, columns):
+        tag = _regime_tag(p, b)
+        cells: list[float] = []
+        warnings = 0
+        for method, triple in zip(spec.methods, row):
+            if isinstance(triple, ArithmeticError):
+                cells += _FAILED
+                warnings += 1
             else:
-                cells[i] += [report.q_classical, report.q_quantum, report.q_total]
-                warnings[i] += len(report.validity_warnings)
-    return [
-        SweepRow(
-            sweep_variable=spec.sweep_variable,
-            swept_value=x,
-            T1=b.T1,
-            T2=b.T2,
-            methods=spec.methods,
-            cells=tuple(row_cells),
-            regime=regime.tag.value,
-            warnings=count,
-        )
-        for x, (_, b), regime, row_cells, count in zip(xs, points, regimes, cells, warnings)
-    ]
+                cells += triple
+                warnings += _warning_count(p, b, method, tag)
+        rows.append(SweepRow(
+            spec.sweep_variable, x, b.T1, b.T2, spec.methods, tuple(cells), tag.value, warnings
+        ))
+    return rows
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)  # shortest representation that round-trips
-    return str(value)
+_FAILED = (math.nan, math.nan, math.nan)
 
 
 def emit_csv(rows: list[SweepRow], destination) -> None:
     """Write rows as UTF-8 comma-separated text with LF endings.
 
-    Floats use the shortest round-trip representation, so re-reading the file
-    recovers the values bit-exactly and re-running the same sweep reproduces
-    the file byte-for-byte.
+    Floats use the shortest round-trip representation (`repr`), so re-reading
+    the file recovers the values bit-exactly and re-running the same sweep
+    reproduces the file byte-for-byte.  Every row must share the first row's
+    sweep variable and methods, which fix the columns.
     """
     if not rows:
         raise ValueError(f"no rows to write to {destination}")
-    header = rows[0].header()
-    for row in rows:
-        if row.header() != header:
-            raise ValueError("rows disagree on column layout")
-    lines = [",".join(header)]
-    for row in rows:
-        record = [row.swept_value, row.T1, row.T2, *row.cells, row.regime, row.warnings]
-        lines.append(",".join(_format_cell(v) for v in record))
+    first = rows[0]
+    layout = (first.sweep_variable, first.methods)
+    if any((row.sweep_variable, row.methods) != layout for row in rows):
+        raise ValueError("rows disagree on column layout")
+    line = ",".join(["%r"] * (3 + 3 * len(first.methods)) + ["%s", "%d"])
+    lines = [",".join(first.header())]
+    lines += [
+        line % (row.swept_value, row.T1, row.T2, *row.cells, row.regime, row.warnings)
+        for row in rows
+    ]
     with open(destination, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

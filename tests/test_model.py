@@ -264,6 +264,29 @@ class TestClassifyRegime:
         assert RegimeTag.LOW_T in seen
         assert RegimeTag.OUTSIDE_OVERDAMPED in seen
 
+    def test_tag_agrees_with_the_conditions(self):
+        # the tag and the conditions are separate passes over the same
+        # comparisons: an unmet scale separation is OutsideOverdamped, a bath
+        # in no row is Mixed, and two baths in rows give a row tag or Mixed
+        rng = np.random.default_rng(29)
+        seen = set()
+        for _ in range(2000):
+            R, L = np.exp(rng.uniform(-1, 1, size=2))
+            gamma = math.exp(rng.uniform(2, 14))
+            p = CircuitParams(R=R, L=L, C=1.0 / (R * gamma), M=L * rng.uniform(0.05, 0.95),
+                              omega_c=math.exp(rng.uniform(-2, 4)))
+            b = BathPair.from_temperatures(*np.exp(rng.uniform(-7, 3, size=2)))
+            label = classify_regime(p, b)
+            seen.add(label.tag)
+            separations, rows = label.conditions[:3], label.conditions[3:]
+            if not all(c.satisfied for c in separations):
+                assert label.tag is RegimeTag.OUTSIDE_OVERDAMPED
+            elif not all(c.satisfied for c in rows):
+                assert label.tag is RegimeTag.MIXED
+            else:
+                assert label.tag is not RegimeTag.OUTSIDE_OVERDAMPED
+        assert seen == set(RegimeTag)
+
     def test_conditions_carry_margins(self, circuit, baths):
         label = classify_regime(circuit, baths)
         assert len(label.conditions) >= 5

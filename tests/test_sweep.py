@@ -27,8 +27,9 @@ from overheat import (
     run_preset,
     run_sweep,
 )
-from overheat import closedform, quadrature, sweep
+from overheat import closedform, model, quadrature, sweep
 from overheat.cli import main
+from test_quadrature import counting
 
 
 def read_csv(source) -> tuple[tuple[str, ...], list[list]]:
@@ -339,8 +340,8 @@ class TestRunSweep:
 
     def test_arithmetic_error_becomes_nan_with_warning(self, monkeypatch):
         # the package's own ArithmeticError (not an OverflowError) is caught too
-        def vanishing(points, mode):
-            return [ArithmeticError("mode polynomials vanish") for _ in points]
+        def vanishing(points, modes):
+            return [[ArithmeticError("mode polynomials vanish") for _ in modes] for _ in points]
 
         monkeypatch.setattr(closedform, "_quantum_integrals", vanishing)
         rows = run_sweep(small_spec())
@@ -376,6 +377,46 @@ class TestRunSweep:
         # the failure is the exact method's one warning, in place of its regime warnings
         assert rows[1].warnings == before[1].warnings - len(exact.validity_warnings) + 1
         assert rows[:1] + rows[2:] == before[:1] + before[2:]
+
+    def test_existing_spec_builds_no_point_again(self, monkeypatch):
+        # the spec keeps the circuits and baths it built to check its grid
+        spec = small_spec(methods=tuple(Method))
+        run_sweep(spec)  # every record is cached
+        built = [
+            counting(monkeypatch, model, "DerivedScales"),
+            counting(monkeypatch, sweep, "CircuitParams"),
+            counting(monkeypatch, sweep.BathPair, "from_temperatures"),
+        ]
+        run_sweep(spec)
+        assert built == [[], [], []]
+
+    def test_fig2_curve_makes_one_kernel_call(self, monkeypatch):
+        # the residue sums of both methods at every row share one digamma call
+        calls = counting(monkeypatch, quadrature, "_digamma_array")
+        for spec in preset_specs("fig2"):
+            calls.clear()
+            run_sweep(spec)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("variable, grid, fixed", [
+        ("T1", Grid(1e-3, 1e3, 13, "log"), dict(T2=0.02)),
+        ("T2", Grid(1e-3, 1e3, 13, "log"), dict(T1=0.02)),
+        ("gamma_over_omega_d", Grid(1.0, 1e5, 11, "log"), dict(T1=0.5, T2=0.01)),
+    ])
+    def test_every_method_matches_its_report(self, variable, grid, fixed):
+        # every regime and both kinds of warning, all four methods in one sweep:
+        # cells, tag and warning count are the report's at each point
+        spec = small_spec(sweep_variable=variable, grid=grid, methods=tuple(Method), **fixed)
+        rows = run_sweep(spec)
+        regimes = {row.regime for row in rows}
+        assert "OutsideOverdamped" in regimes and "LowT" in regimes
+        for x, row in zip(spec.grid.values(), rows):
+            p, b = sweep._grid_point(spec, x)
+            reports = [assemble_report(p, b, method) for method in spec.methods]
+            cells = [c for r in reports for c in (r.q_classical, r.q_quantum, r.q_total)]
+            assert [c.hex() for c in row.cells] == [c.hex() for c in cells], x
+            assert row.regime == classify_regime(p, b).tag.value
+            assert row.warnings == sum(len(r.validity_warnings) for r in reports)
 
     def test_failing_method_becomes_nan_with_warning(self):
         # T1^4 overflows in the low-temperature law at absurd temperatures
@@ -428,6 +469,40 @@ class TestEmitCsv:
         raw = dest.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+    def test_failed_cells_and_special_values(self, tmp_path):
+        # nan cells of a failed method, signed zero, inf and exponents, as
+        # repr writes them
+        methods = (Method.EXACT_QUADRATURE, Method.CLOSED_FORM)
+        rows = [
+            sweep.SweepRow("T1", 0.1, 0.1, 0.05, methods,
+                           (math.nan, math.nan, math.nan, 1.5, -0.25, 1.25), "LowT", 1),
+            sweep.SweepRow("T1", 1e-300, 1e-300, 5e-301, methods,
+                           (0.1, -0.0, 0.1, 2.0000000000000004, math.inf, -1e16),
+                           "OutsideOverdamped", 3),
+        ]
+        dest = tmp_path / "out.csv"
+        emit_csv(rows, dest)
+        assert dest.read_bytes() == (
+            b"T1,T1,T2,exact_q_classical,exact_q_quantum,exact_q_total,"
+            b"closed_q_classical,closed_q_quantum,closed_q_total,regime,warnings\n"
+            b"0.1,0.1,0.05,nan,nan,nan,1.5,-0.25,1.25,LowT,1\n"
+            b"1e-300,1e-300,5e-301,0.1,-0.0,0.1,2.0000000000000004,inf,-1e+16,"
+            b"OutsideOverdamped,3\n"
+        )
+
+    @pytest.mark.parametrize("other", [
+        dict(sweep_variable="T2"),
+        dict(methods=(Method.CLOSED_FORM, Method.LOW_TEMP_ASYMPTOTIC)),
+        dict(methods=(Method.LOW_TEMP_ASYMPTOTIC,)),
+    ])
+    def test_mixed_layouts_refused(self, other, tmp_path):
+        spec = small_spec(sweep_variable="T1", grid=Grid(0.01, 0.1, 2, "log"))
+        rows = run_sweep(spec) + run_sweep(small_spec(**{
+            "sweep_variable": "T1", "grid": Grid(0.01, 0.1, 2, "log"), **other}))
+        with pytest.raises(ValueError, match="column layout"):
+            emit_csv(rows, tmp_path / "never.csv")
+        assert not (tmp_path / "never.csv").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = small_spec(methods=(Method.EXACT_QUADRATURE, Method.CLOSED_FORM))
