@@ -546,12 +546,16 @@ def _residue_nodes(p: CircuitParams, polys, mode_roots, delta: float) -> tuple[t
     for sign, coeffs, u_roots in zip((1.0, -1.0), polys, mode_roots):
         for s in u_roots:
             roots.append(s)
+            # s + omega_c cancels at the root near -omega_c as omega_minus grows
+            # (M -> L): u'(s) (s + omega_c) = omega_c^2 at the root of a linear u,
+            # and s + omega_c = -omega_c s/(RC s^2 + omega_pm) at a root of the
+            # cubic u = (s + omega_c)(RC s^2 + omega_pm) + omega_c s
             if len(coeffs) == 2:
-                # u'(s) (s + omega_c) = omega_c^2 at the root of a linear u, where
-                # s + omega_c itself cancels as omega_minus grows (M -> L)
                 slopes.append(sign * delta * (p.omega_c * p.omega_c))
             else:
-                slopes.append(sign * horner(coeffs, s)[1] * delta * (s + p.omega_c))
+                omega = p.scales.omega_plus if sign > 0.0 else p.scales.omega_minus
+                shifted = -p.omega_c * s / (coeffs[0] * s * s + omega)
+                slopes.append(sign * horner(coeffs, s)[1] * delta * shifted)
 
     def node(s: complex, scale: complex) -> tuple[complex, complex]:
         # s * s * s: the same bits as s**3, which raises OverflowError where it is inf
@@ -611,7 +615,9 @@ def quantum_integral(
     leaves a contribution on the closing arc.  At a root of u_plus or u_minus,
     D'(s) = +/- u'(s) delta (s + omega_c), from u_minus - u_plus =
     delta (s + omega_c) with delta = omega_minus - omega_plus = 2 R M/A;
-    for a linear u, u'(s) (s + omega_c) is omega_c^2 exactly.  Roots closer
+    for a linear u, u'(s) (s + omega_c) is omega_c^2 exactly, and for a cubic
+    u, s + omega_c = -omega_c s/(RC s^2 + omega_pm), which does not cancel
+    at the root near -omega_c as M -> L.  Roots closer
     together than a fraction of their distance from the axis (a repeated
     root, or the roots of u_plus and u_minus at small M/L) are summed as one
     trapezoidal contour integral around their cluster.

@@ -817,6 +817,32 @@ def linear_heat_quad(mp, p, b):
     return hbar / 2 * mp.quad(integrand, [0] + edges + [10 * edges[-1], 100 * edges[-1], mp.inf])
 
 
+def cubic_heat_quad(mp, p, b):
+    """`linear_heat_quad` of the full cubic f12, with |u(i omega)|^2 =
+    (omega_c (omega_pm - RC omega^2))^2 + (omega (omega_pm + omega_c - RC omega^2))^2,
+    split at the moduli of its poles and the thermal scales."""
+    R, L, M, C, wc, hbar = (mp.mpf(v) for v in (p.R, p.L, p.M, p.C, p.omega_c, p.hbar))
+    beta1, beta2 = mp.mpf(b.beta1), mp.mpf(b.beta2)
+    rc = R * C
+    wp, wm = R / (L + M), R / (L - M)
+    scale = (2 / mp.pi) * wc**4 * (R * M / ((L - M) * (L + M))) ** 2
+
+    def integrand(w):
+        u_plus, u_minus = (
+            (wc * (v - rc * w * w)) ** 2 + (w * (v + wc - rc * w * w)) ** 2 for v in (wp, wm)
+        )
+        thermal = mp.coth(beta1 * hbar * w / 2) - mp.coth(beta2 * hbar * w / 2)
+        return scale * w**3 / (u_plus * u_minus) * thermal
+
+    poles = {
+        abs(s)
+        for v in (wp, wm)
+        for s in mp.polyroots([rc, rc * wc, v + wc, v * wc], maxsteps=200, extraprec=200)
+    }
+    edges = sorted(poles | {1 / (beta * hbar) for beta in (beta1, beta2)})
+    return hbar / 2 * mp.quad(integrand, [0] + edges + [10 * edges[-1], 100 * edges[-1], mp.inf])
+
+
 class TestInductancesNearlyEqual:
     # A = L^2 - M^2 formed as a difference of squares lost ~1e-16 L^2/A
     # relative: 2.2e-11 (M/L = 0.999999) and 1.0e-9 (1 - 1e-9) in both checks
@@ -850,6 +876,19 @@ class TestInductancesNearlyEqual:
         with mpmath.mp.workdps(40):
             expected = linear_heat_quad(mpmath.mp, p, b)
             assert abs(split - expected) <= 1e-13 * abs(expected)
+
+    @pytest.mark.parametrize("m_over_l", [0.999999, 1.0 - 1e-9])
+    def test_cubic_split_meets_mpmath_quad(self, m_over_l):
+        # 2.3e-14 and 9.7e-13, the bound leaving room for the last; with the
+        # residue slope's s + omega_c formed by subtraction at the cubic root
+        # near -omega_c, 1.5e-11 and 1.4e-8
+        p, b = self.point(m_over_l)
+        split = p.kb * (b.T1 - b.T2) * classical_integral(p, CUBIC) + quantum_integral(
+            p, b, CUBIC
+        )
+        with mpmath.mp.workdps(40):
+            expected = cubic_heat_quad(mpmath.mp, p, b)
+            assert abs(split - expected) <= 2e-12 * abs(expected)
 
 
 class TestCircuitSolve:
