@@ -542,24 +542,28 @@ def transfer_f12(omega, p: CircuitParams, mode: TransferMode):
 def _residue_nodes(p: CircuitParams, polys, mode_roots, delta: float) -> tuple[tuple, ...]:
     """The pairs (s, weight) of the residue sum (see `quantum_integral` and
     `_CircuitSolve`), from the roots of u_plus and u_minus."""
-    roots, slopes = [], []
-    for sign, coeffs, u_roots in zip((1.0, -1.0), polys, mode_roots):
-        for s in u_roots:
-            roots.append(s)
-            # s + omega_c cancels at the root near -omega_c as omega_minus grows
-            # (M -> L): u'(s) (s + omega_c) = omega_c^2 at the root of a linear u,
-            # and s + omega_c = -omega_c s/(RC s^2 + omega_pm) at a root of the
-            # cubic u = (s + omega_c)(RC s^2 + omega_pm) + omega_c s
-            if len(coeffs) == 2:
-                slopes.append(sign * delta * (p.omega_c * p.omega_c))
-            else:
-                omega = p.scales.omega_plus if sign > 0.0 else p.scales.omega_minus
-                shifted = -p.omega_c * s / (coeffs[0] * s * s + omega)
-                slopes.append(sign * horner(coeffs, s)[1] * delta * shifted)
+    wc2 = p.omega_c * p.omega_c
 
     def node(s: complex, scale: complex) -> tuple[complex, complex]:
         # s * s * s: the same bits as s**3, which raises OverflowError where it is inf
         return s, scale * (s * s * s) / (horner(polys[0], -s)[0] * horner(polys[1], -s)[0])
+
+    def residue(k: int) -> complex:
+        # D'(s) = sign delta u'(s)(s + omega_c), where s + omega_c cancels at the
+        # root near -omega_c as omega_minus grows (M -> L), and a cubic u(-s) at
+        # a lightly damped pair of roots of u: neither is formed
+        s, sign, coeffs, other = roots[k], *owners[k]
+        if len(coeffs) == 2:  # u'(s)(s + omega_c) = omega_c^2 at the root of a linear u
+            return node(s, 1.0 / (sign * delta * wc2))[1]
+        # (s + omega_c) u(-s) = -2 omega_c^2 s at a root of the cubic
+        # u = (s + omega_c)(RC s^2 + omega_pm) + omega_c s
+        slope = sign * delta * horner(coeffs, s)[1] * (-2.0 * wc2)
+        return s * s / (slope * horner(other, -s)[0])
+
+    roots, owners = [], []
+    for sign, coeffs, other, u_roots in zip((1.0, -1.0), polys, polys[::-1], mode_roots):
+        roots += u_roots
+        owners += [(sign, coeffs, other)] * len(u_roots)
 
     groups = _clusters(roots)
     single = [roots[g[0]] for g in groups if len(g) == 1]
@@ -571,7 +575,8 @@ def _residue_nodes(p: CircuitParams, polys, mode_roots, delta: float) -> tuple[t
             # only the real part of the sum is kept: the upper one counts twice
             paired = s.imag != 0.0 and s.conjugate() in single
             if not (paired and s.imag < 0.0):
-                nodes.append(node(s, (2.0 if paired else 1.0) / slopes[group[0]]))
+                weight = residue(group[0])
+                nodes.append((s, 2.0 * weight if paired else weight))
             continue
         centre, spread = _centre_and_spread([roots[k] for k in group])
         reach = min(
@@ -616,9 +621,10 @@ def quantum_integral(
     D'(s) = +/- u'(s) delta (s + omega_c), from u_minus - u_plus =
     delta (s + omega_c) with delta = omega_minus - omega_plus = 2 R M/A;
     for a linear u, u'(s) (s + omega_c) is omega_c^2 exactly, and for a cubic
-    u, s + omega_c = -omega_c s/(RC s^2 + omega_pm), which does not cancel
-    at the root near -omega_c as M -> L.  Roots closer
-    together than a fraction of their distance from the axis (a repeated
+    u = (s + omega_c)(RC s^2 + omega_pm) + omega_c s, (s + omega_c) u(-s) is
+    -2 omega_c^2 s, so no weight forms s + omega_c, which cancels at the root
+    near -omega_c as M -> L, nor a cubic u(-s), which cancels at a lightly
+    damped pair of roots of u (M -> L again).  Roots closer together than a fraction of their distance from the axis (a repeated
     root, or the roots of u_plus and u_minus at small M/L) are summed as one
     trapezoidal contour integral around their cluster.
 

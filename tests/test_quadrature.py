@@ -30,6 +30,7 @@ from overheat import (
     transfer_f12,
 )
 from overheat import model, quadrature, response, run_preset
+from call_counting import counting
 from quad_reference import _f12_integral, reference_heat_exact
 from response_reference import heat_quantum_blocks
 
@@ -731,19 +732,6 @@ def fresh_solve():
     quadrature._circuit_solve.cache_clear()
 
 
-def counting(monkeypatch, module, name):
-    """Replace module.name by a wrapper that counts its calls in the returned list."""
-    calls = []
-    original = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append((args, kwargs))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
-
-
 def finite_or_names_omega_c(call):
     """The value of call(), which must be finite unless it raises an
     ArithmeticError whose message names omega_c; None when it raises."""
@@ -879,16 +867,30 @@ class TestInductancesNearlyEqual:
 
     @pytest.mark.parametrize("m_over_l", [0.999999, 1.0 - 1e-9])
     def test_cubic_split_meets_mpmath_quad(self, m_over_l):
-        # 2.3e-14 and 9.7e-13, the bound leaving room for the last; with the
-        # residue slope's s + omega_c formed by subtraction at the cubic root
-        # near -omega_c, 1.5e-11 and 1.4e-8
+        # 2.1e-14 and 2.9e-14; with the residue weight's s + omega_c formed by
+        # subtraction at the cubic root near -omega_c, 1.5e-11 and 1.4e-8, and
+        # with u(-s) formed at the lightly damped pair, 2.3e-14 and 9.7e-13
         p, b = self.point(m_over_l)
         split = p.kb * (b.T1 - b.T2) * classical_integral(p, CUBIC) + quantum_integral(
             p, b, CUBIC
         )
         with mpmath.mp.workdps(40):
             expected = cubic_heat_quad(mpmath.mp, p, b)
-            assert abs(split - expected) <= 2e-12 * abs(expected)
+            assert abs(split - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("m_over_l", [0.99, 0.999999, 1.0 - 1e-9])
+    def test_cubic_residue_weights_meet_mpmath(self, m_over_l):
+        # every weight within 4e-16; the lightly damped pair of u_minus was
+        # 4.0e-13, 1.4e-8 and 7.5e-3 off with u(-s) formed by Horner at -s
+        p, b = self.point(m_over_l)
+        solve = quadrature._circuit_solve(p, CUBIC)
+        with mpmath.mp.workdps(50):
+            _, _, _, residues = quantum_residues(mpmath.mp, p, b, CUBIC)
+            for s, weight in zip(solve.s, solve.weight):
+                _, expected = min(residues, key=lambda r: abs(r[0] - s))
+                # the upper root of a conjugate pair carries both residues
+                expected *= 2 if s.imag > 0.0 else 1
+                assert abs(weight - expected) <= 4e-15 * abs(expected)
 
 
 class TestCircuitSolve:
