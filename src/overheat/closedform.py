@@ -149,25 +149,26 @@ def assemble_report(p: CircuitParams, b: BathPair, method: Method) -> HeatReport
     ((cells,),) = _columns([(p, b)], (method,))
     if isinstance(cells, ArithmeticError):
         raise cells
+    outside, marginal = _warning_flags(p, b, method, regime.tag)
     warnings = []
-    if regime.tag is RegimeTag.OUTSIDE_OVERDAMPED:
+    if outside:
         failed = [c.name for c in regime.conditions if not c.satisfied]
         warnings.append("outside overdamped validity: " + "; ".join(failed))
-    if _marginal(p, b, method):
+    if marginal:
         warnings.append("low-temperature expansion marginal: |lambda_pm|/omega_th <= 1")
     return HeatReport(*cells, method=method, regime=regime, validity_warnings=tuple(warnings))
 
 
-def _marginal(p: CircuitParams, b: BathPair, method: Method) -> bool:
-    """Whether the method is LowTempAsymptotic at omega_th >= min |lambda_pm|."""
-    return method is Method.LOW_TEMP_ASYMPTOTIC and min(
+def _warning_flags(
+    p: CircuitParams, b: BathPair, method: Method, tag: RegimeTag
+) -> tuple[bool, bool]:
+    """Which validity warnings the method's report at (p, b) carries, given the
+    regime tag: outside the overdamped regime, and the LowTempAsymptotic
+    expansion marginal (omega_th >= min |lambda_pm|).  A sweep row counts them."""
+    marginal = method is Method.LOW_TEMP_ASYMPTOTIC and min(
         abs(p.scales.lambda_plus), abs(p.scales.lambda_minus)
     ) <= b.thermal_frequency(p.hbar)
-
-
-def _warning_count(p: CircuitParams, b: BathPair, method: Method, tag: RegimeTag) -> int:
-    """len(assemble_report(p, b, method).validity_warnings), from the regime tag."""
-    return (tag is RegimeTag.OUTSIDE_OVERDAMPED) + _marginal(p, b, method)
+    return tag is RegimeTag.OUTSIDE_OVERDAMPED, marginal
 
 
 # the transfer mode of the residue sum that a method's quantum column needs

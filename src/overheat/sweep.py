@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .closedform import Method, _columns, _warning_count
+from .closedform import Method, _columns, _warning_flags
 from .model import BathPair, CircuitParams, _regime_tag
 
 SWEEP_VARIABLES = ("gamma_over_omega_d", "T1", "T2")
@@ -275,7 +275,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 warnings += 1
             else:
                 cells += triple
-                warnings += _warning_count(p, b, method, tag)
+                warnings += sum(_warning_flags(p, b, method, tag))
         rows.append(SweepRow(
             spec.sweep_variable, x, b.T1, b.T2, spec.methods, tuple(cells), tag.value, warnings
         ))
