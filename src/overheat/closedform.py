@@ -48,8 +48,6 @@ class Method(Enum):
     LOW_TEMP_ASYMPTOTIC = "LowTempAsymptotic"
     HIGH_TEMP_ASYMPTOTIC = "HighTempAsymptotic"
 
-    __hash__ = object.__hash__  # as `TransferMode.__hash__`
-
 
 @dataclass(frozen=True)
 class HeatReport:

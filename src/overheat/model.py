@@ -66,11 +66,6 @@ class CircuitParams:
     hbar: float = 1.0
     kb: float = 1.0
 
-    def __hash__(self) -> int:
-        # the generated hash of the fields, formed once: every lookup of the
-        # circuit's cached record (`quadrature._circuit_solve`) hashes it
-        return self._hash
-
     def __post_init__(self):
         for name in ("R", "L", "C", "omega_c", "hbar", "kb"):
             value = getattr(self, name)
@@ -100,8 +95,6 @@ class CircuitParams:
             lambda_plus=-self.omega_c * omega_plus / (self.omega_c + omega_plus),
             lambda_minus=-self.omega_c * omega_minus / (self.omega_c + omega_minus),
         ))
-        fields = (self.R, self.L, self.C, self.M, self.omega_c, self.hbar, self.kb)
-        object.__setattr__(self, "_hash", hash(fields))
 
 
 @dataclass(frozen=True)

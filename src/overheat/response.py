@@ -33,10 +33,6 @@ class TransferMode(Enum):
     EXACT_CUBIC = "ExactCubic"
     OVERDAMPED_LINEAR = "OverdampedLinear"
 
-    # members are singletons equal only to themselves; Enum's own hash, of the
-    # name, runs Python code on every lookup of a cached record
-    __hash__ = object.__hash__
-
 
 def mode_polynomials(
     p: CircuitParams, mode: TransferMode
