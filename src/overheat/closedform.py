@@ -185,28 +185,28 @@ def _columns(points: list[tuple[CircuitParams, BathPair]], methods) -> list[list
     `_quantum_integrals` call, which gives each the bits of its own
     `quantum_integral`; where that sum fails, its error is the method's.
     """
-    summed = [m for m in methods if m in _RESIDUE_MODE]
-    sums = _quantum_integrals(points, [_RESIDUE_MODE[m] for m in summed])
+    modes = [_RESIDUE_MODE.get(method) for method in methods]
+    sums = _quantum_integrals(points, [mode for mode in modes if mode])
     columns = []
     for (p, b), values in zip(points, sums):
-        quantum = dict(zip(summed, values))
+        quantum = iter(values)
         row: list = []
-        for method in methods:
+        for method, mode in zip(methods, modes):
             try:
-                row.append(_cells(p, b, method, quantum.get(method)))
+                row.append(_cells(p, b, method, mode, next(quantum) if mode else None))
             except ArithmeticError as error:
                 row.append(error)
         columns.append(row)
     return columns
 
 
-def _cells(p: CircuitParams, b: BathPair, method: Method, quantum) -> tuple:
-    """A method's three columns at (p, b), given its residue sum (or that sum's
-    error, or None for the asymptotic methods)."""
+def _cells(p: CircuitParams, b: BathPair, method: Method, mode, quantum) -> tuple:
+    """A method's three columns at (p, b), given the mode of its residue sum
+    and that sum (or its error), or None for both for the asymptotic methods."""
     if isinstance(quantum, ArithmeticError):
         raise quantum
     # the classical column reads the record of the method's residue sum, the linear one if none
-    qc = heat_classical(p, b, _RESIDUE_MODE.get(method, TransferMode.OVERDAMPED_LINEAR))
+    qc = heat_classical(p, b, mode or TransferMode.OVERDAMPED_LINEAR)
     if method is Method.LOW_TEMP_ASYMPTOTIC:
         qt = heat_low_temp(p, b)
         return qc, qt - qc, qt

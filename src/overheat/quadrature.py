@@ -674,6 +674,8 @@ def _quantum_integrals(points: list[tuple[CircuitParams, BathPair]], modes) -> l
     summed on their own by `math.fsum`, as in `quantum_integral`, so a value
     does not depend on the batch around it.
     """
+    if not modes:
+        return [[] for _ in points]
     out: list[list] = []
     pending = []  # (values, slot, hbar K, node count) of every sum that the kernel gives
     rates, totals, s, weight = [], [], [], []  # per point: (c2, c1, ln(c2/c1)), node count
