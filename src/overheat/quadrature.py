@@ -22,19 +22,22 @@ digammas at the left-half-plane poles of f12 (see `quantum_integral`).  The
 total current itself, `heat_exact`, is the quadrature that checks both: it
 applies QUADPACK's 21-point Gauss-Kronrod rule (qk21) with its error
 estimate, evaluated in numpy on the nodes of all intervals at once.  As in
-QUADPACK's qagp, it starts from the integrand's known breakpoints: a log
-grid of ~3 panels per decade, the moduli and resonance flanks of the poles
-of f12 (stored by the cached circuit solve) and the thermal frequency, so
-most calls meet the tolerance in that first round.  The whole integral
-has one error budget: intervals above their share of it are subdivided,
-all in one batch per round, up to `MAX_SUBDIVISIONS` intervals in total.
-The total is truncated where the Bose factors are exponentially dead and
-the truncation bound is folded into the error estimate; the total must
-meet the relative tolerance `REL_TOL`, or `heat_exact` raises
-`ToleranceNotMetError`.  No tolerance is absolute: the integrand has one
-sign, so |total| sets the scale in any units.  Nothing here needs scipy;
-the tests keep the scipy panel quadrature as a reference.  `transfer_f12`
-and all three integrals read one cached record per circuit, `_circuit_solve`.
+QUADPACK's qagp, it starts from the integrand's known breakpoints: a fixed
+log grid of 3 panels per decade and the moduli and resonance flanks of the
+poles of f12 (stored by the cached circuit solve), so most calls meet the
+tolerance in that first round.  None of these depends on the temperatures,
+so f12 at the first round's nodes is held per circuit (`_panel_grid`), and
+a further temperature on the same circuit evaluates only the Bose factors
+there.  The whole integral has one error budget: intervals above their
+share of it are subdivided, all in one batch per round, up to
+`MAX_SUBDIVISIONS` intervals in total.  The total is truncated where the
+Bose factors are exponentially dead and the truncation bound is folded
+into the error estimate; the total must meet the relative tolerance
+`REL_TOL`, or `heat_exact` raises `ToleranceNotMetError`.  No tolerance is
+absolute: the integrand has one sign, so |total| sets the scale in any
+units.  Nothing here needs scipy; the tests keep the scipy panel quadrature
+as a reference.  `transfer_f12` and all three integrals read one cached
+record per circuit, `_circuit_solve`.
 """
 
 from __future__ import annotations
@@ -78,19 +81,6 @@ class ToleranceNotMetError(RuntimeError):
         self.target = target
 
 
-def _panel_edges(inner_lo: float, inner_hi: float, breaks=()) -> list[float]:
-    """Log-graded breakpoints [0, inner_lo, ..., inner_hi], ~3 per decade,
-    merged in order with `breaks`, which must lie inside (inner_lo, inner_hi);
-    a value that occurs twice is kept once."""
-    decades = math.log10(inner_hi / inner_lo)
-    n = int(math.ceil(3.0 * decades)) + 1
-    ratio = (inner_hi / inner_lo) ** (1.0 / (n - 1))
-    inner = [inner_lo * ratio**k for k in range(1, n - 1)]
-    inner += breaks
-    inner.sort()  # a merge: the grid and sorted breaks are sorted runs
-    return [0.0, inner_lo, *dict.fromkeys(inner), inner_hi]
-
-
 # QUADPACK's qk21 rule on [-1, 1]: the 21 Kronrod nodes (the 10 Gauss nodes
 # and 11 more), the Kronrod weights, and the Gauss weights, which are zero at
 # the nodes the Gauss rule does not use.
@@ -127,46 +117,46 @@ _PIECES = 4
 _PIECE_EDGES = np.linspace(0.0, 1.0, _PIECES + 1)
 
 
-def _qk21(integrand, a: np.ndarray, b: np.ndarray, *points: float):
-    """qk21 on every interval (a[i], b[i]) from one call of the integrand,
-    which also takes the extra `points`.
-
-    Returns the Kronrod values, QUADPACK's error estimates, their rounding
-    floors 50 eps Int |f|, below which subdivision gains nothing, and the
-    integrand at the `points`.  The integrand must have one sign, so that
-    Int |f| is |Kronrod value|, and the caller must ignore division by zero
-    and invalid values (see `heat_exact`).
-    """
+def _kronrod_nodes(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The half-widths of the intervals (a[i], b[i]) and their 21 qk21 nodes, one row each."""
     half = 0.5 * (b - a)
-    nodes = (a + half)[:, None] + half[:, None] * _NODES
-    f = integrand(np.concatenate((nodes.ravel(), points)))
-    f, at_points = f[: nodes.size].reshape(nodes.shape), f[nodes.size :]
+    return half, (a + half)[:, None] + half[:, None] * _NODES
+
+
+def _qk21_sums(f: np.ndarray, half: np.ndarray):
+    """qk21 on every interval from f, the integrand at its nodes (one row per
+    interval), and its half-width.
+
+    Returns the Kronrod values, QUADPACK's error estimates and their rounding
+    floors 50 eps Int |f|, below which subdivision gains nothing.  The
+    integrand must have one sign, so that Int |f| is |Kronrod value|, and the
+    caller must ignore division by zero and invalid values (see `heat_exact`).
+    """
     kronrod, gauss = np.dot(f, _WEIGHTS).T
     error = np.abs(kronrod - gauss) * half
     resasc = np.dot(np.abs(f - 0.5 * kronrod[:, None]), _KRONROD) * half
     floor = (50.0 * _EPS) * np.abs(kronrod) * half
     # resasc == 0 means f is equal at all nodes: scaled is 0 or nan, fmax keeps the floor
     scaled = resasc * np.minimum(1.0, 200.0 * error / resasc) ** 1.5
-    return kronrod * half, np.fmax(scaled, floor), floor, at_points
+    return kronrod * half, np.fmax(scaled, floor), floor
 
 
-def _integrate_panels(integrand, edges: list[float]) -> tuple[float, float, float]:
-    """Integral over [edges[0], edges[-1]] and its error estimate, as QUADPACK's
-    qagp, and the integrand at edges[-1], taken in the first round's call.
+def _integrate_panels(
+    integrand, a: np.ndarray, b: np.ndarray, f: np.ndarray
+) -> tuple[float, float]:
+    """Integral over the intervals (a[i], b[i]) and its error estimate, as
+    QUADPACK's qagp, from f, the integrand at their qk21 nodes, one row each.
 
-    The panels between consecutive edges are only the starting intervals:
-    the whole integral has one relative error budget, tol = 0.05 REL_TOL |total|,
-    which |total| sets because the integrand has one sign.  While the summed
-    error exceeds tol, every interval whose error exceeds both its share
-    tol/(number of intervals) and its rounding floor is cut, and all new
-    pieces are evaluated in one batch.  The loop stops when that cut would
-    take the interval count past `MAX_SUBDIVISIONS`, or when every
-    interval is at its floor, so the work is bounded whether or not the
-    tolerance is met.
+    The intervals are only the starting ones: the whole integral has one
+    relative error budget, tol = 0.05 REL_TOL |total|, which |total| sets
+    because the integrand has one sign.  While the summed error exceeds tol,
+    every interval whose error exceeds both its share tol/(number of
+    intervals) and its rounding floor is cut, and all new pieces go through
+    one call of `integrand`.  The loop stops when that cut would take the
+    interval count past `MAX_SUBDIVISIONS`, or when every interval is at its
+    floor, so the work is bounded whether or not the tolerance is met.
     """
-    edges = np.array(edges)
-    a, b = edges[:-1], edges[1:]
-    value, error, floor, (at_end,) = _qk21(integrand, a, b, edges[-1])
+    value, error, floor = _qk21_sums(f, 0.5 * (b - a))
     while True:
         try:
             total, estimate = math.fsum(value.tolist()), math.fsum(error.tolist())
@@ -177,16 +167,151 @@ def _integrate_panels(integrand, edges: list[float]) -> tuple[float, float, floa
         n_split = np.count_nonzero(split)
         grown = len(a) + (_PIECES - 1) * n_split
         if estimate <= tol or not n_split or grown > MAX_SUBDIVISIONS:
-            return total, estimate, at_end
+            return total, estimate
         keep = ~split
         cuts = a[split, None] + (b[split] - a[split])[:, None] * _PIECE_EDGES
         lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
-        new_value, new_error, new_floor, _ = _qk21(integrand, lo, hi)
+        half, nodes = _kronrod_nodes(lo, hi)
+        f = integrand(nodes.ravel()).reshape(nodes.shape)
+        new_value, new_error, new_floor = _qk21_sums(f, half)
         a = np.concatenate([a[keep], lo])
         b = np.concatenate([b[keep], hi])
         value = np.concatenate([value[keep], new_value])
         error = np.concatenate([error[keep], new_error])
         floor = np.concatenate([floor[keep], new_floor])
+
+
+# `heat_exact` starts its panels at the grid points omega_k = 10^(k/_STEPS),
+# merged with the circuit's breaks; none of them depends on the temperatures.
+_STEPS = 3
+# The largest finite grid point is 10^(924/3) = 1e308; k stays within +/- this.
+_TOP_STEP = 924
+# A held grid that must grow takes this many grid points more than the call
+# needs on the side that grows, so that a temperature scan grows it seldom.
+_GRID_MARGIN = 6
+# (circuit, mode) pairs whose panel grids `heat_exact` keeps: a temperature
+# scan reuses one.  A grid holds ~20 KB over a scan from T1 = 1e-2 to 1e2, and
+# at most ~1.3 MB over the whole finite grid, from 1e-308 to 1e308.
+_GRID_CACHE_SIZE = 4
+
+
+def _grid_point(k: int) -> float:
+    return 10.0 ** (k / _STEPS)
+
+
+def _grid_step(omega: float, rounding) -> int:
+    """The k of the grid point at omega, rounded by `rounding` (math.floor or math.ceil)."""
+    return max(-_TOP_STEP, min(_TOP_STEP, rounding(_STEPS * math.log10(omega))))
+
+
+@dataclass(frozen=True)
+class _HeldPanels:
+    """The panels of the grid points omega_lo .. omega_hi and f12 at their nodes.
+
+    `edges` are the grid points merged with the circuit's breaks between
+    them, and omega_k is edges[at[k - lo]]; `nodes` and `f12` hold the 21
+    qk21 nodes of every panel between consecutive edges and f12 there, and
+    `edge_f12` holds f12 at the edges.  `zero_nodes` and `zero_f12` hold the
+    same for the first panel [0, omega_k] of each k from lo on that a call
+    can start at (see `_PanelGrid`).
+    """
+
+    lo: int
+    hi: int
+    edges: np.ndarray
+    at: np.ndarray
+    nodes: np.ndarray
+    f12: np.ndarray
+    edge_f12: np.ndarray
+    zero_nodes: np.ndarray
+    zero_f12: np.ndarray
+
+
+class _PanelGrid:
+    """What `heat_exact`'s first round needs of f12 on one (circuit, mode).
+
+    A call runs over the grid from omega_ka to omega_kb, after a first panel
+    [0, omega_ka], and k_a is at most the step of |lambda_plus|/100 rounded
+    down, `zero_top`: only those first panels are held.  A call that reaches
+    past the held steps grows them by the new panels, and a margin, in one
+    call of f12 on what is new.  A panel's nodes and f12 there depend only on
+    its edges, so every value a call reads is the one a fresh grid would give.
+    The held panels are swapped as one record, so a concurrent call reads
+    either the old ones or the new ones.
+    """
+
+    def __init__(self, p: CircuitParams, mode: TransferMode):
+        self.p, self.mode = p, mode
+        self.breaks = _circuit_solve(p, mode).breaks
+        self.zero_top = _grid_step(abs(p.scales.lambda_plus) / 100.0, math.floor)
+        self.held: _HeldPanels | None = None
+
+    def first_round(self, k_a: int, k_b: int):
+        """The intervals [0, omega_ka] and the panels on to omega_kb, as the
+        arrays of their ends a and b, and the nodes, row after row with
+        omega_kb last, and f12 there."""
+        held = self.held
+        if held is None or k_a < held.lo or k_b > held.hi:
+            held = self.held = self._grown(held, k_a, k_b)
+        i, j, z = held.at[k_a - held.lo], held.at[k_b - held.lo], k_a - held.lo
+        a = np.concatenate(((0.0,), held.edges[i:j]))
+        w = np.concatenate((held.zero_nodes[z], held.nodes[i:j].ravel(), held.edges[j : j + 1]))
+        f12 = np.concatenate((held.zero_f12[z], held.f12[i:j].ravel(), held.edge_f12[j : j + 1]))
+        return a, held.edges[i : j + 1], w, f12
+
+    def _grown(self, held: _HeldPanels | None, k_a: int, k_b: int) -> _HeldPanels:
+        """The held panels grown to take in the steps k_a .. k_b, with f12
+        evaluated in one call on what is new only."""
+        lo = held.lo if held and k_a >= held.lo else max(k_a - _GRID_MARGIN, -_TOP_STEP)
+        hi = held.hi if held and k_b <= held.hi else min(k_b + _GRID_MARGIN, _TOP_STEP)
+        points = [_grid_point(k) for k in range(lo, hi + 1)]
+        inside = self.breaks[bisect.bisect_right(self.breaks, points[0]) :
+                             bisect.bisect_left(self.breaks, points[-1])]
+        edges = np.array(sorted({*points, *inside}))
+        at = np.searchsorted(edges, points)
+        # f12 is wanted at the nodes of every panel, at every edge, and at the
+        # nodes of the first panels [0, omega_k] for k up to `zero_top`
+        zeros = np.array(points[: min(hi, self.zero_top) - lo + 1])
+        wanted = (_kronrod_nodes(edges[:-1], edges[1:])[1], edges, _kronrod_nodes(0.0, zeros)[1])
+        new = [np.ones(len(x), bool) for x in wanted]
+        kept = [x[:0] for x in wanted]
+        if held:  # the held panels are one run of the new ones
+            i, j, z = at[held.lo - lo], at[held.hi - lo], held.lo - lo
+            runs = (slice(i, j), slice(i, j + 1), slice(z, z + len(held.zero_f12)))
+            for mask, run in zip(new, runs):
+                mask[run] = False
+            kept = [held.f12, held.edge_f12, held.zero_f12]
+        w = np.concatenate([x[mask].ravel() for x, mask in zip(wanted, new)])
+        f12, start = transfer_f12(w, self.p, self.mode), 0
+        values = []
+        for x, mask, old in zip(wanted, new, kept):
+            v = np.empty(x.shape)
+            v[~mask] = old
+            part = f12[start : start + x[mask].size]
+            v[mask] = part.reshape(-1, *x.shape[1:])
+            start += part.size
+            values.append(v)
+        nodes, zero_nodes = wanted[0], wanted[2]
+        for x in (edges, at, nodes, zero_nodes, *values):
+            x.flags.writeable = False  # every caller shares the grid
+        return _HeldPanels(lo, hi, edges, at, nodes, values[0], values[1], zero_nodes, values[2])
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _panel_grid(p: CircuitParams, mode: TransferMode) -> _PanelGrid:
+    """The panel grid of (p, mode), cached in each process for the last `_GRID_CACHE_SIZE` pairs."""
+    return _PanelGrid(p, mode)
+
+
+def _thermal_weight(w: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """w (n(lo w) - n(hi w)) with n(x) = 1/expm1(x), the factor of f12 in
+    `heat_exact`'s integrand, for lo <= hi the two beta_j hbar.
+
+    The difference is formed as w expm1((lo - hi) w)/(expm1(lo w) expm1(-hi w)),
+    so nothing cancels as T1 -> T2.  w > 0 at every node, so no denominator
+    vanishes; where expm1(lo w) overflows to inf the weight is 0.
+    """
+    return w * np.expm1((lo - hi) * w) / (np.expm1(lo * w) * np.expm1(-hi * w))
 
 
 def heat_exact(
@@ -199,52 +324,52 @@ def heat_exact(
     Valid for any parameters, overdamped or not; this is the reference
     against which the closed forms are checked.  The integrand is summed by
     batched qk21 from 0 to the cut, every node of a round in one numpy array
-    and one call of f12 (see `_integrate_panels`).  The starting panels are
-    log-graded, ~3 per decade, with breakpoints added at f12's own scales,
+    (see `_integrate_panels`).  The starting panels do not depend on the
+    temperatures: a log grid of ~3 per decade, merged with f12's own scales,
     which `_circuit_solve` reads off the poles (their moduli and graded
-    resonance flanks), and at omega_th {1/3, 1, 3}, so that nearly every call
-    meets the tolerance in the first round; the intervals are subdivided
-    adaptively, up to `MAX_SUBDIVISIONS` of them in all.  Returns 0.0 exactly
-    at equilibrium (T1 == T2) and for decoupled loops (M == 0).  Raises
+    resonance flanks), so that nearly every call meets the tolerance in the
+    first round.  A call takes the run of this grid from min(|lambda_plus|,
+    omega_th)/100 rounded down to the cut rounded up, after a first panel
+    from 0.  f12 at the nodes of those panels is held per circuit (see
+    `_PanelGrid`), so a call inside the held range evaluates only the Bose
+    factors in its first round, and later rounds evaluate f12 on their new
+    pieces; the intervals are subdivided adaptively, up to
+    `MAX_SUBDIVISIONS` of them in all.  Returns 0.0 exactly at equilibrium
+    (T1 == T2) and for decoupled loops (M == 0).  Raises
     `ToleranceNotMetError` (carrying the best estimate) when the summed
     interval errors plus the truncation bound, from the integrand at the cut,
-    which the first round evaluates with its nodes, exceed REL_TOL * |value|.
-    hbar multiplies the integral once, so at the same beta_j hbar the result
-    in units (hbar, k_b) is hbar times the natural-unit one, bit for bit.
+    exceed REL_TOL * |value|.  hbar multiplies the integral once, so at the
+    same beta_j hbar the result in units (hbar, k_b) is hbar times the
+    natural-unit one, bit for bit.
     """
     if b.T1 == b.T2 or p.M == 0.0:
         return 0.0
 
-    solve = _circuit_solve(p, mode)
     omega_th = b.thermal_frequency(p.hbar)
     inner_lo = min(abs(p.scales.lambda_plus), omega_th) / 100.0
     # cut/inner_lo <= 1e300 stays finite; a float cap overflows to inf, not a numpy warning
     cap = 1e300 * float(inner_lo)
     cut = min(TAIL_CUT_MULTIPLIER * max(omega_th, abs(p.scales.lambda_minus)), cap)
-    # the record's breaks are sorted: the ones inside (inner_lo, cut) are a slice
-    inside = solve.breaks[bisect.bisect_right(solve.breaks, inner_lo) :
-                          bisect.bisect_left(solve.breaks, cut)]
-    thermal = (omega_th / 3.0, omega_th, 3.0 * omega_th)
-    breaks = [*inside, *(w for w in thermal if inner_lo < w < cut)]
-    # n1 - n2 = -/+ e^y expm1(-(hi - lo) w)/(expm1(y) expm1(-hi w)), y = -lo w and
-    # lo <= hi the two beta_j hbar: the integrand leaves out the minus, and `sign`
-    # applies it and the sign of T1 - T2 to the total; nothing cancels as T1 -> T2
-    sign = -1.0 if b.T1 > b.T2 else 1.0
+    k_a, k_b = _grid_step(inner_lo, math.floor), _grid_step(cut, math.ceil)
+    if _grid_point(k_b) > cap:
+        k_b -= 1
+    a, ends, w, f12 = _panel_grid(p, mode).first_round(k_a, k_b)
+    # the weight is n1 - n2 for T1 > T2 and n2 - n1 otherwise, so `sign` is that of T1 - T2
+    sign = 1.0 if b.T1 > b.T2 else -1.0
     lo, hi = sorted((b.beta1 * p.hbar, b.beta2 * p.hbar))
 
     def integrand(w: np.ndarray) -> np.ndarray:
-        # w > 0 at every node: no denominator vanishes, and w/expm1(y) ~ -1/lo stays finite
-        y = -lo * w
-        thermal = np.exp(y) * np.expm1((lo - hi) * w) / np.expm1(-hi * w)
-        return (w / np.expm1(y)) * transfer_f12(w, p, mode) * thermal
+        return _thermal_weight(w, lo, hi) * transfer_f12(w, p, mode)
 
     # qk21 divides by resasc, which is 0 on an interval where f is constant
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value, estimate, at_cut = _integrate_panels(integrand, _panel_edges(inner_lo, cut, breaks))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        f = _thermal_weight(w, lo, hi) * f12
+        value, estimate = _integrate_panels(integrand, a, ends, f[:-1].reshape(-1, len(_NODES)))
     # beyond the cut w f12 decreases, and n1 - n2 = Int_lo^hi -w n'(t w) dt, with
     # -n'(x) = 1/(4 sinh^2(x/2)), falls faster than (w/cut) e^-lo(w - cut) times its
     # value at the cut: the discarded tail is under |integrand(cut)| (1 + 1/(lo cut))/lo
-    tail_bound = abs(at_cut) * (1.0 + 1.0 / (lo * cut)) / lo
+    cut = ends[-1]
+    tail_bound = abs(f[-1]) * (1.0 + 1.0 / (lo * cut)) / lo
     value, estimate = sign * p.hbar * value, p.hbar * (estimate + tail_bound)
     target = REL_TOL * abs(value)
     if estimate > target:
@@ -624,9 +749,10 @@ def quantum_integral(
     u = (s + omega_c)(RC s^2 + omega_pm) + omega_c s, (s + omega_c) u(-s) is
     -2 omega_c^2 s, so no weight forms s + omega_c, which cancels at the root
     near -omega_c as M -> L, nor a cubic u(-s), which cancels at a lightly
-    damped pair of roots of u (M -> L again).  Roots closer together than a fraction of their distance from the axis (a repeated
-    root, or the roots of u_plus and u_minus at small M/L) are summed as one
-    trapezoidal contour integral around their cluster.
+    damped pair of roots of u (M -> L again).  Roots closer together than a
+    fraction of their distance from the axis (a repeated root, or the roots
+    of u_plus and u_minus at small M/L) are summed as one trapezoidal contour
+    integral around their cluster.
 
     Negative for T1 > T2: it is the low-temperature correction that cancels
     part of the classical current.  Satisfies heat_exact = k_b (T1 - T2) *

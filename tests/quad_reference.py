@@ -1,7 +1,8 @@
 """The scipy panel quadrature that the package used before, kept as a test oracle.
 
 `_integrate_panels`, `_f12_edges` and `_f12_integral` are the scalar
-`scipy.integrate.quad` loop over the package's log-graded panels, and
+`scipy.integrate.quad` loop over log-graded panels (`_panel_edges`, the grid
+the package used before its panels became temperature-independent), and
 `reference_heat_exact` is `heat_exact` on top of it.  They are independent of
 the batched Gauss-Kronrod quadrature in `overheat.quadrature` and of the exact
 classical and residue routes, apart from the shared `transfer_f12`.
@@ -20,10 +21,17 @@ from overheat.quadrature import (
     MAX_SUBDIVISIONS,
     TAIL_CUT_MULTIPLIER,
     ToleranceNotMetError,
-    _panel_edges,
     transfer_f12,
 )
 from overheat.response import TransferMode
+
+
+def _panel_edges(inner_lo: float, inner_hi: float) -> list[float]:
+    """Log-graded breakpoints [0, inner_lo, ..., inner_hi], ~3 per decade."""
+    decades = math.log10(inner_hi / inner_lo)
+    n = int(math.ceil(3.0 * decades)) + 1
+    ratio = (inner_hi / inner_lo) ** (1.0 / (n - 1))
+    return [0.0, inner_lo, *(inner_lo * ratio**k for k in range(1, n - 1)), inner_hi]
 
 
 def _bose(x: float) -> float:

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -36,6 +38,12 @@ from response_reference import heat_quantum_blocks
 
 LINEAR = TransferMode.OVERDAMPED_LINEAR
 CUBIC = TransferMode.EXACT_CUBIC
+# Bytes a held panel grid of one (circuit, mode) with |lambda_plus| < 100 can
+# reach: all of the finite grid, 10^(k/3) for |k| <= 924, with f12 at every
+# node (~0.98e6 bytes; the first panels [0, omega_k], held up to
+# |lambda_plus|/100, add up to ~0.31e6 more at the largest rates).  The grid
+# at T1 in {1e-250, 1e250} on the reference circuit holds 810424.
+GRID_BYTES_WORST = 2**20
 
 
 def overdamped_draw(rng, gamma_exponent=(2.0, 8.0)):
@@ -303,18 +311,20 @@ class TestHeatExact:
 
     def test_subdivision_cap_counts_every_interval(self, monkeypatch):
         # MAX_SUBDIVISIONS caps the intervals of the whole integral, not of
-        # each panel: the first array of qk21 nodes holds the starting panels
-        # and the cut, for the tail bound, and each later one the quarters of
-        # the intervals cut in that round, every cut adding three intervals
+        # each panel: the first array of qk21 nodes that the Bose weight sees
+        # holds the starting panels and the cut, for the tail bound, and each
+        # later one the quarters of the intervals cut in that round, every cut
+        # adding three intervals
         p = CircuitParams(R=2.0, L=2.0, C=1.0 / 2e3, M=1.98, omega_c=0.3)
         b = BathPair.from_temperatures(50.0, 10.0)
         sizes = []
+        thermal_weight = quadrature._thermal_weight
 
-        def counting_f12(w, *args):
+        def counting_weight(w, *args):
             sizes.append(np.size(w))
-            return transfer_f12(w, *args)
+            return thermal_weight(w, *args)
 
-        monkeypatch.setattr(quadrature, "transfer_f12", counting_f12)
+        monkeypatch.setattr(quadrature, "_thermal_weight", counting_weight)
         monkeypatch.setattr(quadrature, "REL_TOL", 1e-15)
         # an uncapped run counts the starting panels and the cuts of the first
         # round, a quarter of the second array's intervals; the cap then leaves
@@ -333,13 +343,14 @@ class TestHeatExact:
         assert intervals <= cap
 
     def test_first_round_usually_suffices(self, monkeypatch):
-        # panels that start at f12's poles, their graded resonance flanks and
-        # the thermal frequency meet the tolerance in the first qk21 round for
-        # nearly every temperature-scan point (1.02 rounds per call here;
-        # 1.27 with flanks out to 2 |Re s| only, 2.05 from a plain log grid of
-        # 2 panels per decade), and the result still matches the exact split
-        # (largest miss 1.5e-11)
-        rounds = counting(monkeypatch, quadrature, "_qk21")
+        # panels that start at f12's poles and their graded resonance flanks
+        # meet the tolerance in the first qk21 round for nearly every
+        # temperature-scan point (1.035 rounds per call here; 1.02 with breaks
+        # at omega_th {1/3, 1, 3} as well, 1.27 with flanks out to 2 |Re s|
+        # only, 2.05 from a plain log grid of 2 panels per decade), and the
+        # result still matches the exact split (largest miss 8.7e-12); every
+        # round weighs its nodes by the Bose factors once
+        rounds = counting(monkeypatch, quadrature, "_thermal_weight")
         rng = np.random.default_rng(151)
         calls = 0
         for _ in range(40):
@@ -365,32 +376,112 @@ class TestHeatExact:
             omega_c=9.744157516425929,
         )
         b = BathPair.from_temperatures(100.0, 78.81952821899625)
-        rounds = counting(monkeypatch, quadrature, "_qk21")
+        rounds = counting(monkeypatch, quadrature, "_thermal_weight")
         assert split_error(p, b, CUBIC) <= 1e-9
         assert len(rounds) == 1
 
     @pytest.mark.parametrize("gamma_over_omega_d, m_over_l", [(1e4, 0.5), (1e3, 0.99)])
-    def test_one_f12_call_per_round(self, gamma_over_omega_d, m_over_l, monkeypatch):
-        # the tail bound reads the integrand at the cut from the first round's
-        # array, so no round and no bound calls f12 on its own (the sharp
-        # resonance at 1e3, 0.99 takes several rounds)
+    def test_one_f12_call_per_round(self, gamma_over_omega_d, m_over_l, monkeypatch, fresh_solve):
+        # the tail bound reads f12 at the cut from the grid's one call, which
+        # stands in for the first round's, so no round and no bound calls f12
+        # on its own; on the held grid only the later rounds call it (the
+        # sharp resonance at 1e3, 0.99 takes several rounds)
         p = CircuitParams(
             R=2.0, L=2.0, C=1.0 / (2.0 * gamma_over_omega_d), M=2.0 * m_over_l, omega_c=0.3
         )
-        rounds = counting(monkeypatch, quadrature, "_qk21")
+        b = BathPair.from_temperatures(50.0, 10.0)
+        rounds = counting(monkeypatch, quadrature, "_thermal_weight")
         f12 = counting(monkeypatch, quadrature, "transfer_f12")
-        heat_exact(p, BathPair.from_temperatures(50.0, 10.0), CUBIC)
+        heat_exact(p, b, CUBIC)
         assert len(f12) == len(rounds) >= 1
+        rounds.clear()
+        f12.clear()
+        heat_exact(p, b, CUBIC)
+        assert len(f12) == len(rounds) - 1
+
+    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+    def test_held_grid_serves_a_second_temperature(self, circuit, mode, monkeypatch, fresh_solve):
+        # the grid held after the call at T1 = 2 reaches the cut at T1 = 3, and
+        # f12 at every node of the first round is held with it
+        heat_exact(circuit, BathPair.from_temperatures(2.0, 1.0), mode)
+        rounds = counting(monkeypatch, quadrature, "_thermal_weight")
+        f12 = counting(monkeypatch, quadrature, "transfer_f12")
+        heat_exact(circuit, BathPair.from_temperatures(3.0, 1.0), mode)
+        assert len(rounds) == 1 and f12 == []
+
+    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+    def test_value_does_not_depend_on_earlier_temperatures(self, circuit, baths, mode):
+        # the held grid grows down to T1 = 1e-3 and up to 1e3: the panels a
+        # call reads, and f12 at their nodes, are the ones an empty cache gives
+        clear_caches()
+        fresh = heat_exact(circuit, baths, mode).hex()
+        clear_caches()
+        for T1 in (1e-3, 1e3, 1e-2, 30.0):
+            heat_exact(circuit, BathPair.from_temperatures(T1, 0.5 * T1), mode)
+            assert heat_exact(circuit, baths, mode).hex() == fresh
+
+    def test_threads_sharing_a_grid_read_fresh_values(self, circuit, fresh_solve):
+        # four threads scan one circuit in different orders, 2.5 decades apart,
+        # so that nearly every call grows the grid under the others: every
+        # value is the one an empty cache gives
+        temperatures = [10.0 ** (2.5 * k) for k in range(-12, 13)]
+        expected = {}
+        for T1 in temperatures:
+            clear_caches()
+            expected[T1] = heat_exact(circuit, BathPair.from_temperatures(T1, 0.5 * T1))
+        orders = [temperatures, temperatures[::-1], temperatures[::2], temperatures[1::2]]
+        got = []
+
+        def scan(order):
+            for T1 in order:
+                got.append((T1, heat_exact(circuit, BathPair.from_temperatures(T1, 0.5 * T1))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                clear_caches()
+                threads = [threading.Thread(target=scan, args=(order,)) for order in orders]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 5 * sum(map(len, orders))
+        assert all(value == expected[T1] for T1, value in got)
+
+    def test_held_grids_stay_bounded_in_memory(self, fresh_solve):
+        # T1 = 1e-250 and 1e250 spread a grid over ~500 decades, the widest a
+        # test reaches; only the last _GRID_CACHE_SIZE (circuit, mode) pairs stay
+        circuits = [
+            CircuitParams(R=2.0, L=2.0, C=5e-5, M=0.01 + 0.02 * k, omega_c=5.0)
+            for k in range(quadrature._GRID_CACHE_SIZE + 4)
+        ]
+        heat_exact(circuits[0], BathPair.from_temperatures(2.0, 1.0))  # numpy's own first allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for p in circuits:
+                for T1 in (1e-250, 1e250):
+                    heat_exact(p, BathPair.from_temperatures(T1, 0.5 * T1))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert quadrature._panel_grid.cache_info().currsize == quadrature._GRID_CACHE_SIZE
+        assert retained < quadrature._GRID_CACHE_SIZE * GRID_BYTES_WORST
 
     @pytest.mark.parametrize("temperatures", [(2.0, 1.0), (1.0, 1.0 + 1e-6), (50.0, 10.0)])
     def test_tail_bound_covers_the_tail(self, circuit, temperatures, monkeypatch):
-        # a cut at 10 omega_th leaves a tail above the tolerance: the estimate
+        # a cut at ~10 omega_th leaves a tail above the tolerance: the estimate
         # must cover what the cut discards, and stay within a small factor of
         # it near equilibrium too, where a bound by the hotter bath's
-        # occupation alone read 7e4 times the discarded tail
+        # occupation alone read 7e4 times the discarded tail; the grid rounds
+        # 6 max(omega_th, |lambda_minus|) up to 10.8, 10 and 9.3 omega_th here
         b = BathPair.from_temperatures(*temperatures)
         full = heat_exact(circuit, b)
-        monkeypatch.setattr(quadrature, "TAIL_CUT_MULTIPLIER", 10.0)
+        monkeypatch.setattr(quadrature, "TAIL_CUT_MULTIPLIER", 6.0)
         with pytest.raises(ToleranceNotMetError) as excinfo:
             heat_exact(circuit, b)
         discarded = abs(excinfo.value.value - full)
@@ -432,8 +523,10 @@ class TestIntegratePanels:
         # the loop's budget is 0.05 REL_TOL |total|, the share heat_exact
         # leaves for the interval errors; a looser budget stops early
         f, (a, b), kinks = COARSE_PANEL_CASES[case]
+        lo, hi = np.array([a]), np.array([b])
         with np.errstate(divide="ignore", invalid="ignore"):
-            total, estimate, _ = quadrature._integrate_panels(f, [a, b])
+            first = f(quadrature._kronrod_nodes(lo, hi)[1])
+            total, estimate = quadrature._integrate_panels(f, lo, hi, first)
         assert estimate <= 0.05 * quadrature.REL_TOL * abs(total)
         with mpmath.workdps(30):
             exact = float(mpmath.quad(lambda x: f(float(x)), [a, *kinks, b]))
@@ -723,13 +816,19 @@ class TestQuantumIntegral:
             )
 
 
+def clear_caches():
+    """Empty the per-circuit records and the panel grids that `heat_exact` holds."""
+    quadrature._circuit_solve.cache_clear()
+    quadrature._panel_grid.cache_clear()
+
+
 @pytest.fixture
 def fresh_solve():
-    """Empty the per-circuit cache before and after the test, so that a test
+    """Empty the per-circuit caches before and after the test, so that a test
     which patches a part of the circuit solve neither reads nor leaves a record."""
-    quadrature._circuit_solve.cache_clear()
+    clear_caches()
     yield
-    quadrature._circuit_solve.cache_clear()
+    clear_caches()
 
 
 def finite_or_names_omega_c(call):
@@ -960,14 +1059,14 @@ class TestCircuitSolve:
                 f(p, b, mode) for b in baths for f in (quantum_integral, heat_exact)
             ]
 
-        quadrature._circuit_solve.cache_clear()
+        clear_caches()
         cached = values()
         fresh = []
         for b in baths:
             for f in (quantum_integral, heat_exact):
-                quadrature._circuit_solve.cache_clear()
+                clear_caches()
                 fresh.append(f(p, b, mode))
-        quadrature._circuit_solve.cache_clear()
+        clear_caches()
         fresh.insert(0, classical_integral(p, mode))
         assert [v.hex() for v in cached] == [v.hex() for v in fresh]
 
