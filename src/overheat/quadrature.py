@@ -186,8 +186,9 @@ def _integrate_panels(
 _STEPS = 3
 # The largest finite grid point is 10^(924/3) = 1e308; k stays within +/- this.
 _TOP_STEP = 924
-# A held grid that must grow takes this many grid points more than the call
-# needs on the side that grows, so that a temperature scan grows it seldom.
+# A grid that is built or grown takes this many grid points more than the call
+# needs on each side it extends: a 9-point scan from T1 = 1e-2 to 1e2 then
+# builds its grid once.
 _GRID_MARGIN = 6
 # (circuit, mode) pairs whose panel grids `heat_exact` keeps: a temperature
 # scan reuses one.  A grid holds ~20 KB over a scan from T1 = 1e-2 to 1e2, and
@@ -350,6 +351,7 @@ def heat_exact(
     # cut/inner_lo <= 1e300 stays finite; a float cap overflows to inf, not a numpy warning
     cap = 1e300 * float(inner_lo)
     cut = min(TAIL_CUT_MULTIPLIER * max(omega_th, abs(p.scales.lambda_minus)), cap)
+    # the grid's run from inner_lo rounded down to the cut rounded up, but not past the cap
     k_a, k_b = _grid_step(inner_lo, math.floor), _grid_step(cut, math.ceil)
     if _grid_point(k_b) > cap:
         k_b -= 1
@@ -368,7 +370,7 @@ def heat_exact(
     # beyond the cut w f12 decreases, and n1 - n2 = Int_lo^hi -w n'(t w) dt, with
     # -n'(x) = 1/(4 sinh^2(x/2)), falls faster than (w/cut) e^-lo(w - cut) times its
     # value at the cut: the discarded tail is under |integrand(cut)| (1 + 1/(lo cut))/lo
-    cut = ends[-1]
+    cut = ends[-1]  # omega_kb
     tail_bound = abs(f[-1]) * (1.0 + 1.0 / (lo * cut)) / lo
     value, estimate = sign * p.hbar * value, p.hbar * (estimate + tail_bound)
     target = REL_TOL * abs(value)
