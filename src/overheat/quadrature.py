@@ -308,11 +308,13 @@ def _thermal_weight(w: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """w (n(lo w) - n(hi w)) with n(x) = 1/expm1(x), the factor of f12 in
     `heat_exact`'s integrand, for lo <= hi the two beta_j hbar.
 
-    The difference is formed as w expm1((lo - hi) w)/(expm1(lo w) expm1(-hi w)),
-    so nothing cancels as T1 -> T2.  w > 0 at every node, so no denominator
-    vanishes; where expm1(lo w) overflows to inf the weight is 0.
+    The difference is formed as w/expm1(lo w) times expm1((lo - hi) w)/expm1(-hi w),
+    so nothing cancels as T1 -> T2, and no two small factors are multiplied:
+    with both baths hot, expm1(lo w) expm1(-hi w) underflowed to 0.  w > 0 at
+    every node, so no denominator vanishes; where expm1(lo w) overflows to inf
+    the weight is 0.
     """
-    return w * np.expm1((lo - hi) * w) / (np.expm1(lo * w) * np.expm1(-hi * w))
+    return (w / np.expm1(lo * w)) * (np.expm1((lo - hi) * w) / np.expm1(-hi * w))
 
 
 def heat_exact(

@@ -157,6 +157,19 @@ class TestHeatExact:
         assert math.isfinite(total)
         assert abs(total - split) <= 1e-9 * abs(total)
 
+    @pytest.mark.parametrize("T1", [1e200, 1e250])
+    def test_two_hot_baths_meet_the_split(self, circuit, T1):
+        # with both beta_j hbar small, expm1(beta1 hbar w) expm1(-beta2 hbar w)
+        # underflowed to 0 when formed as one product, and every node below
+        # w ~ 1e88 read inf or nan with no ToleranceNotMetError
+        b = BathPair.from_temperatures(T1, 0.5 * T1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total = heat_exact(circuit, b)
+        split = (b.T1 - b.T2) * classical_integral(circuit) + quantum_integral(circuit, b)
+        assert math.isfinite(total)
+        assert abs(total - split) <= 1e-9 * abs(total)
+
     @pytest.mark.parametrize("T1, T2", [(1.7e308, 1.0), (1.0, 1.7e308)])
     def test_hottest_bath_gives_the_split_inf(self, circuit, T1, T2):
         # every panel value is finite but their sum is past the largest float:
@@ -463,12 +476,15 @@ class TestHeatExact:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for p in circuits:
-                for T1 in (1e-250, 1e250):
-                    heat_exact(p, BathPair.from_temperatures(T1, 0.5 * T1))
+            values = [
+                heat_exact(p, BathPair.from_temperatures(T1, 0.5 * T1))
+                for p in circuits
+                for T1 in (1e-250, 1e250)
+            ]
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
+        assert all(math.isfinite(v) for v in values)
         assert quadrature._panel_grid.cache_info().currsize == quadrature._GRID_CACHE_SIZE
         assert retained < quadrature._GRID_CACHE_SIZE * GRID_BYTES_WORST
 
