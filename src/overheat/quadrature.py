@@ -42,7 +42,6 @@ record per circuit, `_circuit_solve`.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import functools
 import math
@@ -186,18 +185,18 @@ def _integrate_panels(
 _STEPS = 3
 # The largest finite grid point is 10^(924/3) = 1e308; k stays within +/- this.
 _TOP_STEP = 924
-# A grid that is built or grown takes this many grid points more than the call
-# needs on each side it extends: a 9-point scan from T1 = 1e-2 to 1e2 then
-# builds its grid once.
+# omega_k is _GRID[k + _TOP_STEP], from Python's float power: numpy's rounds
+# some of these points differently.
+_GRID = np.array([10.0 ** (k / _STEPS) for k in range(-_TOP_STEP, _TOP_STEP + 1)])
+_GRID.flags.writeable = False
+# A call outside the held steps rebuilds the grid over their union with its
+# own, and takes this many grid points more on each side it extends: a
+# 9-point scan from T1 = 1e-2 to 1e2 then builds its grid once.
 _GRID_MARGIN = 6
 # (circuit, mode) pairs whose panel grids `heat_exact` keeps: a temperature
 # scan reuses one.  A grid holds ~20 KB over a scan from T1 = 1e-2 to 1e2, and
 # at most ~1.3 MB over the whole finite grid, from 1e-308 to 1e308.
 _GRID_CACHE_SIZE = 4
-
-
-def _grid_point(k: int) -> float:
-    return 10.0 ** (k / _STEPS)
 
 
 def _grid_step(omega: float, rounding) -> int:
@@ -234,11 +233,11 @@ class _PanelGrid:
     A call runs over the grid from omega_ka to omega_kb, after a first panel
     [0, omega_ka], and k_a is at most the step of |lambda_plus|/100 rounded
     down, `zero_top`: only those first panels are held.  A call that reaches
-    past the held steps grows them by the new panels, and a margin, in one
-    call of f12 on what is new.  A panel's nodes and f12 there depend only on
-    its edges, so every value a call reads is the one a fresh grid would give.
-    The held panels are swapped as one record, so a concurrent call reads
-    either the old ones or the new ones.
+    outside the held steps rebuilds the grid over their union with its own,
+    and a margin, in one call of f12.  A panel's nodes and f12 there depend
+    only on its edges, so every value a call reads is the one a fresh grid
+    would give.  The held panels are swapped as one record, so a concurrent
+    call reads either the old ones or the new ones.
     """
 
     def __init__(self, p: CircuitParams, mode: TransferMode):
@@ -253,49 +252,33 @@ class _PanelGrid:
         omega_kb last, and f12 there."""
         held = self.held
         if held is None or k_a < held.lo or k_b > held.hi:
-            held = self.held = self._grown(held, k_a, k_b)
+            lo = held.lo if held and k_a >= held.lo else max(k_a - _GRID_MARGIN, -_TOP_STEP)
+            hi = held.hi if held and k_b <= held.hi else min(k_b + _GRID_MARGIN, _TOP_STEP)
+            held = self.held = self._panels(lo, hi)
         i, j, z = held.at[k_a - held.lo], held.at[k_b - held.lo], k_a - held.lo
         a = np.concatenate(((0.0,), held.edges[i:j]))
         w = np.concatenate((held.zero_nodes[z], held.nodes[i:j].ravel(), held.edges[j : j + 1]))
         f12 = np.concatenate((held.zero_f12[z], held.f12[i:j].ravel(), held.edge_f12[j : j + 1]))
         return a, held.edges[i : j + 1], w, f12
 
-    def _grown(self, held: _HeldPanels | None, k_a: int, k_b: int) -> _HeldPanels:
-        """The held panels grown to take in the steps k_a .. k_b, with f12
-        evaluated in one call on what is new only."""
-        lo = held.lo if held and k_a >= held.lo else max(k_a - _GRID_MARGIN, -_TOP_STEP)
-        hi = held.hi if held and k_b <= held.hi else min(k_b + _GRID_MARGIN, _TOP_STEP)
-        points = [_grid_point(k) for k in range(lo, hi + 1)]
-        inside = self.breaks[bisect.bisect_right(self.breaks, points[0]) :
-                             bisect.bisect_left(self.breaks, points[-1])]
-        edges = np.array(sorted({*points, *inside}))
+    def _panels(self, lo: int, hi: int) -> _HeldPanels:
+        """The panels of the grid points omega_lo .. omega_hi, with f12 at
+        their nodes, their edges and the first panels' nodes in one call."""
+        points = _GRID[lo + _TOP_STEP : hi + _TOP_STEP + 1]
+        breaks = self.breaks
+        edges = np.union1d(points, breaks[(breaks > points[0]) & (breaks < points[-1])])
         at = np.searchsorted(edges, points)
-        # f12 is wanted at the nodes of every panel, at every edge, and at the
-        # nodes of the first panels [0, omega_k] for k up to `zero_top`
-        zeros = np.array(points[: min(hi, self.zero_top) - lo + 1])
-        wanted = (_kronrod_nodes(edges[:-1], edges[1:])[1], edges, _kronrod_nodes(0.0, zeros)[1])
-        new = [np.ones(len(x), bool) for x in wanted]
-        kept = [x[:0] for x in wanted]
-        if held:  # the held panels are one run of the new ones
-            i, j, z = at[held.lo - lo], at[held.hi - lo], held.lo - lo
-            runs = (slice(i, j), slice(i, j + 1), slice(z, z + len(held.zero_f12)))
-            for mask, run in zip(new, runs):
-                mask[run] = False
-            kept = [held.f12, held.edge_f12, held.zero_f12]
-        w = np.concatenate([x[mask].ravel() for x, mask in zip(wanted, new)])
-        f12, start = transfer_f12(w, self.p, self.mode), 0
-        values = []
-        for x, mask, old in zip(wanted, new, kept):
-            v = np.empty(x.shape)
-            v[~mask] = old
-            part = f12[start : start + x[mask].size]
-            v[mask] = part.reshape(-1, *x.shape[1:])
-            start += part.size
-            values.append(v)
-        nodes, zero_nodes = wanted[0], wanted[2]
-        for x in (edges, at, nodes, zero_nodes, *values):
+        nodes = _kronrod_nodes(edges[:-1], edges[1:])[1]
+        # the first panels [0, omega_k] start calls for k up to `zero_top`
+        zero_nodes = _kronrod_nodes(0.0, points[: min(hi, self.zero_top) - lo + 1])[1]
+        w = np.concatenate((nodes.ravel(), edges, zero_nodes.ravel()))
+        f12 = transfer_f12(w, self.p, self.mode)
+        n, m = nodes.size, nodes.size + edges.size
+        fields = (edges, at, nodes, f12[:n].reshape(nodes.shape), f12[n:m],
+                  zero_nodes, f12[m:].reshape(zero_nodes.shape))
+        for x in fields:
             x.flags.writeable = False  # every caller shares the grid
-        return _HeldPanels(lo, hi, edges, at, nodes, values[0], values[1], zero_nodes, values[2])
+        return _HeldPanels(lo, hi, *fields)
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -355,7 +338,7 @@ def heat_exact(
     cut = min(TAIL_CUT_MULTIPLIER * max(omega_th, abs(p.scales.lambda_minus)), cap)
     # the grid's run from inner_lo rounded down to the cut rounded up, but not past the cap
     k_a, k_b = _grid_step(inner_lo, math.floor), _grid_step(cut, math.ceil)
-    if _grid_point(k_b) > cap:
+    if _GRID[k_b + _TOP_STEP] > cap:
         k_b -= 1
     a, ends, w, f12 = _panel_grid(p, mode).first_round(k_a, k_b)
     # the weight is n1 - n2 for T1 > T2 and n2 - n1 otherwise, so `sign` is that of T1 - T2
@@ -376,7 +359,7 @@ def heat_exact(
     tail_bound = abs(f[-1]) * (1.0 + 1.0 / (lo * cut)) / lo
     value, estimate = sign * p.hbar * value, p.hbar * (estimate + tail_bound)
     target = REL_TOL * abs(value)
-    if estimate > target:
+    if not estimate <= target:  # a nan value or estimate misses it too
         raise ToleranceNotMetError(value, estimate, target)
     return value
 
@@ -562,10 +545,10 @@ class _CircuitSolve:
 
     `transfer_f12` evaluates `polys`, the coefficients of u_plus and u_minus,
     and reads `rma2` = (R M/A)^2, with A = (L - M)(L + M) formed once here.
-    `breaks` are the frequencies, in increasing order, where f12 bends: |s|
-    at every root s of D, and at a resonant root (|Im s| > |Re s|) also
-    |Im s| + k |Re s|, k in `_FLANKS`, on its flanks; `heat_exact` starts its
-    panels there.
+    `breaks` is the read-only array of the frequencies, in increasing order,
+    where f12 bends: |s| at every root s of D, and at a resonant root
+    (|Im s| > |Re s|) also |Im s| + k |Re s|, k in `_FLANKS`, on its flanks;
+    `heat_exact` starts its panels there.
     `s` and `weight` are complex arrays of the residue sum's nodes and their
     weights: at a residue, weight = s^3/(D(-s) D'(s)), twice that at the
     upper root of a conjugate pair of residues, whose lower root is left out;
@@ -579,7 +562,7 @@ class _CircuitSolve:
     rma2: float
     K: float
     classical: float
-    breaks: tuple[float, ...]
+    breaks: np.ndarray
     s: np.ndarray
     weight: np.ndarray
     failure: ArithmeticError | None
@@ -613,7 +596,8 @@ def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
         breaks.add(abs(s))
         if abs(s.imag) > abs(s.real):
             breaks.update(abs(s.imag) + k * abs(s.real) for k in _FLANKS)
-    breaks = tuple(sorted(breaks))
+    breaks = np.array(sorted(breaks))
+    breaks.flags.writeable = False
     try:
         nodes = _residue_nodes(p, polys, mode_roots, 2.0 * p.R * p.M / A)
         if not all(cmath.isfinite(K * weight) for _, weight in nodes):

@@ -488,6 +488,45 @@ class TestHeatExact:
         assert quadrature._panel_grid.cache_info().currsize == quadrature._GRID_CACHE_SIZE
         assert retained < quadrature._GRID_CACHE_SIZE * GRID_BYTES_WORST
 
+    def test_grid_points_are_python_float_powers(self):
+        # numpy's power rounds 105 of these 1849 points differently
+        top = quadrature._TOP_STEP
+        assert len(quadrature._GRID) == 2 * top + 1
+        for k in range(-top, top + 1):
+            assert quadrature._GRID[k + top] == 10.0 ** (k / 3)
+
+    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+    def test_rebuilt_grid_holds_a_fresh_grid(self, circuit, mode, fresh_solve):
+        # a call at T1 = 1e-3 rebuilds the grid of T1 = 2 on the cold side
+        # only, and one at 1e3 on the hot side only; every array held is the
+        # one a grid built at once over the same steps holds
+        steps = []
+        for T1 in (2.0, 1e-3, 1e3):
+            heat_exact(circuit, BathPair.from_temperatures(T1, 0.5 * T1), mode)
+            held = quadrature._panel_grid(circuit, mode).held
+            steps.append((held.lo, held.hi))
+        (lo0, hi0), (lo1, hi1), (lo2, hi2) = steps
+        assert lo1 < lo0 and hi1 == hi0 and lo2 == lo1 and hi2 > hi1
+        fresh = quadrature._PanelGrid(circuit, mode)._panels(lo2, hi2)
+        for name in (field.name for field in dataclasses.fields(held)):
+            assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
+
+    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+    def test_nan_in_f12_raises(self, circuit, baths, mode, monkeypatch, fresh_solve):
+        # one nan node makes the value and the estimate nan, and a check of
+        # estimate > target, False for nan, returned it as if it had converged
+        f12 = quadrature.transfer_f12
+
+        def one_nan(w, *args):
+            values = f12(w, *args)
+            values[np.argmin(np.abs(w - 0.8))] = math.nan  # a node inside a panel
+            return values
+
+        monkeypatch.setattr(quadrature, "transfer_f12", one_nan)
+        with pytest.raises(ToleranceNotMetError) as excinfo:
+            heat_exact(circuit, baths, mode)
+        assert math.isnan(excinfo.value.value)
+
     @pytest.mark.parametrize("temperatures", [(2.0, 1.0), (1.0, 1.0 + 1e-6), (50.0, 10.0)])
     def test_tail_bound_covers_the_tail(self, circuit, temperatures, monkeypatch):
         # a cut at ~10 omega_th leaves a tail above the tolerance: the estimate
