@@ -9,9 +9,9 @@ gamma/omega_d ~ 1e3 the two agree to better than 1% for moderate
 temperatures, while for gamma/omega_d <~ 10 the circuit is simply not
 overdamped and the closed form misses by order one.
 
-The same sweep is available from the command line as
+The same sweep is available from the command line, and the plot demo draws it:
 
-    heat sweep --preset fig2 --out fig2.csv --plot fig2_plot.py
+    heat sweep --preset fig2 --out fig2.csv && python3 demos/05_plot_sweep.py fig2.csv
 """
 
 from overheat import Grid, Method, SweepSpec, run_sweep

@@ -60,5 +60,5 @@ for T1 in (2.0, 5.0, 10.0):
         )
     print()
 
-# `heat sweep --preset fig4 --out fig4.csv --plot fig4_plot.py` produces the
-# same sweeps as CSV plus a plot script with the logarithmic asymptote dashed.
+# `heat sweep --preset fig4 --out fig4.csv` writes the same sweeps as CSV, and
+# `demos/05_plot_sweep.py fig4.csv` draws them with the log asymptote dashed.

@@ -4,10 +4,12 @@ Two identical RLC loops, each damped by its own resistive bath at temperature
 T1 or T2 and coupled through a mutual inductance, exchange heat in the steady
 state.  The package evaluates that heat current three ways:
 
-* the exact frequency integral, valid for any damping: split exactly into
-  a classical piece (`classical_integral`) and a quantum residue sum
+* the exact frequency integral, for any damping: split exactly into a
+  classical piece (`classical_integral`) and a quantum residue sum
   (`quantum_integral`), with its adaptive quadrature (`heat_exact`) as the
-  independent check,
+  independent check, which returns a value only when its error estimate
+  meets its tolerance and raises otherwise (as it can on a sharp ExactCubic
+  resonance),
 * closed forms in the overdamped regime (`heat_classical`, `heat_quantum`),
   read from the record of the linearized transfer function,
 * low- and high-temperature asymptotics (`heat_low_temp`, and the
@@ -50,7 +52,6 @@ from .sweep import (
     SweepRow,
     SweepSpec,
     emit_csv,
-    emit_plot_script,
     parse_config,
     preset_specs,
     run_preset,
@@ -80,7 +81,6 @@ __all__ = [
     "classify_regime",
     "digamma",
     "emit_csv",
-    "emit_plot_script",
     "heat_classical",
     "heat_exact",
     "heat_low_temp",

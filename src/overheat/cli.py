@@ -1,7 +1,7 @@
 """Command line frontend: `heat sweep` and `heat eval`.
 
 `heat sweep` runs a configured or preset parameter sweep and writes the CSV
-(optionally plus a standalone plot script); `heat eval` evaluates a single
+(`demos/05_plot_sweep.py` draws it); `heat eval` evaluates a single
 parameter point and prints the heat-current report as key=value lines.
 
 Exit codes: 0 success, 1 validation/configuration error, 2 numerical failure.
@@ -14,7 +14,7 @@ import sys
 
 from .closedform import Method, assemble_report
 from .model import BathPair, CircuitParams
-from .sweep import PRESETS, emit_csv, emit_plot_script, parse_config, run_preset, run_sweep
+from .sweep import PRESETS, emit_csv, parse_config, run_preset, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -29,7 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--config", help="path to a key = value sweep configuration")
     source.add_argument("--preset", choices=PRESETS, help="built-in figure sweep")
     sweep.add_argument("--out", required=True, help="destination CSV path")
-    sweep.add_argument("--plot", help="also write a matplotlib script to this path")
 
     ev = sub.add_parser("eval", help="evaluate one parameter point")
     ev.add_argument("--R", type=float, required=True, help="loop resistance")
@@ -57,8 +56,6 @@ def _run_sweep(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             rows = run_sweep(parse_config(fh.read()))
     emit_csv(rows, args.out)
-    if args.plot:
-        emit_plot_script(rows, args.plot, args.out)
     return 0
 
 

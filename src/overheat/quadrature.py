@@ -190,12 +190,13 @@ _TOP_STEP = 924
 _GRID = np.array([10.0 ** (k / _STEPS) for k in range(-_TOP_STEP, _TOP_STEP + 1)])
 _GRID.flags.writeable = False
 # A call outside the held steps rebuilds the grid over their union with its
-# own, and takes this many grid points more on each side it extends: a
-# 9-point scan from T1 = 1e-2 to 1e2 then builds its grid once.
+# own, and extends each side it reaches past by this many grid points, or by
+# the held span if that is more: a 9-point scan from T1 = 1e-2 to 1e2 builds
+# its grid once, and a longer scan a number of times logarithmic in its range.
 _GRID_MARGIN = 6
 # (circuit, mode) pairs whose panel grids `heat_exact` keeps: a temperature
-# scan reuses one.  A grid holds ~20 KB over a scan from T1 = 1e-2 to 1e2, and
-# at most ~1.3 MB over the whole finite grid, from 1e-308 to 1e308.
+# scan reuses one.  A grid holds ~20 KB over a scan from T1 = 1e-2 to 1e2, up
+# to ~2x the steps of a longer scan, and at most ~1.3 MB over all finite steps.
 _GRID_CACHE_SIZE = 4
 
 
@@ -252,8 +253,9 @@ class _PanelGrid:
         omega_kb last, and f12 there."""
         held = self.held
         if held is None or k_a < held.lo or k_b > held.hi:
-            lo = held.lo if held and k_a >= held.lo else max(k_a - _GRID_MARGIN, -_TOP_STEP)
-            hi = held.hi if held and k_b <= held.hi else min(k_b + _GRID_MARGIN, _TOP_STEP)
+            margin = max(_GRID_MARGIN, held.hi - held.lo) if held else _GRID_MARGIN
+            lo = held.lo if held and k_a >= held.lo else max(k_a - margin, -_TOP_STEP)
+            hi = held.hi if held and k_b <= held.hi else min(k_b + margin, _TOP_STEP)
             held = self.held = self._panels(lo, hi)
         i, j, z = held.at[k_a - held.lo], held.at[k_b - held.lo], k_a - held.lo
         a = np.concatenate(((0.0,), held.edges[i:j]))
@@ -307,26 +309,28 @@ def heat_exact(
 ) -> float:
     """Steady-state heat current out of bath 1 by direct quadrature.
 
-    Valid for any parameters, overdamped or not; this is the reference
-    against which the closed forms are checked.  The integrand is summed by
-    batched qk21 from 0 to the cut, every node of a round in one numpy array
-    (see `_integrate_panels`).  The starting panels do not depend on the
-    temperatures: a log grid of ~3 per decade, merged with f12's own scales,
-    which `_circuit_solve` reads off the poles (their moduli and graded
-    resonance flanks), so that nearly every call meets the tolerance in the
-    first round.  A call takes the run of this grid from min(|lambda_plus|,
-    omega_th)/100 rounded down to the cut rounded up, after a first panel
-    from 0.  f12 at the nodes of those panels is held per circuit (see
-    `_PanelGrid`), so a call inside the held range evaluates only the Bose
-    factors in its first round, and later rounds evaluate f12 on their new
-    pieces; the intervals are subdivided adaptively, up to
+    The reference against which the closed forms are checked, overdamped or
+    not.  A value is returned only when its error estimate meets REL_TOL:
+    `ToleranceNotMetError` (carrying the best estimate) is raised when the
+    summed interval errors plus the truncation bound, from the integrand at
+    the cut, exceed REL_TOL * |value|.  The known failure is an ExactCubic
+    circuit with a sharp resonance, which can raise that error, or an
+    ArithmeticError where its mode polynomials vanish.  The integrand is
+    summed by batched qk21 from 0 to the cut, every node of a round in one
+    numpy array (see `_integrate_panels`).  The starting panels do not depend
+    on the temperatures: a log grid of ~3 per decade, merged with f12's own
+    scales, which `_circuit_solve` reads off the poles (their moduli and
+    graded resonance flanks), so that nearly every call meets the tolerance
+    in the first round.  A call takes the run of this grid from
+    min(|lambda_plus|, omega_th)/100 rounded down to the cut rounded up,
+    after a first panel from 0.  f12 at the nodes of those panels is held per
+    circuit (see `_PanelGrid`), so a call inside the held range evaluates
+    only the Bose factors in its first round, and later rounds evaluate f12
+    on their new pieces; the intervals are subdivided adaptively, up to
     `MAX_SUBDIVISIONS` of them in all.  Returns 0.0 exactly at equilibrium
-    (T1 == T2) and for decoupled loops (M == 0).  Raises
-    `ToleranceNotMetError` (carrying the best estimate) when the summed
-    interval errors plus the truncation bound, from the integrand at the cut,
-    exceed REL_TOL * |value|.  hbar multiplies the integral once, so at the
-    same beta_j hbar the result in units (hbar, k_b) is hbar times the
-    natural-unit one, bit for bit.
+    (T1 == T2) and for decoupled loops (M == 0).  hbar multiplies the
+    integral once, so at the same beta_j hbar the result in units (hbar, k_b)
+    is hbar times the natural-unit one, bit for bit.
     """
     if b.T1 == b.T2 or p.M == 0.0:
         return 0.0

@@ -1,4 +1,4 @@
-"""Parameter sweeps over damping or temperature, CSV output, and plot scripts.
+"""Parameter sweeps over damping or temperature, and their CSV output.
 
 A sweep walks one variable (gamma/omega_d, T1, or T2) over a linear or log
 grid, evaluates the requested heat-current methods at every point, and
@@ -12,13 +12,13 @@ layouts for the coupled-RLC circuit (M = 1, L = 2, omega_c = 5, omega_d = 1):
 
 Rows serialize to UTF-8 comma-separated CSV with LF endings and
 shortest-round-trip float formatting, so identical configs give
-byte-identical files.
+byte-identical files.  The package draws nothing: `demos/05_plot_sweep.py`
+plots such a CSV.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -353,100 +353,3 @@ def run_preset(name: str) -> list[SweepRow]:
     for spec in preset_specs(name):
         rows.extend(run_sweep(spec))
     return rows
-
-
-def _infer_layout(rows: list[SweepRow]) -> str:
-    """The preset whose sweep variable and method set the rows share, else generic."""
-    key = (rows[0].sweep_variable, set(rows[0].methods))
-    for name in PRESETS:
-        spec = preset_specs(name)[0]
-        if key == (spec.sweep_variable, set(spec.methods)):
-            return name
-    return "generic"
-
-
-_PLOT_HEADER = '''#!/usr/bin/env python3
-"""Plot {layout} sweep data from {csv_name} (auto-generated)."""
-
-import os
-
-import matplotlib.pyplot as plt
-import numpy as np
-
-HERE = os.path.dirname(os.path.abspath(__file__))
-CSV = os.path.join(HERE, {csv_rel!r})
-
-data = np.genfromtxt(CSV, delimiter=",", names=True, dtype=None, encoding="utf-8")
-data = np.atleast_1d(data)
-'''
-
-_PLOT_BODIES = {
-    "fig2": '''
-pairs = sorted(set(zip(data["T1"].tolist(), data["T2"].tolist())))
-for t1, t2 in pairs:
-    sel = (data["T1"] == t1) & (data["T2"] == t2)
-    x = data["gamma_over_omega_d"][sel]
-    line, = plt.semilogx(x, data["exact_q_total"][sel], "-",
-                         label=f"exact, T1={t1:g}, T2={t2:g}")
-    plt.semilogx(x, data["closed_q_total"][sel], "--", color=line.get_color(),
-                 label=f"closed form, T1={t1:g}, T2={t2:g}")
-plt.xlabel(r"$\\gamma/\\omega_d$")
-plt.ylabel("heat current")
-''',
-    "fig3": '''
-x = data["T1"]
-plt.loglog(x, data["closed_q_total"], "-", label="closed form total")
-plt.loglog(x, data["lowt_q_total"], "--", label="low-temperature $T^4$ law")
-ratios = {f"{r:.6g}" for r in (data["T2"] / x).tolist()}
-plt.xlabel(f"$T_1$ (with $T_2/T_1 = {ratios.pop()}$)" if len(ratios) == 1 else "$T_1$")
-plt.ylabel("heat current")
-''',
-    "fig4": '''
-for t1 in sorted(set(data["T1"].tolist())):
-    sel = data["T1"] == t1
-    x = data["T2"][sel] / t1
-    line, = plt.semilogx(x, data["closed_q_quantum"][sel], "-",
-                         label=f"quantum piece, T1={t1:g}")
-    plt.semilogx(x, data["hight_q_quantum"][sel], "--", color=line.get_color(),
-                 label=f"log asymptote, T1={t1:g}")
-plt.xlabel("$T_2/T_1$")
-plt.ylabel("quantum heat current")
-''',
-    "generic": '''
-x = data[data.dtype.names[0]]
-for name in data.dtype.names:
-    if name.endswith("_q_total"):
-        plt.plot(x, data[name], label=name)
-plt.xlabel(data.dtype.names[0])
-plt.ylabel("heat current")
-''',
-}
-
-_PLOT_FOOTER = '''
-plt.legend()
-plt.tight_layout()
-plt.savefig(os.path.splitext(CSV)[0] + ".png", dpi=160)
-'''
-
-
-def emit_plot_script(rows: list[SweepRow], destination, csv_path) -> None:
-    """Write a standalone matplotlib script that renders the sweep CSV.
-
-    The script references the CSV by a path relative to its own location and
-    saves a PNG next to the CSV.  Rows with a preset's sweep variable and method
-    set get its layout; any other sweep gets each method's total vs the swept value.
-    """
-    if not rows:
-        raise ValueError(f"no rows to plot for {destination}")
-    layout = _infer_layout(rows)
-    dest_dir = os.path.dirname(os.path.abspath(os.fspath(destination)))
-    csv_rel = os.path.relpath(os.path.abspath(os.fspath(csv_path)), start=dest_dir)
-    script = (
-        _PLOT_HEADER.format(
-            layout=layout, csv_name=os.path.basename(os.fspath(csv_path)), csv_rel=csv_rel
-        )
-        + _PLOT_BODIES[layout]
-        + _PLOT_FOOTER
-    )
-    with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(script)

@@ -166,14 +166,12 @@ class TestSweep:
         assert main(["sweep", "--preset", "fig3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_plot_flag_writes_script(self, tmp_path):
+    def test_plot_flag_is_refused(self, tmp_path):
+        # the package writes no plot script: demos/05_plot_sweep.py draws a CSV
         out = tmp_path / "fig3.csv"
-        plot = tmp_path / "fig3_plot.py"
-        args = ["sweep", "--preset", "fig3", "--out", str(out), "--plot", str(plot)]
-        assert main(args) == 0
-        text = plot.read_text(encoding="utf-8")
-        compile(text, str(plot), "exec")
-        assert "fig3.csv" in text
+        args = ["sweep", "--preset", "fig3", "--out", str(out), "--plot", str(tmp_path / "x.py")]
+        assert main(args) == 1
+        assert not out.exists()
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -290,7 +288,7 @@ def test_public_api():
     removed = {
         "g12", "trace_f12", "coth_via_digamma",
         "heat_quantum_high_temp", "heat_high_temp_total", "derive_scales",
-        "read_csv",
+        "read_csv", "emit_plot_script",
     }
     assert removed.isdisjoint(overheat.__all__)
     assert not any(hasattr(overheat, name) for name in removed)

@@ -512,6 +512,26 @@ class TestHeatExact:
             assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
 
     @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+    @pytest.mark.parametrize("step", [1, -1], ids=["ascending", "descending"])
+    def test_long_scan_builds_f12_a_few_times_over(self, circuit, mode, step, monkeypatch,
+                                                   fresh_solve):
+        # a scan over 100 decades, one per call, keeps extending the held grid,
+        # and each rebuild evaluates f12 on the whole union: with a fixed
+        # margin of 6 steps that was a rebuild every two decades and 12-15 times
+        # the final grid's points in all; a margin of the held span stays under 3
+        panels, built = quadrature._PanelGrid._panels, []
+
+        def counted(grid, lo, hi):
+            held = panels(grid, lo, hi)
+            built.append(held.nodes.size + held.edges.size + held.zero_nodes.size)
+            return held
+
+        monkeypatch.setattr(quadrature._PanelGrid, "_panels", counted)
+        for k in range(-50, 51)[::step]:
+            heat_exact(circuit, BathPair.from_temperatures(10.0**k, 0.5 * 10.0**k), mode)
+        assert sum(built) <= 3 * built[-1]
+
+    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
     def test_nan_in_f12_raises(self, circuit, baths, mode, monkeypatch, fresh_solve):
         # one nan node makes the value and the estimate nan, and a check of
         # estimate > target, False for nan, returned it as if it had converged

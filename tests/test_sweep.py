@@ -1,7 +1,7 @@
 import hashlib
+import importlib.util
 import math
 import re
-import runpy
 import sys
 import types
 from pathlib import Path
@@ -20,7 +20,6 @@ from overheat import (
     assemble_report,
     classify_regime,
     emit_csv,
-    emit_plot_script,
     heat_exact,
     parse_config,
     preset_specs,
@@ -595,127 +594,137 @@ class TestPresets:
             preset_specs("fig9")
 
 
-class TestEmitPlotScript:
-    def _script(self, tmp_path, rows, name="plot.py"):
-        csv_path = tmp_path / "data.csv"
-        emit_csv(rows, csv_path)
-        dest = tmp_path / name
-        emit_plot_script(rows, dest, csv_path)
-        text = dest.read_text(encoding="utf-8")
-        compile(text, str(dest), "exec")  # must at least be valid source
-        return text
-
-    def test_fig2_layout(self, tmp_path):
-        spec = small_spec(methods=(Method.EXACT_QUADRATURE, Method.CLOSED_FORM))
-        text = self._script(tmp_path, run_sweep(spec))
-        assert "semilogx" in text
-        assert "exact_q_total" in text and "closed_q_total" in text
-        assert '"data.csv"' in text or "'data.csv'" in text
-
-    def test_fig3_layout(self, tmp_path):
-        spec = small_spec(
-            sweep_variable="T1",
-            grid=Grid(0.001, 0.1, 3, "log"),
-            t2_over_t1=0.5,
-            methods=(Method.CLOSED_FORM, Method.LOW_TEMP_ASYMPTOTIC),
-        )
-        text = self._script(tmp_path, run_sweep(spec))
-        assert "lowt_q_total" in text and "closed_q_total" in text
-
-    def test_fig4_layout(self, tmp_path):
-        spec = small_spec(
-            sweep_variable="T2",
-            grid=Grid(2.0, 200.0, 3, "log"),
-            T1=2.0,
-            methods=(Method.CLOSED_FORM, Method.HIGH_TEMP_ASYMPTOTIC),
-        )
-        text = self._script(tmp_path, run_sweep(spec))
-        assert '"--"' in text  # dashed asymptote
-        assert "hight_q_quantum" in text and "closed_q_quantum" in text
-
-    def test_relative_csv_path(self, tmp_path):
-        rows = run_sweep(small_spec(grid=Grid(1e2, 1e3, 2, "log")))
-        nested = tmp_path / "scripts"
-        nested.mkdir()
-        csv_path = tmp_path / "data" / "sweep.csv"
-        csv_path.parent.mkdir()
-        emit_csv(rows, csv_path)
-        dest = nested / "plot.py"
-        emit_plot_script(rows, dest, csv_path)
-        text = dest.read_text(encoding="utf-8")
-        assert "../data/sweep.csv" in text
-
-    def test_empty_rows_refused(self, tmp_path):
-        with pytest.raises(ValueError, match="no rows"):
-            emit_plot_script([], tmp_path / "plot.py", tmp_path / "d.csv")
-
-
 def stub_matplotlib(monkeypatch):
-    """Install a matplotlib whose plot calls record (x, y) and whose xlabel
-    calls record the label; return both records."""
-    series, xlabels = [], []
+    """Install a matplotlib whose plot calls record (x, y, style), whose xlabel
+    calls record the label and whose savefig records the path; return the records."""
+    series, xlabels, saved = [], [], []
 
-    def plot(x, y, *args, **kwargs):
-        series.append((np.asarray(x), np.asarray(y)))
-        return [types.SimpleNamespace(get_color=lambda: "C0")]
+    def plot(x, y, style="-", **kwargs):
+        series.append((np.asarray(x), np.asarray(y), style))
 
     pyplot = types.ModuleType("matplotlib.pyplot")
     pyplot.plot = pyplot.semilogx = pyplot.loglog = plot
     pyplot.xlabel = lambda label, *args, **kwargs: xlabels.append(label)
-    for name in ("ylabel", "legend", "tight_layout", "savefig"):
+    pyplot.savefig = lambda path, *args, **kwargs: saved.append(path)
+    for name in ("ylabel", "legend", "close"):
         setattr(pyplot, name, lambda *args, **kwargs: None)
     package = types.ModuleType("matplotlib")
     package.pyplot = pyplot
     monkeypatch.setitem(sys.modules, "matplotlib", package)
     monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
-    return series, xlabels
+    return series, xlabels, saved
 
 
-# Sources of `heat sweep`: the presets, one generic config, three configs that
-# share a preset's sweep variable but not its method set, and a fig3 sweep at
-# fixed T2.
+@pytest.fixture(scope="module")
+def plot_sweep():
+    """The `plot` function of `demos/05_plot_sweep.py`."""
+    path = Path(__file__).resolve().parent.parent / "demos" / "05_plot_sweep.py"
+    spec = importlib.util.spec_from_file_location("plot_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.plot
+
+
+# Sweeps that the plot demo draws, each with its (solid, dashed) curve counts:
+# the presets through `heat sweep`, one generic config, three configs that
+# share a preset's sweep variable but not its method set, a fig3 sweep at
+# fixed T2, and one small spec per preset layout.
 PLOTTED_SWEEPS = {
-    "fig2": ["--preset", "fig2"],
-    "fig3": ["--preset", "fig3"],
-    "fig4": ["--preset", "fig4"],
-    "generic": "sweep = T2\nstart = 2\nstop = 200\npoints = 3\nmethods = ClosedForm\n",
+    "fig2": (["--preset", "fig2"], (3, 3)),
+    "fig3": (["--preset", "fig3"], (1, 1)),
+    "fig4": (["--preset", "fig4"], (3, 3)),
+    "generic": ("sweep = T2\nstart = 2\nstop = 200\npoints = 3\nmethods = ClosedForm\n", (1, 0)),
     "exact_only": (
         "sweep = gamma_over_omega_d\nstart = 1e2\nstop = 1e4\npoints = 3\n"
-        "methods = ExactQuadrature\n"
+        "methods = ExactQuadrature\n",
+        (1, 0),
     ),
     "lowt_only": (
         "sweep = T1\nstart = 1e-3\nstop = 1e-1\npoints = 3\nt2_over_t1 = 0.5\n"
-        "methods = LowTempAsymptotic\n"
+        "methods = LowTempAsymptotic\n",
+        (1, 0),
     ),
     "hight_only": (
-        "sweep = T2\nstart = 2\nstop = 200\npoints = 3\nmethods = HighTempAsymptotic\n"
+        "sweep = T2\nstart = 2\nstop = 200\npoints = 3\nmethods = HighTempAsymptotic\n",
+        (1, 0),
     ),
     "fig3_fixed_t2": (
         "sweep = T1\nstart = 1e-2\nstop = 1\npoints = 3\nT2 = 0.005\n"
-        "methods = ClosedForm, LowTempAsymptotic\n"
+        "methods = ClosedForm, LowTempAsymptotic\n",
+        (1, 1),
     ),
+    "fig2_layout": (small_spec(methods=(Method.EXACT_QUADRATURE, Method.CLOSED_FORM)), (1, 1)),
+    "fig3_layout": (
+        small_spec(
+            sweep_variable="T1",
+            grid=Grid(0.001, 0.1, 3, "log"),
+            t2_over_t1=0.5,
+            methods=(Method.CLOSED_FORM, Method.LOW_TEMP_ASYMPTOTIC),
+        ),
+        (1, 1),
+    ),
+    "fig4_layout": (
+        small_spec(
+            sweep_variable="T2",
+            grid=Grid(2.0, 200.0, 3, "log"),
+            T1=2.0,
+            methods=(Method.CLOSED_FORM, Method.HIGH_TEMP_ASYMPTOTIC),
+        ),
+        (1, 1),
+    ),
+}
+# The columns that each preset's layout draws, by the first four letters of a
+# PLOTTED_SWEEPS name; every other sweep draws its totals.
+DRAWN_COLUMNS = {
+    "fig2": {"exact_q_total", "closed_q_total"},
+    "fig3": {"closed_q_total", "lowt_q_total"},
+    "fig4": {"closed_q_quantum", "hight_q_quantum"},
 }
 # The x-axis label of each sweep that the fig3 layout plots: the ratio only
 # when every row has the same T2/T1.
-FIG3_XLABELS = {"fig3": "$T_1$ (with $T_2/T_1 = 0.5$)", "fig3_fixed_t2": "$T_1$"}
+FIG3_XLABELS = {
+    "fig3": "$T_1$ (with $T_2/T_1 = 0.5$)",
+    "fig3_fixed_t2": "$T_1$",
+    "fig3_layout": "$T_1$ (with $T_2/T_1 = 0.5$)",
+}
 
 
-class TestGeneratedPlotScripts:
+class TestPlotDemo:
     @pytest.mark.parametrize("name", PLOTTED_SWEEPS)
-    def test_script_runs_and_plots_every_series(self, name, tmp_path, monkeypatch):
-        source = PLOTTED_SWEEPS[name]
-        if isinstance(source, str):
-            cfg = tmp_path / "sweep.cfg"
-            cfg.write_text(source, encoding="utf-8")
-            source = ["--config", str(cfg)]
-        script = tmp_path / "plot.py"
-        args = ["sweep", *source, "--out", str(tmp_path / "data.csv"), "--plot", str(script)]
-        assert main(args) == 0
-        series, xlabels = stub_matplotlib(monkeypatch)
-        runpy.run_path(str(script))
-        assert series
-        for x, y in series:
+    def test_plots_every_series(self, name, plot_sweep, tmp_path, monkeypatch):
+        source, (solid, dashed) = PLOTTED_SWEEPS[name]
+        csv_path = tmp_path / "data.csv"
+        if isinstance(source, SweepSpec):
+            emit_csv(run_sweep(source), csv_path)
+        else:
+            if isinstance(source, str):
+                cfg = tmp_path / "sweep.cfg"
+                cfg.write_text(source, encoding="utf-8")
+                source = ["--config", str(cfg)]
+            assert main(["sweep", *source, "--out", str(csv_path)]) == 0
+        series, xlabels, saved = stub_matplotlib(monkeypatch)
+        assert plot_sweep(str(csv_path)) == str(tmp_path / "data.png")
+        assert saved == [str(tmp_path / "data.png")]
+        assert [style for _, _, style in series].count("--") == dashed
+        assert len(series) == solid + dashed
+        for x, y, _ in series:
             assert x.size > 0 and x.shape == y.shape
+        header, rows = read_csv(csv_path)
+        cells = {column: [row[i] for row in rows] for i, column in enumerate(header)}
+        totals = {column for column in header if column.endswith("_q_total")}
+        drawn = {c for _, y, _ in series for c in header[3:-2] if np.isin(y, cells[c]).all()}
+        assert drawn == DRAWN_COLUMNS.get(name[:4], totals)
         assert len(xlabels) == 1
         if name in FIG3_XLABELS:
             assert xlabels == [FIG3_XLABELS[name]]
+
+    def test_png_lands_next_to_the_csv(self, plot_sweep, tmp_path, monkeypatch):
+        # a CSV named relative to another working directory
+        csv_path = tmp_path / "data" / "sweep.csv"
+        csv_path.parent.mkdir()
+        emit_csv(run_sweep(small_spec(grid=Grid(1e2, 1e3, 2, "log"))), csv_path)
+        (tmp_path / "scripts").mkdir()
+        monkeypatch.chdir(tmp_path / "scripts")
+        _, _, saved = stub_matplotlib(monkeypatch)
+        plot_sweep(str(Path("..") / "data" / "sweep.csv"))
+        assert [Path(path).resolve() for path in saved] == [csv_path.with_suffix(".png").resolve()]
