@@ -24,20 +24,13 @@ applies QUADPACK's 21-point Gauss-Kronrod rule (qk21) with its error
 estimate, evaluated in numpy on the nodes of all intervals at once.  As in
 QUADPACK's qagp, it starts from the integrand's known breakpoints: a fixed
 log grid of 3 panels per decade and the moduli and resonance flanks of the
-poles of f12 (stored by the cached circuit solve), so most calls meet the
-tolerance in that first round.  None of these depends on the temperatures,
-so f12 at the first round's nodes is held per circuit (`_panel_grid`), and
-a further temperature on the same circuit evaluates only the Bose factors
-there.  The whole integral has one error budget: intervals above their
-share of it are subdivided, all in one batch per round, up to
-`MAX_SUBDIVISIONS` intervals in total.  The total is truncated where the
-Bose factors are exponentially dead and the truncation bound is folded
-into the error estimate; the total must meet the relative tolerance
-`REL_TOL`, or `heat_exact` raises `ToleranceNotMetError`.  No tolerance is
-absolute: the integrand has one sign, so |total| sets the scale in any
-units.  Nothing here needs scipy; the tests keep the scipy panel quadrature
-as a reference.  `transfer_f12` and all three integrals read one cached
-record per circuit, `_circuit_solve`.
+poles of f12, so most calls meet the tolerance in that first round.  Its
+range is bounded at both ends of temperature, and f12 on the part that does
+not depend on them is built once per circuit (`_panel_grid`).  The total and
+its tail bound meet the relative tolerance `REL_TOL`: the integrand has one
+sign, so |total| sets the scale in any units.  The tests keep a scipy panel
+quadrature as a reference.  `transfer_f12` and all three integrals read one
+cached record per circuit, `_circuit_solve`.
 """
 
 from __future__ import annotations
@@ -56,9 +49,8 @@ from .special import _digamma_array, log_ratio
 
 # Relative error the `heat_exact` total must meet.
 REL_TOL = 1e-9
-# `heat_exact` integrates up to this many times the larger of the thermal
-# frequency and the fast mode rate; the tail beyond is bounded and folded
-# into the error estimate.
+# `heat_exact`'s Bose cut: this many times the larger of the thermal
+# frequency and the fast mode rate, unless a cold or power-law cut is lower.
 TAIL_CUT_MULTIPLIER = 60.0
 # Cap on the intervals of the whole `heat_exact` integral, as QUADPACK's `limit`.
 MAX_SUBDIVISIONS = 2000
@@ -189,104 +181,99 @@ _TOP_STEP = 924
 # some of these points differently.
 _GRID = np.array([10.0 ** (k / _STEPS) for k in range(-_TOP_STEP, _TOP_STEP + 1)])
 _GRID.flags.writeable = False
-# A call outside the held steps rebuilds the grid over their union with its
-# own, and extends each side it reaches past by this many grid points, or by
-# the held span if that is more: a 9-point scan from T1 = 1e-2 to 1e2 builds
-# its grid once, and a longer scan a number of times logarithmic in its range.
-_GRID_MARGIN = 6
-# (circuit, mode) pairs whose panel grids `heat_exact` keeps: a temperature
-# scan reuses one.  A grid holds ~20 KB over a scan from T1 = 1e-2 to 1e2, up
-# to ~2x the steps of a longer scan, and at most ~1.3 MB over all finite steps.
+# The share of REL_TOL |value| left to the cold and power-law tails; fixed at import.
+_TAIL_SHARE = 0.5 * REL_TOL
+# (circuit, mode) pairs whose grids `heat_exact` keeps, ~20 KB each: a scan reuses one.
 _GRID_CACHE_SIZE = 4
 
 
 def _grid_step(omega: float, rounding) -> int:
     """The k of the grid point at omega, rounded by `rounding` (math.floor or math.ceil)."""
-    return max(-_TOP_STEP, min(_TOP_STEP, rounding(_STEPS * math.log10(omega))))
+    return rounding(max(-_TOP_STEP, min(_TOP_STEP, _STEPS * math.log10(omega))))
 
 
 @dataclass(frozen=True)
-class _HeldPanels:
-    """The panels of the grid points omega_lo .. omega_hi and f12 at their nodes.
-
-    `edges` are the grid points merged with the circuit's breaks between
-    them, and omega_k is edges[at[k - lo]]; `nodes` and `f12` hold the 21
-    qk21 nodes of every panel between consecutive edges and f12 there, and
-    `edge_f12` holds f12 at the edges.  `zero_nodes` and `zero_f12` hold the
-    same for the first panel [0, omega_k] of each k from lo on that a call
-    can start at (see `_PanelGrid`).
+class _PanelGrid:
+    """f12 on `heat_exact`'s panels of one (circuit, mode), never changed: `edges`
+    are 0, then omega_bottom (|lambda_plus|/100 rounded down) .. omega_top with
+    the circuit's breaks, omega_k at edges[at[k - bottom]]; row i of `nodes` and
+    `f12` holds the qk21 nodes of [edges[i], edges[i + 1]] and f12 there.  beyond[i]
+    bounds Int f12 from edges[i] to the next edge (to inf at the top), `sup` f12.
     """
 
-    lo: int
-    hi: int
+    bottom: int
+    top: int
     edges: np.ndarray
     at: np.ndarray
     nodes: np.ndarray
     f12: np.ndarray
-    edge_f12: np.ndarray
-    zero_nodes: np.ndarray
-    zero_f12: np.ndarray
-
-
-class _PanelGrid:
-    """What `heat_exact`'s first round needs of f12 on one (circuit, mode).
-
-    A call runs over the grid from omega_ka to omega_kb, after a first panel
-    [0, omega_ka], and k_a is at most the step of |lambda_plus|/100 rounded
-    down, `zero_top`: only those first panels are held.  A call that reaches
-    outside the held steps rebuilds the grid over their union with its own,
-    and a margin, in one call of f12.  A panel's nodes and f12 there depend
-    only on its edges, so every value a call reads is the one a fresh grid
-    would give.  The held panels are swapped as one record, so a concurrent
-    call reads either the old ones or the new ones.
-    """
-
-    def __init__(self, p: CircuitParams, mode: TransferMode):
-        self.p, self.mode = p, mode
-        self.breaks = _circuit_solve(p, mode).breaks
-        self.zero_top = _grid_step(abs(p.scales.lambda_plus) / 100.0, math.floor)
-        self.held: _HeldPanels | None = None
-
-    def first_round(self, k_a: int, k_b: int):
-        """The intervals [0, omega_ka] and the panels on to omega_kb, as the
-        arrays of their ends a and b, and the nodes, row after row with
-        omega_kb last, and f12 there."""
-        held = self.held
-        if held is None or k_a < held.lo or k_b > held.hi:
-            margin = max(_GRID_MARGIN, held.hi - held.lo) if held else _GRID_MARGIN
-            lo = held.lo if held and k_a >= held.lo else max(k_a - margin, -_TOP_STEP)
-            hi = held.hi if held and k_b <= held.hi else min(k_b + margin, _TOP_STEP)
-            held = self.held = self._panels(lo, hi)
-        i, j, z = held.at[k_a - held.lo], held.at[k_b - held.lo], k_a - held.lo
-        a = np.concatenate(((0.0,), held.edges[i:j]))
-        w = np.concatenate((held.zero_nodes[z], held.nodes[i:j].ravel(), held.edges[j : j + 1]))
-        f12 = np.concatenate((held.zero_f12[z], held.f12[i:j].ravel(), held.edge_f12[j : j + 1]))
-        return a, held.edges[i : j + 1], w, f12
-
-    def _panels(self, lo: int, hi: int) -> _HeldPanels:
-        """The panels of the grid points omega_lo .. omega_hi, with f12 at
-        their nodes, their edges and the first panels' nodes in one call."""
-        points = _GRID[lo + _TOP_STEP : hi + _TOP_STEP + 1]
-        breaks = self.breaks
-        edges = np.union1d(points, breaks[(breaks > points[0]) & (breaks < points[-1])])
-        at = np.searchsorted(edges, points)
-        nodes = _kronrod_nodes(edges[:-1], edges[1:])[1]
-        # the first panels [0, omega_k] start calls for k up to `zero_top`
-        zero_nodes = _kronrod_nodes(0.0, points[: min(hi, self.zero_top) - lo + 1])[1]
-        w = np.concatenate((nodes.ravel(), edges, zero_nodes.ravel()))
-        f12 = transfer_f12(w, self.p, self.mode)
-        n, m = nodes.size, nodes.size + edges.size
-        fields = (edges, at, nodes, f12[:n].reshape(nodes.shape), f12[n:m],
-                  zero_nodes, f12[m:].reshape(zero_nodes.shape))
-        for x in fields:
-            x.flags.writeable = False  # every caller shares the grid
-        return _HeldPanels(lo, hi, *fields)
+    beyond: np.ndarray
+    sup: float
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _panel_grid(p: CircuitParams, mode: TransferMode) -> _PanelGrid:
-    """The panel grid of (p, mode), cached in each process for the last `_GRID_CACHE_SIZE` pairs."""
-    return _PanelGrid(p, mode)
+    """The grid of (p, mode), built in one call of f12 and cached for the last
+    `_GRID_CACHE_SIZE` pairs.  For omega >= c > every Im s, over the n roots s
+    of D, |i omega - s| >= (omega/c)(c - max(Im s, 0)): f12 falls like
+    omega^(2 - 2n), and Int_c^inf f12 <= c/(2n - 3) f12 with those distances.
+    omega_top is the first c where that is below `_TAIL_SHARE` of the grid's
+    integral of f12 below c, by max |s| (4^n/_TAIL_SHARE)^(1/(2n - 3)) as
+    |i omega - s| <= 2 omega above max |s|; a panel's Kronrod value plus its
+    distance to the Gauss value bounds its integral.  sup takes |i omega - s| as
+    the distance from s to i[0, inf), and omega/|i omega - r| at u_plus's real root as 1.
+    """
+    solve = _circuit_solve(p, mode)
+    roots = solve.roots[0] + solve.roots[1]
+    n = len(roots)
+
+    def bound(omega, distance):  # f12 with |u(i omega)| = |lead| prod distance(s) over u's roots
+        (plus, minus), (up, um) = solve.polys, solve.roots
+        ratio = omega / (abs(plus[0]) * math.prod(map(distance, up)))
+        ratio *= p.omega_c * p.omega_c / (abs(minus[0]) * math.prod(map(distance, um)))
+        return (2.0 / math.pi) * solve.rma2 * ratio * ratio
+
+    bottom = _grid_step(abs(p.scales.lambda_plus) / 100.0, math.floor)
+    last = max(abs(s) for s in roots) * (4.0**n / _TAIL_SHARE) ** (1.0 / (2 * n - 3))
+    points = _GRID[bottom + _TOP_STEP : _grid_step(last, math.ceil) + _TOP_STEP + 1]
+    breaks = {abs(s) for s in roots} | {  # where f12 bends, see `_FLANKS`: Re s <= 0
+        s.imag - k * s.real for s in roots if s.imag > -s.real for k in _FLANKS}
+    breaks = [x for x in breaks if points[0] < x < points[-1]]
+    # sorted, not np.union1d, whose np.unique imports numpy.ma; the breaks are distinct
+    edges = np.sort(np.concatenate(((0.0,), points, breaks)))
+    at = np.searchsorted(edges, points)
+    half, nodes = _kronrod_nodes(edges[:-1], edges[1:])
+    f12 = transfer_f12(nodes.ravel(), p, mode).reshape(nodes.shape)
+    c = np.where(points > max(s.imag for s in roots), points, math.nan)  # nan: no power law
+    kronrod, gauss = np.dot(f12, _WEIGHTS).T * half
+    with np.errstate(over="ignore", invalid="ignore"):  # past the largest float, as in f12
+        below = np.concatenate(((0.0,), np.cumsum(kronrod)))[at]
+        tails = c / (2 * n - 3) * bound(c, lambda s: c - max(s.imag, 0.0))
+        met = np.flatnonzero(tails <= _TAIL_SHARE * below)
+    top = int(met[0]) if met.size else len(points) - 1
+    j = at[top]
+    beyond = np.append(kronrod[:j] + abs(kronrod[:j] - gauss[:j]), tails[top])
+    fields = (edges[: j + 1], at[: top + 1], nodes[:j], f12[:j], beyond)
+    for x in fields:
+        x.flags.writeable = False  # every caller shares the grid
+    ray = lambda s: math.hypot(s.real, max(-s.imag, 0.0))  # from s to the upper imaginary axis
+    return _PanelGrid(bottom, bottom + top, *fields, bound(ray(solve.roots[0][0]), ray))
+
+
+def _cold_cut(solve: "_CircuitSolve", omega_th: float) -> float:
+    """The cut c = x omega_th where `heat_exact`'s tail bound is `_TAIL_SHARE` of its value.
+
+    On [0, omega_th], f12 >= K omega^2/prod (omega_th + |s|)^2 and the weight
+    is over its value at c times (omega/c) e^(x - omega/omega_th), so the value
+    is over the weight at c times (6 - 16/e) e^x K omega_th^4/(c prod (omega_th
+    + |s|)^2); the tail bound, the weight at c times sup (1 + 1/x) omega_th, is
+    under (x + 1) e^-x Lambda/(6 - 16/e) of it, Lambda = sup/(that f12 bound at
+    omega_th) (~e^1150 at omega_th = 1e-250).  x = L + 2 ln(L + 1) meets x - ln(x + 1) >= L.
+    """
+    ratios = [abs(solve.roots[0][0].real) / omega_th] + [  # Lambda's square root, factor by factor
+        (omega_th + abs(s)) / math.hypot(s.real, max(-s.imag, 0.0)) for s in sum(solve.roots, ())]
+    L = 2.0 * sum(map(math.log, ratios)) - math.log((6.0 - 16.0 / math.e) * _TAIL_SHARE)
+    return (L + 2.0 * math.log(L + 1.0)) * omega_th
 
 
 def _thermal_weight(w: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -310,58 +297,66 @@ def heat_exact(
     """Steady-state heat current out of bath 1 by direct quadrature.
 
     The reference against which the closed forms are checked, overdamped or
-    not.  A value is returned only when its error estimate meets REL_TOL:
-    `ToleranceNotMetError` (carrying the best estimate) is raised when the
-    summed interval errors plus the truncation bound, from the integrand at
-    the cut, exceed REL_TOL * |value|.  The known failure is an ExactCubic
-    circuit with a sharp resonance, which can raise that error, or an
-    ArithmeticError where its mode polynomials vanish.  The integrand is
-    summed by batched qk21 from 0 to the cut, every node of a round in one
-    numpy array (see `_integrate_panels`).  The starting panels do not depend
-    on the temperatures: a log grid of ~3 per decade, merged with f12's own
-    scales, which `_circuit_solve` reads off the poles (their moduli and
-    graded resonance flanks), so that nearly every call meets the tolerance
-    in the first round.  A call takes the run of this grid from
-    min(|lambda_plus|, omega_th)/100 rounded down to the cut rounded up,
-    after a first panel from 0.  f12 at the nodes of those panels is held per
-    circuit (see `_PanelGrid`), so a call inside the held range evaluates
-    only the Bose factors in its first round, and later rounds evaluate f12
-    on their new pieces; the intervals are subdivided adaptively, up to
-    `MAX_SUBDIVISIONS` of them in all.  Returns 0.0 exactly at equilibrium
-    (T1 == T2) and for decoupled loops (M == 0).  hbar multiplies the
-    integral once, so at the same beta_j hbar the result in units (hbar, k_b)
-    is hbar times the natural-unit one, bit for bit.
+    not; it reads no term of the split.  A value is returned only when its
+    error estimate, the interval errors plus the tail bound, meets REL_TOL;
+    otherwise `ToleranceNotMetError` carries the best estimate.  The known
+    failure is an ExactCubic circuit with a sharp resonance, which can raise
+    that error, or an ArithmeticError where its mode polynomials vanish.
+    Batched qk21 (see `_integrate_panels`) runs on a log grid of 3 panels per
+    decade merged with the poles' moduli and resonance flanks, from [0,
+    min(omega_th, |lambda_plus|/100)] to the least of 60 max(omega_th,
+    |lambda_minus|), the cold cut ~30 omega_th (~1200 at T = 1e-250) where
+    omega_th < |lambda_minus| (see `_cold_cut`), and the power-law cut (see
+    `_panel_grid`).  The weight w (n(lo w) - n(hi w)) falls with w (x/expm1(x)
+    is convex): the tail beyond a cut in the grid is under each later panel's
+    f12 integral times the weight at its left edge, plus the power tail beyond
+    the top; below the grid, under the weight at the cut c times sup f12
+    (1 + 1/(lo c))/lo, as the weight falls at least as e^-lo w.  The circuit's
+    first call builds its grid, with f12 at every node, from |lambda_plus|/100
+    up (`_PanelGrid`); a call there evaluates only the Bose factors, a colder
+    one f12 on its own few panels.  On the reference circuit a call weighs
+    441 nodes at T1 = 2 and at most ~850 at any temperature, ~0.05 ms.  Later
+    rounds evaluate f12 on their new pieces.  Returns 0.0 at equilibrium and
+    for decoupled loops (M == 0).  hbar multiplies the integral once, so at
+    the same beta_j hbar the result in units (hbar, k_b) is hbar times the
+    natural-unit one, bit for bit.
     """
     if b.T1 == b.T2 or p.M == 0.0:
         return 0.0
 
-    omega_th = b.thermal_frequency(p.hbar)
-    inner_lo = min(abs(p.scales.lambda_plus), omega_th) / 100.0
-    # cut/inner_lo <= 1e300 stays finite; a float cap overflows to inf, not a numpy warning
-    cap = 1e300 * float(inner_lo)
-    cut = min(TAIL_CUT_MULTIPLIER * max(omega_th, abs(p.scales.lambda_minus)), cap)
-    # the grid's run from inner_lo rounded down to the cut rounded up, but not past the cap
-    k_a, k_b = _grid_step(inner_lo, math.floor), _grid_step(cut, math.ceil)
-    if _GRID[k_b + _TOP_STEP] > cap:
-        k_b -= 1
-    a, ends, w, f12 = _panel_grid(p, mode).first_round(k_a, k_b)
+    lo, hi = sorted((float(b.beta1 * p.hbar), float(b.beta2 * p.hbar)))
+    omega_th = 1.0 / lo
+    solve, grid = _circuit_solve(p, mode), _panel_grid(p, mode)
+    cut = TAIL_CUT_MULTIPLIER * max(omega_th, abs(p.scales.lambda_minus))
+    if omega_th < abs(p.scales.lambda_minus):
+        cut = min(cut, _cold_cut(solve, omega_th))
+    k_a = min(_grid_step(omega_th, math.floor), grid.bottom)
+    k_b = max(min(_grid_step(cut, math.ceil), grid.top), k_a + 1)
+    j = grid.at[max(k_b - grid.bottom, 0)]
+    if k_a == grid.bottom:  # the grid's panels, from its first one [0, omega_bottom]
+        a, ends, nodes, f12 = grid.edges[:j], grid.edges[1 : j + 1], grid.nodes[:j], grid.f12[:j]
+    else:  # below the grid: the call's own panels, from [0, omega_ka]
+        ends = _GRID[k_a + _TOP_STEP : k_b + _TOP_STEP + 1]
+        a = np.concatenate(((0.0,), ends[:-1]))
+        nodes = _kronrod_nodes(a, ends)[1]
+        f12 = transfer_f12(nodes.ravel(), p, mode).reshape(nodes.shape)
+    w = np.concatenate((nodes.ravel(), grid.edges[j:] if k_b > grid.bottom else ends[-1:]))
     # the weight is n1 - n2 for T1 > T2 and n2 - n1 otherwise, so `sign` is that of T1 - T2
     sign = 1.0 if b.T1 > b.T2 else -1.0
-    lo, hi = sorted((b.beta1 * p.hbar, b.beta2 * p.hbar))
 
     def integrand(w: np.ndarray) -> np.ndarray:
         return _thermal_weight(w, lo, hi) * transfer_f12(w, p, mode)
 
     # qk21 divides by resasc, which is 0 on an interval where f is constant
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        f = _thermal_weight(w, lo, hi) * f12
-        value, estimate = _integrate_panels(integrand, a, ends, f[:-1].reshape(-1, len(_NODES)))
-    # beyond the cut w f12 decreases, and n1 - n2 = Int_lo^hi -w n'(t w) dt, with
-    # -n'(x) = 1/(4 sinh^2(x/2)), falls faster than (w/cut) e^-lo(w - cut) times its
-    # value at the cut: the discarded tail is under |integrand(cut)| (1 + 1/(lo cut))/lo
-    cut = ends[-1]  # omega_kb
-    tail_bound = abs(f[-1]) * (1.0 + 1.0 / (lo * cut)) / lo
-    value, estimate = sign * p.hbar * value, p.hbar * (estimate + tail_bound)
+        weight = _thermal_weight(w, lo, hi)
+        f = weight[: nodes.size].reshape(f12.shape) * f12
+        value, estimate = _integrate_panels(integrand, a, ends, f)
+        if k_b > grid.bottom:  # w ends at the grid's edges from the cut on
+            tail = float(np.dot(weight[nodes.size :], grid.beyond[j:]))
+        else:
+            tail = float(weight[-1]) * grid.sup * (1.0 + 1.0 / (lo * ends[-1])) / lo
+    value, estimate = sign * p.hbar * value, p.hbar * (estimate + tail)
     target = REL_TOL * abs(value)
     if not estimate <= target:  # a nan value or estimate misses it too
         raise ToleranceNotMetError(value, estimate, target)
@@ -488,9 +483,9 @@ def _polish(coeffs: tuple[float, ...], z: complex) -> complex:
     return z
 
 
-# A resonant root s (|Im s| > |Re s|) bends f12 at |Im s| + k |Re s| for each k
-# here: its flanks, graded by 4 so that the panels next to the peak reach the
-# log grid in steps, not in one.
+# f12 bends at |s| for every root s of D, and a resonant root (|Im s| > |Re s|)
+# also at |Im s| + k |Re s| for each k here: its flanks, graded by 4 so that
+# `heat_exact`'s panels next to the peak reach the log grid in steps, not in one.
 _FLANKS = (-128.0, -32.0, -8.0, -2.0, -0.5, 0.5, 2.0, 8.0, 32.0, 128.0)
 # Roots nearer each other than this fraction of their distance from the
 # imaginary axis are summed as one cluster: root by root, their residues
@@ -549,26 +544,26 @@ class _CircuitSolve:
 
     `transfer_f12` evaluates `polys`, the coefficients of u_plus and u_minus,
     and reads `rma2` = (R M/A)^2, with A = (L - M)(L + M) formed once here.
-    `breaks` is the read-only array of the frequencies, in increasing order,
-    where f12 bends: |s| at every root s of D, and at a resonant root
-    (|Im s| > |Re s|) also |Im s| + k |Re s|, k in `_FLANKS`, on its flanks;
-    `heat_exact` starts its panels there.
+    `roots` are the roots of u_plus and of u_minus, each real root first,
+    from which `heat_exact` places its panels and bounds f12.
     `s` and `weight` are complex arrays of the residue sum's nodes and their
     weights: at a residue, weight = s^3/(D(-s) D'(s)), twice that at the
     upper root of a conjugate pair of residues, whose lower root is left out;
     at one of the n points s = centre + offset of a cluster's contour,
-    weight = s^3/(D(-s) D(s)) offset/n.  `failure` is the error of the pole
-    step, or of weights that overflow, raised by `quantum_integral`; the
-    arrays are then empty.
+    weight = s^3/(D(-s) D(s)) offset/n; `reach` is the largest |Re s| or
+    |Im s| over those nodes.  `failure` is the error of the pole step, or of
+    weights that overflow, raised by `quantum_integral`; the arrays are then
+    empty.
     """
 
     polys: tuple[tuple[float, ...], tuple[float, ...]]
     rma2: float
     K: float
     classical: float
-    breaks: np.ndarray
+    roots: tuple[tuple[complex, ...], tuple[complex, ...]]
     s: np.ndarray
     weight: np.ndarray
+    reach: float
     failure: ArithmeticError | None
 
 
@@ -594,25 +589,19 @@ def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
         wc4 = math.inf
     classical = 2.0 * wc4 * rma2 * h2
     K = (2.0 / math.pi) * wc4 * rma2
-    mode_roots = [_mode_roots(coeffs) for coeffs in polys]
-    breaks = set()
-    for s in mode_roots[0] + mode_roots[1]:
-        breaks.add(abs(s))
-        if abs(s.imag) > abs(s.real):
-            breaks.update(abs(s.imag) + k * abs(s.real) for k in _FLANKS)
-    breaks = np.array(sorted(breaks))
-    breaks.flags.writeable = False
+    mode_roots = tuple(tuple(_mode_roots(coeffs)) for coeffs in polys)
     try:
         nodes = _residue_nodes(p, polys, mode_roots, 2.0 * p.R * p.M / A)
         if not all(cmath.isfinite(K * weight) for _, weight in nodes):
             raise OverflowError(f"residue weights overflow at omega_c = {p.omega_c!r}")
         s, weight = (np.array(x) for x in zip(*nodes))
         s.flags.writeable = weight.flags.writeable = False  # every caller shares the record
-        return _CircuitSolve(polys, rma2, K, classical, breaks, s, weight, None)
+        reach = max(max(abs(z.real), abs(z.imag)) for z, _ in nodes)
+        return _CircuitSolve(polys, rma2, K, classical, mode_roots, s, weight, reach, None)
     except ArithmeticError as error:
         empty = np.zeros(0, complex)
         failure = error.with_traceback(None)
-        return _CircuitSolve(polys, rma2, K, classical, breaks, empty, empty, failure)
+        return _CircuitSolve(polys, rma2, K, classical, mode_roots, empty, empty, 0.0, failure)
 
 
 def _modulus_on_axis(coeffs: tuple[float, ...], omega):
@@ -744,7 +733,8 @@ def quantum_integral(
     damped pair of roots of u (M -> L again).  Roots closer together than a
     fraction of their distance from the axis (a repeated root, or the roots
     of u_plus and u_minus at small M/L) are summed as one trapezoidal contour
-    integral around their cluster.
+    integral around their cluster.  Where c_j s passes the largest float at
+    a node, it raises an OverflowError naming the colder bath.
 
     Negative for T1 > T2: it is the low-temperature correction that cancels
     part of the classical current.  Satisfies heat_exact = k_b (T1 - T2) *
@@ -764,6 +754,7 @@ def quantum_integral(
         return 0.0
     solve = _residue_record(p, mode)
     c1, c2 = _digamma_rates(p, b)
+    _check_reach(solve, b, c1, c2)
     psi = _digamma_array(1.0 - np.multiply.outer((c2, c1), solve.s))
     terms = solve.weight * ((psi[0] - psi[1]) - log_ratio(c2, c1))
     return p.hbar * solve.K * math.fsum(terms.real.tolist())
@@ -780,6 +771,13 @@ def _residue_record(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
 def _digamma_rates(p: CircuitParams, b: BathPair) -> tuple[float, float]:
     """c_j = beta_j hbar/2pi: the bracket of the residue sum holds psi(1 - c_j s)."""
     return b.beta1 * p.hbar / (2.0 * math.pi), b.beta2 * p.hbar / (2.0 * math.pi)
+
+
+def _check_reach(solve: _CircuitSolve, b: BathPair, c1: float, c2: float) -> None:
+    """Raise an OverflowError naming the colder bath where c_j s is past the largest float."""
+    if float(max(c1, c2)) * solve.reach == math.inf:
+        name = "T2" if c2 > c1 else "T1"
+        raise OverflowError(f"the residue sum overflows at {name} = {min(b.T1, b.T2)!r}")
 
 
 def _quantum_integrals(points: list[tuple[CircuitParams, BathPair]], modes) -> list[list]:
@@ -803,9 +801,11 @@ def _quantum_integrals(points: list[tuple[CircuitParams, BathPair]], modes) -> l
         if b.T1 == b.T2 or p.M == 0.0:
             continue
         total = 0
+        c1, c2 = _digamma_rates(p, b)
         for k, mode in enumerate(modes):
             try:
                 solve = _residue_record(p, mode)
+                _check_reach(solve, b, c1, c2)
             except ArithmeticError as error:
                 values[k] = error
                 continue
@@ -813,7 +813,6 @@ def _quantum_integrals(points: list[tuple[CircuitParams, BathPair]], modes) -> l
             total += solve.s.size
             s.append(solve.s)
             weight.append(solve.weight)
-        c1, c2 = _digamma_rates(p, b)
         rates.append((c2, c1, log_ratio(c2, c1)))
         totals.append(total)
     if not pending:

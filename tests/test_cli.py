@@ -278,6 +278,18 @@ def test_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=SRC_ENV)
 
 
+def test_heat_exact_does_not_load_numpy_ma():
+    # np.union1d, in the grid build, imported numpy.ma: 11-13 ms and 1.3 MB
+    # of a process's first heat_exact call
+    code = (
+        "import overheat as oh, sys; "
+        "p = oh.CircuitParams(2.0, 2.0, 5e-5, 1.0, 5.0); "
+        "oh.heat_exact(p, oh.BathPair.from_temperatures(2.0, 1.0)); "
+        "assert 'numpy.ma' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=SRC_ENV)
+
+
 def test_public_api():
     # every exported name resolves, and the test-only oracles stay out of the
     # package: one route per job

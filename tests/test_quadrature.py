@@ -38,12 +38,11 @@ from response_reference import heat_quantum_blocks
 
 LINEAR = TransferMode.OVERDAMPED_LINEAR
 CUBIC = TransferMode.EXACT_CUBIC
-# Bytes a held panel grid of one (circuit, mode) with |lambda_plus| < 100 can
-# reach: all of the finite grid, 10^(k/3) for |k| <= 924, with f12 at every
-# node (~0.98e6 bytes; the first panels [0, omega_k], held up to
-# |lambda_plus|/100, add up to ~0.31e6 more at the largest rates).  The grid
-# at T1 in {1e-250, 1e250} on the reference circuit holds 810424.
-GRID_BYTES_WORST = 2**20
+# Bytes a panel grid of one (circuit, mode) of the reference family holds: ~40
+# panels from |lambda_plus|/100 to the power-law cut, 21 nodes and f12 at each,
+# built a few steps past that cut (~20 KB; a grid that grew with the
+# temperatures it met, to 810424 bytes at T1 in {1e-250, 1e250}).
+GRID_BYTES_WORST = 2**15
 
 
 def overdamped_draw(rng, gamma_exponent=(2.0, 8.0)):
@@ -395,9 +394,9 @@ class TestHeatExact:
 
     @pytest.mark.parametrize("gamma_over_omega_d, m_over_l", [(1e4, 0.5), (1e3, 0.99)])
     def test_one_f12_call_per_round(self, gamma_over_omega_d, m_over_l, monkeypatch, fresh_solve):
-        # the tail bound reads f12 at the cut from the grid's one call, which
-        # stands in for the first round's, so no round and no bound calls f12
-        # on its own; on the held grid only the later rounds call it (the
+        # the grid's one call of f12 stands in for the first round's, and the
+        # tail bounds read the roots, not f12, so no round and no bound calls
+        # f12 on its own; on a built grid only the later rounds call it (the
         # sharp resonance at 1e3, 0.99 takes several rounds)
         p = CircuitParams(
             R=2.0, L=2.0, C=1.0 / (2.0 * gamma_over_omega_d), M=2.0 * m_over_l, omega_c=0.3
@@ -414,18 +413,21 @@ class TestHeatExact:
 
     @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
     def test_held_grid_serves_a_second_temperature(self, circuit, mode, monkeypatch, fresh_solve):
-        # the grid held after the call at T1 = 2 reaches the cut at T1 = 3, and
-        # f12 at every node of the first round is held with it
+        # the grid built at T1 = 2 holds f12 at every node of the first round
+        # of any call with omega_th above its bottom, |lambda_plus|/100 ~ 0.006,
+        # up to its power-law cut; a grid that grew held T1 = 3 but not 1e300
         heat_exact(circuit, BathPair.from_temperatures(2.0, 1.0), mode)
         rounds = counting(monkeypatch, quadrature, "_thermal_weight")
         f12 = counting(monkeypatch, quadrature, "transfer_f12")
-        heat_exact(circuit, BathPair.from_temperatures(3.0, 1.0), mode)
-        assert len(rounds) == 1 and f12 == []
+        for T1 in (3.0, 1e-2, 1e300):
+            heat_exact(circuit, BathPair.from_temperatures(T1, 0.5 * T1), mode)
+        assert len(rounds) == 3 and f12 == []
 
     @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
     def test_value_does_not_depend_on_earlier_temperatures(self, circuit, baths, mode):
-        # the held grid grows down to T1 = 1e-3 and up to 1e3: the panels a
-        # call reads, and f12 at their nodes, are the ones an empty cache gives
+        # calls from T1 = 1e-3 to 1e3 read the grid built by the first: the
+        # panels a call reads, and f12 at their nodes, are the ones an empty
+        # cache gives
         clear_caches()
         fresh = heat_exact(circuit, baths, mode).hex()
         clear_caches()
@@ -435,7 +437,7 @@ class TestHeatExact:
 
     def test_threads_sharing_a_grid_read_fresh_values(self, circuit, fresh_solve):
         # four threads scan one circuit in different orders, 2.5 decades apart,
-        # so that nearly every call grows the grid under the others: every
+        # from an empty cache, so that they may build its grid at once: every
         # value is the one an empty cache gives
         temperatures = [10.0 ** (2.5 * k) for k in range(-12, 13)]
         expected = {}
@@ -466,8 +468,9 @@ class TestHeatExact:
         assert all(value == expected[T1] for T1, value in got)
 
     def test_held_grids_stay_bounded_in_memory(self, fresh_solve):
-        # T1 = 1e-250 and 1e250 spread a grid over ~500 decades, the widest a
-        # test reaches; only the last _GRID_CACHE_SIZE (circuit, mode) pairs stay
+        # T1 = 1e-250 and 1e250, the widest temperatures a test reaches, read
+        # one grid of fixed range per circuit; only the last _GRID_CACHE_SIZE
+        # (circuit, mode) pairs stay
         circuits = [
             CircuitParams(R=2.0, L=2.0, C=5e-5, M=0.01 + 0.02 * k, omega_c=5.0)
             for k in range(quadrature._GRID_CACHE_SIZE + 4)
@@ -496,40 +499,35 @@ class TestHeatExact:
             assert quadrature._GRID[k + top] == 10.0 ** (k / 3)
 
     @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
-    def test_rebuilt_grid_holds_a_fresh_grid(self, circuit, mode, fresh_solve):
-        # a call at T1 = 1e-3 rebuilds the grid of T1 = 2 on the cold side
-        # only, and one at 1e3 on the hot side only; every array held is the
-        # one a grid built at once over the same steps holds
-        steps = []
-        for T1 in (2.0, 1e-3, 1e3):
-            heat_exact(circuit, BathPair.from_temperatures(T1, 0.5 * T1), mode)
-            held = quadrature._panel_grid(circuit, mode).held
-            steps.append((held.lo, held.hi))
-        (lo0, hi0), (lo1, hi1), (lo2, hi2) = steps
-        assert lo1 < lo0 and hi1 == hi0 and lo2 == lo1 and hi2 > hi1
-        fresh = quadrature._PanelGrid(circuit, mode)._panels(lo2, hi2)
-        for name in (field.name for field in dataclasses.fields(held)):
-            assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
-
-    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
     @pytest.mark.parametrize("step", [1, -1], ids=["ascending", "descending"])
-    def test_long_scan_builds_f12_a_few_times_over(self, circuit, mode, step, monkeypatch,
-                                                   fresh_solve):
-        # a scan over 100 decades, one per call, keeps extending the held grid,
-        # and each rebuild evaluates f12 on the whole union: with a fixed
-        # margin of 6 steps that was a rebuild every two decades and 12-15 times
-        # the final grid's points in all; a margin of the held span stays under 3
-        panels, built = quadrature._PanelGrid._panels, []
-
-        def counted(grid, lo, hi):
-            held = panels(grid, lo, hi)
-            built.append(held.nodes.size + held.edges.size + held.zero_nodes.size)
-            return held
-
-        monkeypatch.setattr(quadrature._PanelGrid, "_panels", counted)
-        for k in range(-50, 51)[::step]:
+    def test_long_scan_builds_f12_a_few_times_over(self, circuit, mode, step, fresh_solve):
+        # a scan over 500 decades, from either end, builds the circuit's grid
+        # on its first call and never changes it; a grid that grew with the
+        # scan was rebuilt a logarithmic number of times
+        grid = held = None
+        for k in range(-250, 251, 10)[::step]:
             heat_exact(circuit, BathPair.from_temperatures(10.0**k, 0.5 * 10.0**k), mode)
-        assert sum(built) <= 3 * built[-1]
+            if grid is None:
+                grid = quadrature._panel_grid(circuit, mode)
+                held = [np.array(x) for x in (grid.edges, grid.nodes, grid.f12, grid.sup)]
+        assert quadrature._panel_grid(circuit, mode) is grid
+        assert quadrature._panel_grid.cache_info().misses == 1
+        for x, y in zip(held, (grid.edges, grid.nodes, grid.f12, grid.sup)):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("mode, most", [(CUBIC, 2.0), (LINEAR, 3.0)])
+    def test_nodes_are_bounded_at_both_ends_of_temperature(self, circuit, mode, most, monkeypatch):
+        # the nodes of a call's first round: a cut that grew with
+        # omega_th and its first panel shrank with it, so ExactCubic read
+        # 16087 nodes at T1 = 1e-250 and 19405 at 1e300, 38 and 46 times its
+        # 421 at T1 = 2 (OverdampedLinear 16066 and 18964, against 358)
+        weights = counting(monkeypatch, quadrature, "_thermal_weight")
+        nodes = {}
+        for T1 in (2.0, 1e-250, 1e-50, 1e10, 1e100, 1e300):
+            weights.clear()
+            heat_exact(circuit, BathPair.from_temperatures(T1, 0.5 * T1), mode)
+            nodes[T1] = sum(np.size(args[0]) for args, _ in weights)
+        assert max(nodes.values()) <= most * nodes[2.0], nodes
 
     @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
     def test_nan_in_f12_raises(self, circuit, baths, mode, monkeypatch, fresh_solve):
@@ -547,21 +545,6 @@ class TestHeatExact:
             heat_exact(circuit, baths, mode)
         assert math.isnan(excinfo.value.value)
 
-    @pytest.mark.parametrize("temperatures", [(2.0, 1.0), (1.0, 1.0 + 1e-6), (50.0, 10.0)])
-    def test_tail_bound_covers_the_tail(self, circuit, temperatures, monkeypatch):
-        # a cut at ~10 omega_th leaves a tail above the tolerance: the estimate
-        # must cover what the cut discards, and stay within a small factor of
-        # it near equilibrium too, where a bound by the hotter bath's
-        # occupation alone read 7e4 times the discarded tail; the grid rounds
-        # 6 max(omega_th, |lambda_minus|) up to 10.8, 10 and 9.3 omega_th here
-        b = BathPair.from_temperatures(*temperatures)
-        full = heat_exact(circuit, b)
-        monkeypatch.setattr(quadrature, "TAIL_CUT_MULTIPLIER", 6.0)
-        with pytest.raises(ToleranceNotMetError) as excinfo:
-            heat_exact(circuit, b)
-        discarded = abs(excinfo.value.value - full)
-        assert discarded <= excinfo.value.estimate <= 3.0 * discarded
-
     def test_estimate_guards_its_budget(self):
         # guards the 0.05 REL_TOL loop budget of `_integrate_panels`: with a
         # budget of 0.5 REL_TOL |total| and panels of 2 per decade, the qk21
@@ -572,6 +555,102 @@ class TestHeatExact:
         )
         b = BathPair.from_temperatures(10.0, 1.9603571785607867)
         assert split_error(p, b, CUBIC) <= 1e-9
+
+
+def mpmath_f12(mp, p, mode, w):
+    """f12 at w from the mode polynomials, at the working precision of `mp`:
+    |u(i w)|^2 = (omega_c (v - RC w^2))^2 + (w (v + omega_c - RC w^2))^2, RC = 0 when linear."""
+    R, L, M, C, wc = (mp.mpf(v) for v in (p.R, p.L, p.M, p.C, p.omega_c))
+    rc = R * C if mode is CUBIC else 0
+    moduli = 1
+    for v in (R / (L + M), R / (L - M)):
+        moduli *= (wc * (v - rc * w * w)) ** 2 + (w * (v + wc - rc * w * w)) ** 2
+    return (2 / mp.pi) * wc**4 * (R * M / ((L - M) * (L + M))) ** 2 * w * w / moduli
+
+
+def mpmath_tail(p, b, mode, cut):
+    """Int_cut^inf w f12 (n(lo w) - n(hi w)) dw at 30 digits: the part of
+    `heat_exact`'s integral, without hbar, that a cut at `cut` leaves out."""
+    with mpmath.workdps(30):
+        lo, hi = sorted(mpmath.mpf(beta) * mpmath.mpf(p.hbar) for beta in (b.beta1, b.beta2))
+
+        def integrand(w):
+            thermal = 1 / mpmath.expm1(lo * w) - 1 / mpmath.expm1(hi * w)
+            return w * mpmath_f12(mpmath.mp, p, mode, w) * thermal
+
+        roots = sum(quadrature._circuit_solve(p, mode).roots, ())
+        points = {cut * f for f in (1.5, 2, 3, 5, 10, 30, 100)} | {1 / float(lo)} | {
+            s.imag + k * s.real for s in roots for k in (-4, 0, 4) if s.imag > 0
+        }
+        points = sorted(x for x in points if x > cut)
+        return float(mpmath.quad(integrand, [cut, *points, mpmath.inf]))
+
+
+# The tail bounds of `heat_exact`: (circuit, temperatures) and the grid step of
+# the cut, below the grid (the cold bound) ...
+COLD_BOUND_CASES = {
+    "1e-5": (dict(C=5e-5, M=1.0, omega_c=5.0), (1e-5, 5e-6)),
+    "1e-20": (dict(C=5e-5, M=1.0, omega_c=5.0), (1e-20, 1e-21)),
+    "1e-30": (dict(C=5e-5, M=1.0, omega_c=5.0), (1e-30, 5e-31)),
+}
+# ... and inside the grid, up to its top (the panel and power-law bound)
+GRID_BOUND_CASES = {
+    # omega_0 = 100, the peak at 238 above a cut at 100, where the integrand
+    # at the cut times the Bose tail missed the tail
+    "below_the_peak": (dict(C=5e-5, M=1.0, omega_c=5.0), (50.0, 10.0), 6),
+    "bose_cut": (dict(C=5e-5, M=1.0, omega_c=5.0), (2.0, 1.0), 7),
+    # peaks of Q ~ 3e4 and 1.5e6 at 811 and 2850 above the cut at 464: sup f12
+    # times the Bose tail from the cut read 6x the tolerance here
+    "sharp_peaks_above": (dict(C=5e-7, M=1.75, omega_c=0.125), (1.0, 10.0**0.875), 8),
+    "hot": (dict(C=5e-5, M=1.0, omega_c=5.0), (1e10, 5e9), None),
+    "hottest": (dict(C=5e-5, M=1.0, omega_c=5.0), (1e300, 5e299), None),
+    "sharp_resonance": (dict(C=1.0 / 2e3, M=1.98, omega_c=0.3), (1e8, 5e7), None),
+}
+
+
+def case_point(fields, temperatures):
+    p = CircuitParams(R=2.0, L=2.0, **fields)
+    b = BathPair.from_temperatures(*temperatures)
+    return p, b, *sorted((b.beta1 * p.hbar, b.beta2 * p.hbar))
+
+
+class TestTailBounds:
+    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+    @pytest.mark.parametrize("case", sorted(COLD_BOUND_CASES))
+    def test_cold_bound_covers_the_tail(self, case, mode):
+        # at heat_exact's cold cut c below the grid: the weight at c times
+        # sup f12 times (1 + 1/(lo c))/lo
+        p, b, lo, hi = case_point(*COLD_BOUND_CASES[case])
+        grid = quadrature._panel_grid(p, mode)
+        cold = quadrature._cold_cut(quadrature._circuit_solve(p, mode), 1.0 / lo)
+        k = quadrature._grid_step(cold, math.ceil)
+        assert k <= grid.bottom
+        cut = float(quadrature._GRID[k + quadrature._TOP_STEP])
+        weight = float(quadrature._thermal_weight(np.array([cut]), lo, hi)[0])
+        bound = weight * grid.sup * (1.0 + 1.0 / (lo * cut)) / lo
+        tail = mpmath_tail(p, b, mode, cut)
+        assert 0.0 < tail <= bound, (tail, bound)
+
+    @pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+    @pytest.mark.parametrize("case", sorted(GRID_BOUND_CASES))
+    def test_grid_bound_covers_the_tail(self, case, mode):
+        # at a cut in the grid (its top where None): each later panel's f12
+        # integral times the weight at its left edge, and the power tail
+        # beyond the top times the weight there
+        fields, temperatures, k = GRID_BOUND_CASES[case]
+        p, b, lo, hi = case_point(fields, temperatures)
+        grid = quadrature._panel_grid(p, mode)
+        j = grid.at[(grid.top if k is None else k) - grid.bottom]
+        cut = float(grid.edges[j])
+        with np.errstate(over="ignore"):  # the weight is 0 where expm1(lo w) is inf
+            weights = quadrature._thermal_weight(grid.edges[j:], lo, hi)
+        bound = float(np.dot(weights, grid.beyond[j:]))
+        tail = mpmath_tail(p, b, mode, cut)
+        assert 0.0 < tail <= bound, (tail, bound)
+        if case == "below_the_peak" and mode is CUBIC:
+            # the integrand at the cut times the Bose tail is below the tail
+            weight = quadrature._thermal_weight(np.array([cut]), lo, hi)[0]
+            assert weight * transfer_f12(cut, p, mode) * (1.0 + 1.0 / (lo * cut)) / lo < tail
 
 
 def lorentzian(centre, width):
@@ -698,6 +777,25 @@ class TestQuantumIntegral:
                 cl = p.kb * (b.T1 - b.T2) * classical_integral(p, mode)
                 qu = quantum_integral(p, b, mode)
                 assert cl + qu == pytest.approx(total, rel=1e-7)
+
+    @pytest.mark.parametrize("fields, temperatures, name", [
+        # nan after numpy's "overflow encountered in multiply"
+        (dict(R=2.0, L=2.0, C=5e-5, M=1.0, omega_c=5.0), (2e-307, 1e-307), "T2 = 1e-307"),
+        # ValueError: -inf + inf in fsum
+        (dict(R=451804992.7163319, L=6.486092109759495e-20, C=7.663051292264504e-15,
+              M=1.0415043641851242e-21, omega_c=4.292529416337063e-11),
+         (1.6866463617714756e179, 1.5371969585464802e-293), "T2 = 1.5371969585464802e-293"),
+    ])
+    def test_overflowing_rate_names_the_colder_bath(self, fields, temperatures, name):
+        # where c_j s passes the largest float at a node, both routes raise an
+        # OverflowError naming the bath, for that point only
+        p, b = CircuitParams(**fields), BathPair.from_temperatures(*temperatures)
+        with pytest.raises(OverflowError, match=name):
+            quantum_integral(p, b, CUBIC)
+        warm = BathPair.from_temperatures(2.0, 1.0)
+        (error,), (value,) = quadrature._quantum_integrals([(p, b), (p, warm)], [CUBIC])
+        assert isinstance(error, OverflowError) and name in str(error)
+        assert value == quantum_integral(p, warm, CUBIC)
 
     @pytest.mark.xfail(strict=True, reason="the split cancels near T1 = T2")
     def test_split_near_equilibrium(self, circuit):
@@ -1156,6 +1254,13 @@ class TestCircuitSolve:
         info = quadrature._circuit_solve.cache_info()
         assert info.maxsize == quadrature._CACHE_SIZE
         assert 0 < info.currsize <= info.maxsize
+
+    def test_fig2_builds_no_grid(self, monkeypatch, fresh_solve):
+        # a preset sweep's ExactQuadrature is the split: its records never
+        # evaluate f12, and no `heat_exact` grid is built
+        f12 = counting(monkeypatch, quadrature, "transfer_f12")
+        run_preset("fig2")
+        assert f12 == [] and quadrature._panel_grid.cache_info().currsize == 0
 
     def test_fig2_fits_the_caches(self, fresh_solve):
         # fig2 cycles 20 circuits in both transfer modes, ExactQuadrature and

@@ -348,6 +348,21 @@ class TestRunSweep:
         assert all(math.isnan(c) for row in rows for c in row.cells)
         assert all(row.warnings == 1 for row in rows)
 
+    @pytest.mark.parametrize("kwargs", [
+        # T1 from 2e-307 with T2 = T1/2: the first row read nan with no warning
+        dict(sweep_variable="T1", grid=Grid(2e-307, 1e-300, 4), t2_over_t1=0.5),
+        # T2 from 1.5e-293 at T1 = 1.7e179: "-inf + inf in fsum" ended the sweep
+        dict(sweep_variable="T2", grid=Grid(1.5371969585464802e-293, 1e-280, 4),
+             R=451804992.7163319, L=6.486092109759495e-20, C=7.663051292264504e-15,
+             M=1.0415043641851242e-21, omega_c=4.292529416337063e-11, T1=1.6866463617714756e179),
+    ])
+    def test_overflowing_residue_sum_is_one_nan_row(self, kwargs):
+        # c_j s passes the largest float at the first point only: its exact
+        # cells are nan with a warning, and every other row is finite
+        rows = run_sweep(SweepSpec(**kwargs))
+        assert all(math.isnan(c) for c in rows[0].cells[:3]) and rows[0].warnings >= 1
+        assert all(math.isfinite(c) for row in rows[1:] for c in row.cells)
+
     def test_cluster_failure_is_one_nan_row(self, monkeypatch):
         # a pole cluster that reaches the imaginary axis fails the cubic
         # record of one circuit: its row's exact cells become nan with one
