@@ -39,12 +39,12 @@ from .model import (
 )
 from .quadrature import (
     ToleranceNotMetError,
+    TransferMode,
     classical_integral,
     heat_exact,
     quantum_integral,
     transfer_f12,
 )
-from .response import TransferMode
 from .special import PoleError, digamma
 from .sweep import (
     ConfigError,

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import BathPair, CircuitParams, RegimeLabel, RegimeTag, classify_regime
-from .quadrature import _quantum_integrals, _residue_record, classical_integral, quantum_integral
-from .response import TransferMode
+from .quadrature import (
+    TransferMode, _quantum_integrals, _residue_record, classical_integral, quantum_integral
+)
 from .special import log_ratio
 
 

@@ -1,12 +1,28 @@
-"""Heat currents by direct adaptive quadrature of the exact frequency integrals.
+"""The transfer function of the coupled loops and its exact heat integrals.
 
-These integrals are the ground truth for everything else in the package.  The
-steady-state current out of bath 1 is
+In Laplace space the charge sector obeys [C s^2 + gamma(s) s + Linv] q = xi,
+with the inductance-matrix inverse Linv = [[L, M], [M, L]]/(L^2 - M^2) and the
+Lorentz-Drude friction kernel gamma(s) = (1/R) * omega_c/(s + omega_c) acting
+identically in both loops.  The off-diagonal Green's function factorizes over
+the two flux normal modes,
+
+    g12(s) = -(M/A) * R^2 (s + omega_c)^2 / (u_plus(s) * u_minus(s)),
+
+with A = (L - M)(L + M), a product that does not cancel as M -> L, and the
+cubic mode polynomials u_plus, u_minus (`mode_polynomials`).  Dropping their
+inertial s^3 and s^2 terms (valid deep in the overdamped regime) leaves
+linear polynomials whose roots are the dressed rates lambda_pm (`TransferMode`
+picks either form).  The spectral heat transfer function between the baths is
+
+    f12(omega) = (2/pi) omega^2 omega_c^4 (R M / A)^2 / |u_plus u_minus|^2
+
+at s = i omega (`transfer_f12`), and the steady-state current out of bath 1 is
 
     Qdot1 = (hbar/2) Int_0^inf domega omega f12(omega)
             * [coth(beta1 hbar omega/2) - coth(beta2 hbar omega/2)],
 
-positive when heat enters the circuit from bath 1 (T1 > T2).  Writing the
+positive when heat enters the circuit from bath 1 (T1 > T2).  These integrals
+are the ground truth for everything else in the package.  Writing the
 thermal factor through digamma functions splits the current exactly into a
 classical piece k_b (T1 - T2) Int f12 and a quantum remainder
 
@@ -37,14 +53,50 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from .model import BathPair, CircuitParams
-from .response import TransferMode, horner, mode_polynomials
 from .special import _digamma_array, log_ratio
+
+
+class TransferMode(Enum):
+    """Which mode polynomials enter f12: full cubic or overdamped linear."""
+
+    EXACT_CUBIC = "ExactCubic"
+    OVERDAMPED_LINEAR = "OverdampedLinear"
+
+
+def mode_polynomials(
+    p: CircuitParams, mode: TransferMode
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Coefficients of u_plus and u_minus, highest power first.
+
+    Exact cubic form: (s^3 + omega_c s^2)/gamma + (omega_pm + omega_c) s
+    + omega_pm omega_c, with gamma = 1/(R C) and omega_pm from `p.scales`.
+    The overdamped form keeps only the last two (linear) terms; its root is
+    lambda_pm.  Uncached: `_circuit_solve` keeps them.
+    """
+    rc = p.R * p.C
+    inertial = () if mode is TransferMode.OVERDAMPED_LINEAR else (rc, rc * p.omega_c)
+    plus, minus = (
+        inertial + (w + p.omega_c, w * p.omega_c)
+        for w in (p.scales.omega_plus, p.scales.omega_minus)
+    )
+    return plus, minus
+
+
+def horner(coeffs: tuple[float, ...], s):
+    """Value and derivative at s of the polynomial with `coeffs`, highest power first."""
+    value = slope = 0.0
+    for c in coeffs:
+        slope = slope * s + value
+        value = value * s + c
+    return value, slope
 
 
 # Relative error the `heat_exact` total must meet.
@@ -573,6 +625,11 @@ def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
     if p.omega_c * p.omega_c == math.inf:  # f12's omega_c^2: no record to cache
         raise OverflowError(f"f12 overflows at omega_c = {p.omega_c!r}")
     polys = mode_polynomials(p, mode)
+    if 0.0 in polys[0]:  # every term of a stable D is > 0; u_plus's underflow first
+        what = "vanish at omega = 0: omega_plus" if polys[0][-1] == 0.0 else "lose s^2: RC"
+        raise ArithmeticError(f"mode polynomials {what} omega_c underflows at omega_plus = "
+                              f"{p.scales.omega_plus!r}, RC = {p.R * p.C!r}, "
+                              f"omega_c = {p.omega_c!r}")
     (up, d_plus), (um, d_minus) = (_integer_coefficients(c) for c in polys)
     a = [0] * (len(up) + len(um) - 1)
     for i, x in enumerate(up):
@@ -742,22 +799,18 @@ def quantum_integral(
     T1 == T2 and M == 0, and exactly odd under T1 <-> T2.
 
     Only the digamma arguments depend on the temperatures: K, the nodes and
-    their weights are fields of the cached `_circuit_solve` record, so a
-    cached circuit costs one call of the digamma kernel, on the (2, n) array
-    of both baths' arguments at the n nodes, and a `math.fsum` of the terms'
-    real parts.  The nodes are the roots, less the lower root of each
-    conjugate pair, whose term is the conjugate of the upper one's, and the
-    points of each cluster's contour.  A cluster reaching the imaginary axis
-    raises ArithmeticError on every call.
+    their weights are fields of the cached record (`_CircuitSolve`), so a
+    cached circuit costs one digamma kernel call, on both baths' arguments at
+    every node (`_residue_terms`), and a `math.fsum`.  A cluster reaching the
+    imaginary axis raises ArithmeticError on every call.
     """
     if b.T1 == b.T2 or p.M == 0.0:
         return 0.0
-    solve = _residue_record(p, mode)
-    c1, c2 = _digamma_rates(p, b)
-    _check_reach(solve, b, c1, c2)
-    psi = _digamma_array(1.0 - np.multiply.outer((c2, c1), solve.s))
-    terms = solve.weight * ((psi[0] - psi[1]) - log_ratio(c2, c1))
-    return p.hbar * solve.K * math.fsum(terms.real.tolist())
+    rates, (solve,) = _residue_prologue(p, b, (mode,))
+    if isinstance(solve, ArithmeticError):
+        raise solve
+    terms = _residue_terms(np.array(rates)[:, None], solve.s, solve.weight)
+    return p.hbar * solve.K * math.fsum(terms)
 
 
 def _residue_record(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
@@ -773,55 +826,55 @@ def _digamma_rates(p: CircuitParams, b: BathPair) -> tuple[float, float]:
     return b.beta1 * p.hbar / (2.0 * math.pi), b.beta2 * p.hbar / (2.0 * math.pi)
 
 
-def _check_reach(solve: _CircuitSolve, b: BathPair, c1: float, c2: float) -> None:
-    """Raise an OverflowError naming the colder bath where c_j s is past the largest float."""
-    if float(max(c1, c2)) * solve.reach == math.inf:
-        name = "T2" if c2 > c1 else "T1"
-        raise OverflowError(f"the residue sum overflows at {name} = {min(b.T1, b.T2)!r}")
+def _residue_prologue(p: CircuitParams, b: BathPair, modes) -> tuple[tuple, list]:
+    """The rates (c2, c1, ln(c2/c1)) of the residue sum at (p, b), and per mode
+    its record or its ArithmeticError: the record's failure, or an OverflowError
+    naming the colder bath where c_j s passes the largest float at a node."""
+    c1, c2 = _digamma_rates(p, b)
+    records: list = []
+    for mode in modes:
+        try:
+            solve = _residue_record(p, mode)
+            if float(max(c1, c2)) * solve.reach == math.inf:
+                name = "T2" if c2 > c1 else "T1"
+                raise OverflowError(f"the residue sum overflows at {name} = {min(b.T1, b.T2)!r}")
+            records.append(solve)
+        except ArithmeticError as error:
+            records.append(error)
+    return (c2, c1, log_ratio(c2, c1)), records
+
+
+def _residue_terms(rates: np.ndarray, s: np.ndarray, weight: np.ndarray) -> list[float]:
+    """The residue sum's terms Re weight [psi(1 - c2 s) - psi(1 - c1 s) - ln(c2/c1)],
+    with the rates (c2, c1, ln(c2/c1)) as the rows of `rates`: one column, or one per node."""
+    psi = _digamma_array(1.0 - rates[:2] * s)
+    return (weight * ((psi[0] - psi[1]) - rates[2])).real.tolist()
 
 
 def _quantum_integrals(points: list[tuple[CircuitParams, BathPair]], modes) -> list[list]:
     """`quantum_integral(p, b, mode)` at every (p, b) of `points`, for every
     mode of `modes`, bit for bit, or the ArithmeticError it raises there: per
-    point a list in the order of `modes`.
-
-    c_j and ln(c2/c1) are formed once per point, and the nodes of every point
-    and mode go through one digamma kernel call; each record's terms are then
-    summed on their own by `math.fsum`, as in `quantum_integral`, so a value
-    does not depend on the batch around it.
+    point a list in the order of `modes`.  The rates are formed once per
+    point, the nodes of every point and mode go through one digamma kernel
+    call, and each record's terms are summed on their own by `math.fsum`, so
+    a value does not depend on the batch around it.
     """
-    if not modes:
-        return [[] for _ in points]
     out: list[list] = []
-    pending = []  # (values, slot, hbar K, node count) of every sum that the kernel gives
-    rates, totals, s, weight = [], [], [], []  # per point: (c2, c1, ln(c2/c1)), node count
+    pending = []  # (values, slot, hbar, record, rates) of every sum that the kernel gives
     for p, b in points:
-        values: list = [0.0] * len(modes)
-        out.append(values)
         if b.T1 == b.T2 or p.M == 0.0:
+            out.append([0.0] * len(modes))
             continue
-        total = 0
-        c1, c2 = _digamma_rates(p, b)
-        for k, mode in enumerate(modes):
-            try:
-                solve = _residue_record(p, mode)
-                _check_reach(solve, b, c1, c2)
-            except ArithmeticError as error:
-                values[k] = error
-                continue
-            pending.append((values, k, p.hbar * solve.K, solve.s.size))
-            total += solve.s.size
-            s.append(solve.s)
-            weight.append(solve.weight)
-        rates.append((c2, c1, log_ratio(c2, c1)))
-        totals.append(total)
+        rates, values = _residue_prologue(p, b, modes)
+        out.append(values)  # each record in it is replaced by its sum below
+        pending += [(values, k, p.hbar, solve, rates)
+                    for k, solve in enumerate(values) if isinstance(solve, _CircuitSolve)]
     if not pending:
         return out
-    c = np.repeat(np.array(rates).T, totals, axis=1)
-    psi = _digamma_array(1.0 - c[:2] * np.concatenate(s))
-    terms = (np.concatenate(weight) * ((psi[0] - psi[1]) - c[2])).real.tolist()
-    end = 0
-    for values, k, scale, n in pending:
-        values[k] = scale * math.fsum(terms[end : end + n])
-        end += n
+    solves = [solve for _, _, _, solve, _ in pending]
+    c = np.repeat(np.array([rates for *_, rates in pending]).T, [x.s.size for x in solves], axis=1)
+    terms = iter(_residue_terms(
+        c, np.concatenate([x.s for x in solves]), np.concatenate([x.weight for x in solves])))
+    for values, k, hbar, solve, _ in pending:
+        values[k] = hbar * solve.K * math.fsum(itertools.islice(terms, solve.s.size))
     return out

@@ -19,6 +19,7 @@ plots such a CSV.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +36,9 @@ _METHOD_PREFIX = {
     Method.LOW_TEMP_ASYMPTOTIC: "lowt",
     Method.HIGH_TEMP_ASYMPTOTIC: "hight",
 }
+
+
+_VALID_METHODS = ", ".join(m.value for m in Method)
 
 
 class ConfigError(ValueError):
@@ -59,8 +63,8 @@ class Grid:
             raise ConfigError(
                 f"start < stop required, got start={self.start!r}, stop={self.stop!r}"
             )
-        if self.points < 2:
-            raise ConfigError(f"points >= 2 required, got {self.points!r}")
+        if not isinstance(self.points, numbers.Integral) or self.points < 2:
+            raise ConfigError(f"integer points >= 2 required, got {self.points!r}")
         if self.spacing == "log" and self.start <= 0.0:
             raise ConfigError(
                 f"log spacing requires start > 0, got start={self.start!r}"
@@ -113,8 +117,12 @@ class SweepSpec:
             raise ConfigError(
                 f"{self.sweep_variable} must be positive, got grid start={self.grid.start!r}"
             )
+        object.__setattr__(self, "methods", tuple(self.methods))  # hashable, as the field says
         if not self.methods:
             raise ConfigError("at least one method required")
+        for m in self.methods:
+            if not isinstance(m, Method):
+                raise ConfigError(f"unknown method {m!r}; valid: {_VALID_METHODS}")
         repeated = [m.value for i, m in enumerate(self.methods) if m in self.methods[:i]]
         if repeated:
             raise ConfigError(f"method listed twice: {', '.join(dict.fromkeys(repeated))}")
@@ -185,8 +193,7 @@ def _method(text: str) -> Method:
     try:
         return Method(text)
     except ValueError:
-        valid = ", ".join(m.value for m in Method)
-        raise ConfigError(f"unknown method {text!r}; valid: {valid}") from None
+        raise ConfigError(f"unknown method {text!r}; valid: {_VALID_METHODS}") from None
 
 
 _KEY_PARSERS = {

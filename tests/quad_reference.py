@@ -23,7 +23,7 @@ from overheat.quadrature import (
     ToleranceNotMetError,
     transfer_f12,
 )
-from overheat.response import TransferMode
+from overheat.quadrature import TransferMode
 
 
 def _panel_edges(inner_lo: float, inner_hi: float) -> list[float]:

@@ -140,6 +140,15 @@ class TestEval:
         assert main(EVAL_ARGS) == 2
         assert "numerical failure: mode polynomials vanish" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_underflowing_constant_term_exits_2_naming_it(self, capsys, method):
+        # omega_plus omega_c underflows to 0: it printed "division by zero"
+        args = ["eval", "--R", "1e-200", "--L", "1", "--C", "1", "--M", "0.5",
+                "--omega-c", "1e-200", "--T1", "2", "--T2", "1", "--method", method]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: mode polynomials vanish at omega = 0: omega_plus omega_c" in err
+
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["eval", "--R", "2"]) == 1
 

@@ -150,6 +150,12 @@ class TestBathPair:
         with pytest.raises(ValueError, match="positive"):
             BathPair.from_temperatures(T1, T2)
 
+    @pytest.mark.parametrize("kb", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_kb(self, kb):
+        message = f"kb must be positive and finite, got {kb!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BathPair.from_temperatures(2.0, 1.0, kb)
+
     @pytest.mark.parametrize(
         "T1, T2, kb, name",
         [(1.0, 1e-310, 1.0, "T2"), (1e300, 1.0, 1e10, "T1"), (1e-200, 1.0, 1e-200, "T1")],

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -31,7 +32,7 @@ from overheat import (
     quantum_integral,
     transfer_f12,
 )
-from overheat import model, quadrature, response, run_preset
+from overheat import model, quadrature, run_preset
 from call_counting import counting
 from quad_reference import _f12_integral, reference_heat_exact
 from response_reference import heat_quantum_blocks
@@ -797,6 +798,28 @@ class TestQuantumIntegral:
         assert isinstance(error, OverflowError) and name in str(error)
         assert value == quantum_integral(p, warm, CUBIC)
 
+    def test_batch_of_several_points_is_each_single_call_bit_for_bit(self):
+        # both modes at every point, with an equilibrium, a decoupled and an
+        # overflowing point: each slot holds the single route's value or error
+        rng = np.random.default_rng(30)
+        points = [overdamped_draw(rng, gamma_exponent=(0.0, 6.0)) for _ in range(5)]
+        p = CircuitParams(R=2.0, L=2.0, C=5e-5, M=1.0, omega_c=5.0)
+        points += [
+            (p, BathPair.from_temperatures(2e-307, 1e-307)),
+            (p, BathPair.from_temperatures(3.0, 3.0)),
+            (dataclasses.replace(p, M=0.0), BathPair.from_temperatures(2.0, 1.0)),
+        ]
+        batch = quadrature._quantum_integrals(points, [CUBIC, LINEAR])
+        assert isinstance(batch[5][0], OverflowError) and "T2 = 1e-307" in str(batch[5][0])
+        for (p, b), values in zip(points, batch):
+            for mode, value in zip((CUBIC, LINEAR), values):
+                try:
+                    single = quantum_integral(p, b, mode)
+                except ArithmeticError as error:
+                    assert (type(value), value.args) == (type(error), error.args)
+                else:
+                    assert value.hex() == single.hex()
+
     @pytest.mark.xfail(strict=True, reason="the split cancels near T1 = T2")
     def test_split_near_equilibrium(self, circuit):
         # k_b dT classical and quantum are large and cancel, and the digamma
@@ -1047,6 +1070,30 @@ class TestHugeCutoff:
             return [report.q_classical, report.q_quantum, report.q_total]
 
         finite_or_names_omega_c(columns)
+
+
+@pytest.mark.parametrize("fields, modes, message", [
+    # omega_plus omega_c = 6.7e-201 * 1e-200 underflows to 0: a bare ZeroDivisionError
+    (dict(R=1e-200, L=1.0, C=1.0, M=0.5, omega_c=1e-200), (LINEAR, CUBIC),
+     "mode polynomials vanish at omega = 0: omega_plus omega_c underflows at "
+     "omega_plus = 6.666666666666667e-201, RC = 1e-200, omega_c = 1e-200"),
+    # the cubic's s^2 term RC omega_c = 1e-320 * 1e-10 underflows to 0
+    (dict(R=1e-160, L=1.0, C=1e-160, M=0.5, omega_c=1e-10), (CUBIC,),
+     "mode polynomials lose s^2: RC omega_c underflows"),
+], ids=["constant_term", "s2_term"])
+def test_underflowing_mode_term_is_a_typed_error(fields, modes, message):
+    # every entry point raises one ArithmeticError naming the lost term
+    p, b = CircuitParams(**fields), BathPair.from_temperatures(2.0, 1.0)
+    for mode in modes:
+        for call in (
+            lambda: classical_integral(p, mode),
+            lambda: quantum_integral(p, b, mode),
+            lambda: heat_exact(p, b, mode),
+            lambda: transfer_f12(1.0, p, mode),
+        ):
+            with pytest.raises(ArithmeticError, match=re.escape(message)) as info:
+                call()
+            assert type(info.value) is ArithmeticError
 
 
 def linear_classical_formula(mp, p):

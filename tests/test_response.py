@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overheat import CircuitParams, TransferMode, transfer_f12
-from overheat.response import horner, mode_polynomials
+from overheat.quadrature import horner, mode_polynomials
 from response_reference import coupling_matrices, g12, green_matrix, trace_f12
 
 

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,11 @@ class TestGrid:
             (dict(start=1.0, stop=2.0, points=1), "points"),
             (dict(start=0.0, stop=2.0, points=5, spacing="log"), "start > 0"),
             (dict(start=1.0, stop=2.0, points=5, spacing="cubic"), "spacing"),
+            (dict(start=1.0, stop=math.inf, points=5), "endpoints must be finite"),
+            (dict(start=math.nan, stop=2.0, points=5), "endpoints must be finite"),
+            # numpy refused these later, in `values`
+            (dict(start=1.0, stop=10.0, points=2.5), "integer points >= 2 required, got 2.5"),
+            (dict(start=1.0, stop=10.0, points=3.0), "integer points >= 2 required, got 3.0"),
         ],
     )
     def test_invariants(self, kwargs, match):
@@ -181,6 +187,31 @@ class TestParseConfig:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(sweep_variable="C"), "sweep must be one of"),
+            (dict(methods=()), "at least one method required"),
+            # a method name, not a Method: run_sweep raised a TypeError
+            (dict(methods=("ClosedForm",)), "unknown method 'ClosedForm'; valid: ExactQuadrature"),
+            (dict(methods=[Method.CLOSED_FORM, None]), "unknown method None"),
+            (dict(sweep_variable="T1", t2_over_t1=0.0), "t2_over_t1 must be positive"),
+            (dict(sweep_variable="T1", t2_over_t1=-0.5), "t2_over_t1 must be positive"),
+            (dict(sweep_variable="T1", t2_over_t1=math.inf), "t2_over_t1 must be positive"),
+            (dict(sweep_variable="T1", t2_over_t1=math.nan), "t2_over_t1 must be positive"),
+        ],
+    )
+    def test_spec_invariants(self, kwargs, match):
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            SweepSpec(**kwargs)
+
+    def test_methods_are_stored_as_a_tuple(self):
+        # a list made the spec unhashable
+        spec = SweepSpec(grid=Grid(1.0, 10.0, 2), methods=[Method.CLOSED_FORM])
+        assert spec.methods == (Method.CLOSED_FORM,)
+        assert hash(spec) == hash(replace(spec, methods=(Method.CLOSED_FORM,)))
+        assert run_sweep(spec)[0].header()[3] == "closed_q_classical"
 
     def test_repeated_method_rejected(self):
         with pytest.raises(ConfigError, match="method listed twice: ClosedForm"):
