@@ -28,9 +28,8 @@ from enum import Enum
 
 from .model import BathPair, CircuitParams, RegimeLabel, RegimeTag, classify_regime
 from .quadrature import (
-    TransferMode, _quantum_integrals, _residue_record, classical_integral, quantum_integral
+    TransferMode, _quantum_integrals, _quantum_log_term, classical_integral, quantum_integral
 )
-from .special import log_ratio
 
 
 class Method(Enum):
@@ -95,15 +94,6 @@ def heat_quantum(p: CircuitParams, b: BathPair) -> float:
     Zero at equilibrium, odd under T1 <-> T2, negative for T1 > T2.
     """
     return quantum_integral(p, b, TransferMode.OVERDAMPED_LINEAR)
-
-
-def _quantum_log_term(p: CircuitParams, b: BathPair) -> float:
-    """The log term (hbar/pi)(M/L)^2 (lambda_+ lambda_-/omega_d)^2 log(T2/T1),
-    the quantum current's full high-T survivor: as psi(1 - c_j s) -> psi(1) the
-    linear residue sum keeps hbar K m_0 log(T2/T1), with m_0 = Re Sum weight."""
-    solve = _residue_record(p, TransferMode.OVERDAMPED_LINEAR)
-    m0 = math.fsum(solve.weight.real.tolist())
-    return p.hbar * solve.K * m0 * log_ratio(b.T2, b.T1)
 
 
 def heat_low_temp(p: CircuitParams, b: BathPair) -> float:
@@ -193,8 +183,10 @@ def _columns(points: list[tuple[CircuitParams, BathPair]], methods) -> list[list
         quantum = iter(values)
         row: list = []
         for method, mode in zip(methods, modes):
+            value = next(quantum) if mode else None
             try:
-                row.append(_cells(p, b, method, mode, next(quantum) if mode else None))
+                row.append(value if isinstance(value, ArithmeticError)
+                           else _cells(p, b, method, mode, value))
             except ArithmeticError as error:
                 row.append(error)
         columns.append(row)
@@ -203,9 +195,7 @@ def _columns(points: list[tuple[CircuitParams, BathPair]], methods) -> list[list
 
 def _cells(p: CircuitParams, b: BathPair, method: Method, mode, quantum) -> tuple:
     """A method's three columns at (p, b), given the mode of its residue sum
-    and that sum (or its error), or None for both for the asymptotic methods."""
-    if isinstance(quantum, ArithmeticError):
-        raise quantum
+    and that sum, or None for both for the asymptotic methods."""
     # the classical column reads the record of the method's residue sum, the linear one if none
     qc = heat_classical(p, b, mode or TransferMode.OVERDAMPED_LINEAR)
     if method is Method.LOW_TEMP_ASYMPTOTIC:

@@ -276,6 +276,8 @@ def _panel_grid(p: CircuitParams, mode: TransferMode) -> _PanelGrid:
     the distance from s to i[0, inf), and omega/|i omega - r| at u_plus's real root as 1.
     """
     solve = _circuit_solve(p, mode)
+    if solve.polys is None:
+        raise solve.error()
     roots = solve.roots[0] + solve.roots[1]
     n = len(roots)
 
@@ -468,10 +470,12 @@ def classical_integral(
     """
     if p.M == 0.0:
         return 0.0
-    classical = _circuit_solve(p, mode).classical
-    if not math.isfinite(classical):
+    solve = _circuit_solve(p, mode)
+    if solve.polys is None:
+        raise solve.error()
+    if not math.isfinite(solve.classical):
         raise OverflowError(f"the classical integral overflows at omega_c = {p.omega_c!r}")
-    return classical
+    return solve.classical
 
 
 def _mode_roots(coeffs: tuple[float, ...]) -> list[complex]:
@@ -603,12 +607,13 @@ class _CircuitSolve:
     upper root of a conjugate pair of residues, whose lower root is left out;
     at one of the n points s = centre + offset of a cluster's contour,
     weight = s^3/(D(-s) D(s)) offset/n; `reach` is the largest |Re s| or
-    |Im s| over those nodes.  `failure` is the error of the pole step, or of
-    weights that overflow, raised by `quantum_integral`; the arrays are then
-    empty.
+    |Im s| over those nodes; `m0` = Re Sum weight.  `failure` is the build's
+    ArithmeticError, and `error` a fresh copy of it to raise: of the pole step
+    or of weights that overflow, with the arrays empty, or of an earlier step,
+    with `polys` None, which every reader raises.
     """
 
-    polys: tuple[tuple[float, ...], tuple[float, ...]]
+    polys: tuple[tuple[float, ...], tuple[float, ...]] | None
     rma2: float
     K: float
     classical: float
@@ -616,49 +621,55 @@ class _CircuitSolve:
     s: np.ndarray
     weight: np.ndarray
     reach: float
+    m0: float
     failure: ArithmeticError | None
+
+    def error(self) -> ArithmeticError | None:
+        """A fresh copy of `failure`, which a caller may raise, or None."""
+        return None if self.failure is None else type(self.failure)(*self.failure.args)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
     """The record of (p, mode), cached in each process for the last `_CACHE_SIZE` pairs."""
-    if p.omega_c * p.omega_c == math.inf:  # f12's omega_c^2: no record to cache
-        raise OverflowError(f"f12 overflows at omega_c = {p.omega_c!r}")
-    polys = mode_polynomials(p, mode)
-    if 0.0 in polys[0]:  # every term of a stable D is > 0; u_plus's underflow first
-        what = "vanish at omega = 0: omega_plus" if polys[0][-1] == 0.0 else "lose s^2: RC"
-        raise ArithmeticError(f"mode polynomials {what} omega_c underflows at omega_plus = "
-                              f"{p.scales.omega_plus!r}, RC = {p.R * p.C!r}, "
-                              f"omega_c = {p.omega_c!r}")
-    (up, d_plus), (um, d_minus) = (_integer_coefficients(c) for c in polys)
-    a = [0] * (len(up) + len(um) - 1)
-    for i, x in enumerate(up):
-        for j, y in enumerate(um):
-            a[i + j] += x * y
-    # A = L^2 - M^2 as a product: the difference of squares cancels as M -> L
-    A = (p.L - p.M) * (p.L + p.M)
-    rma2 = (p.R * p.M / A) ** 2
-    # a is (d_plus d_minus) u_plus u_minus, so B(s) = s takes the same factor
-    h2 = _h2_norm_squared(a, d_plus * d_minus)
+    f12 = None  # the fields of f12 and the classical integral, once formed
     try:
-        wc4 = p.omega_c**4
-    except OverflowError:  # a cutoff past ~1.3e77: classical and K are not finite
-        wc4 = math.inf
-    classical = 2.0 * wc4 * rma2 * h2
-    K = (2.0 / math.pi) * wc4 * rma2
-    mode_roots = tuple(tuple(_mode_roots(coeffs)) for coeffs in polys)
-    try:
+        if p.omega_c * p.omega_c == math.inf:  # f12's omega_c^2
+            raise OverflowError(f"f12 overflows at omega_c = {p.omega_c!r}")
+        polys = mode_polynomials(p, mode)
+        if 0.0 in polys[0]:  # every term of a stable D is > 0; u_plus's underflow first
+            what = "vanish at omega = 0: omega_plus" if polys[0][-1] == 0.0 else "lose s^2: RC"
+            raise ArithmeticError(f"mode polynomials {what} omega_c underflows at omega_plus = "
+                                  f"{p.scales.omega_plus!r}, RC = {p.R * p.C!r}, "
+                                  f"omega_c = {p.omega_c!r}")
+        (up, d_plus), (um, d_minus) = (_integer_coefficients(c) for c in polys)
+        a = [0] * (len(up) + len(um) - 1)
+        for i, x in enumerate(up):
+            for j, y in enumerate(um):
+                a[i + j] += x * y
+        # A = L^2 - M^2 as a product: the difference of squares cancels as M -> L
+        A = (p.L - p.M) * (p.L + p.M)
+        rma2 = (p.R * p.M / A) ** 2
+        # a is (d_plus d_minus) u_plus u_minus, so B(s) = s takes the same factor
+        h2 = _h2_norm_squared(a, d_plus * d_minus)
+        try:
+            wc4 = p.omega_c**4
+        except OverflowError:  # a cutoff past ~1.3e77: classical and K are not finite
+            wc4 = math.inf
+        K = (2.0 / math.pi) * wc4 * rma2
+        mode_roots = tuple(tuple(_mode_roots(coeffs)) for coeffs in polys)
+        f12 = (polys, rma2, K, 2.0 * wc4 * rma2 * h2, mode_roots)
         nodes = _residue_nodes(p, polys, mode_roots, 2.0 * p.R * p.M / A)
         if not all(cmath.isfinite(K * weight) for _, weight in nodes):
             raise OverflowError(f"residue weights overflow at omega_c = {p.omega_c!r}")
         s, weight = (np.array(x) for x in zip(*nodes))
         s.flags.writeable = weight.flags.writeable = False  # every caller shares the record
         reach = max(max(abs(z.real), abs(z.imag)) for z, _ in nodes)
-        return _CircuitSolve(polys, rma2, K, classical, mode_roots, s, weight, reach, None)
+        return _CircuitSolve(*f12, s, weight, reach, math.fsum(weight.real.tolist()), None)
     except ArithmeticError as error:
         empty = np.zeros(0, complex)
-        failure = error.with_traceback(None)
-        return _CircuitSolve(polys, rma2, K, classical, mode_roots, empty, empty, 0.0, failure)
+        return _CircuitSolve(*(f12 or (None, 0.0, 0.0, 0.0, ((), ()))), empty, empty, 0.0, 0.0,
+                             error.with_traceback(None))
 
 
 def _modulus_on_axis(coeffs: tuple[float, ...], omega):
@@ -691,6 +702,8 @@ def transfer_f12(omega, p: CircuitParams, mode: TransferMode):
     its `_circuit_solve` record, which holds the coefficients.
     """
     solve = _circuit_solve(p, mode)
+    if solve.polys is None:
+        raise solve.error()
     plus, minus = solve.polys
     with np.errstate(over="ignore"):
         up = _modulus_on_axis(plus, omega)
@@ -813,35 +826,31 @@ def quantum_integral(
     return p.hbar * solve.K * math.fsum(terms)
 
 
-def _residue_record(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
-    """The record of (p, mode), raising its failure if the residue step failed."""
-    solve = _circuit_solve(p, mode)
-    if solve.failure is not None:
-        raise type(solve.failure)(*solve.failure.args)
-    return solve
-
-
-def _digamma_rates(p: CircuitParams, b: BathPair) -> tuple[float, float]:
-    """c_j = beta_j hbar/2pi: the bracket of the residue sum holds psi(1 - c_j s)."""
-    return b.beta1 * p.hbar / (2.0 * math.pi), b.beta2 * p.hbar / (2.0 * math.pi)
-
-
 def _residue_prologue(p: CircuitParams, b: BathPair, modes) -> tuple[tuple, list]:
-    """The rates (c2, c1, ln(c2/c1)) of the residue sum at (p, b), and per mode
-    its record or its ArithmeticError: the record's failure, or an OverflowError
-    naming the colder bath where c_j s passes the largest float at a node."""
-    c1, c2 = _digamma_rates(p, b)
+    """The rates (c2, c1, ln(c2/c1)) of the residue sum at (p, b), c_j = beta_j hbar/2pi,
+    and per mode its record or its ArithmeticError: a copy of the record's failure,
+    or an OverflowError naming the colder bath where c_j s passes the largest float."""
+    c1, c2 = b.beta1 * p.hbar / (2.0 * math.pi), b.beta2 * p.hbar / (2.0 * math.pi)
     records: list = []
     for mode in modes:
-        try:
-            solve = _residue_record(p, mode)
-            if float(max(c1, c2)) * solve.reach == math.inf:
-                name = "T2" if c2 > c1 else "T1"
-                raise OverflowError(f"the residue sum overflows at {name} = {min(b.T1, b.T2)!r}")
-            records.append(solve)
-        except ArithmeticError as error:
-            records.append(error)
+        solve = _circuit_solve(p, mode)
+        if max(c1, c2) * solve.reach == math.inf:  # reach is 0 on a failed record
+            name = "T2" if c2 > c1 else "T1"
+            error = f"the residue sum overflows at {name} = {min(b.T1, b.T2)!r}"
+            records.append(OverflowError(error))
+        else:
+            records.append(solve if solve.failure is None else solve.error())
     return (c2, c1, log_ratio(c2, c1)), records
+
+
+def _quantum_log_term(p: CircuitParams, b: BathPair) -> float:
+    """The log term (hbar/pi)(M/L)^2 (lambda_+ lambda_-/omega_d)^2 log(T2/T1),
+    the quantum current's full high-T survivor: as psi(1 - c_j s) -> psi(1) the
+    linear residue sum keeps hbar K m0 log(T2/T1), from the record's m0."""
+    solve = _circuit_solve(p, TransferMode.OVERDAMPED_LINEAR)
+    if solve.failure is not None:
+        raise solve.error()
+    return p.hbar * solve.K * solve.m0 * log_ratio(b.T2, b.T1)
 
 
 def _residue_terms(rates: np.ndarray, s: np.ndarray, weight: np.ndarray) -> list[float]:

@@ -953,8 +953,8 @@ class TestQuantumIntegral:
             p = CircuitParams(**point["circuit"])
             b = BathPair.from_temperatures(point["T1"], point["T2"], p.kb)
             mode = TransferMode(point["mode"])
-            solve = quadrature._residue_record(p, mode)
-            c1, c2 = (mpmath.mpf(c) for c in quadrature._digamma_rates(p, b))
+            (c2, c1, _), (solve,) = quadrature._residue_prologue(p, b, (mode,))
+            c1, c2 = mpmath.mpf(c1), mpmath.mpf(c2)
             with mpmath.workdps(40):
                 total = mpmath.fsum(
                     mpmath.mpc(w) * (mpmath.digamma(1 - c2 * mpmath.mpc(s))
