@@ -102,20 +102,23 @@ def heat_low_temp(p: CircuitParams, b: BathPair) -> float:
     (2/15)(pi/hbar)^3 (M/L)^2 (k_b^4/omega_d^2)(T1^4 - T2^4).  Valid when both
     thermal frequencies sit below |lambda_pm|; notably independent of the
     bath cutoff omega_c.  Raises an OverflowError naming the hotter bath where
-    its T^4 is past the largest float, from T ~ 1.2e77.
+    its T^4 is past the largest float, from T ~ 1.2e77, and one naming omega_d
+    and hbar where the rest is: a tiny omega_d or hbar, or a huge kb.
     """
     try:
         t4 = b.T1**4 - b.T2**4
     except OverflowError:
         name, T = ("T1", b.T1) if b.T1 >= b.T2 else ("T2", b.T2)
         raise OverflowError(f"{name}^4 overflows in the T^4 law at {name} = {T!r}") from None
-    return (
-        (2.0 / 15.0)
-        * (math.pi / p.hbar) ** 3
-        * (p.M / p.L) ** 2
-        * (p.kb**4 / p.scales.omega_d**2)
-        * t4
-    )
+    try:  # a power may overflow, and omega_d^2 underflow to 0
+        q = (2.0 / 15.0) * (math.pi / p.hbar) ** 3 * (p.M / p.L) ** 2 * (
+            p.kb**4 / p.scales.omega_d**2) * t4
+    except ArithmeticError:
+        q = math.inf
+    if not math.isfinite(q):
+        raise OverflowError(f"the T^4 law overflows at omega_d = {p.scales.omega_d!r}, "
+                            f"hbar = {p.hbar!r}, kb = {p.kb!r}")
+    return q
 
 
 def assemble_report(p: CircuitParams, b: BathPair, method: Method) -> HeatReport:

@@ -52,10 +52,11 @@ class CircuitParams:
 
     Both loops share the same R, L, C.  The mutual inductance must satisfy
     0 <= M < L so the inductance matrix [[L, -M], [-M, L]] stays positive
-    definite.  hbar and kb default to 1 (natural units); pass SI values to
-    work in SI.  `scales` holds the `DerivedScales`, computed once when the
-    circuit is built; it is not a field, so eq, hash, `asdict` and `replace`
-    see only the constants.
+    definite; R C and L C must neither underflow to 0 nor overflow, as gamma
+    and omega_0 divide by them.  hbar and kb default to 1 (natural units);
+    pass SI values to work in SI.  `scales` holds the `DerivedScales`,
+    computed once when the circuit is built; it is not a field, so eq, hash,
+    `asdict` and `replace` see only the constants.
     """
 
     R: float
@@ -84,6 +85,10 @@ class CircuitParams:
         if self.omega_c * omega_minus == math.inf:
             raise OverflowError(f"lambda_pm overflows at omega_c = {self.omega_c!r}, "
                                 f"omega_minus = R/(L - M) = {omega_minus!r}")
+        for name, x in (("R", self.R), ("L", self.L)):  # gamma and omega_0 divide by them
+            if not 0.0 < x * self.C < math.inf:
+                raise ValueError(f"{name}*C must be positive and finite, got {x * self.C!r} "
+                                 f"at {name} = {x!r}, C = {self.C!r}")
         # not a functools.cached_property: on CPython 3.11 the instance __dict__
         # it writes makes every later field read about four times slower
         object.__setattr__(self, "scales", DerivedScales(

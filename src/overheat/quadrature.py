@@ -478,8 +478,8 @@ def classical_integral(
     return solve.classical
 
 
-def _mode_roots(coeffs: tuple[float, ...]) -> list[complex]:
-    """Roots of a linear or cubic mode polynomial, all in the left half plane.
+def _mode_roots(coeffs: tuple[float, ...], p: CircuitParams) -> list[complex]:
+    """Roots of a linear or cubic mode polynomial of p, all in the left half plane.
 
     The coefficients are positive, so the cubic has a real root in
     (-bound, 0), with bound Fujiwara's bound on the root moduli.  It is found
@@ -507,7 +507,7 @@ def _mode_roots(coeffs: tuple[float, ...]) -> list[complex]:
             break
         x = step
     # s^3 + (b/a) s^2 + (c/a) s + d/a = (s - x)(s^2 + e s + f)
-    e, f = b / a + x, -d / (a * x)
+    e, f = b / a + x, _quotient(-d, a * x, p, "RC s at the cubic's real root s", x)
     disc = e * e - 4.0 * f
     if disc >= 0.0:
         t = -0.5 * (e + math.copysign(math.sqrt(disc), e))
@@ -657,7 +657,7 @@ def _circuit_solve(p: CircuitParams, mode: TransferMode) -> _CircuitSolve:
         except OverflowError:  # a cutoff past ~1.3e77: classical and K are not finite
             wc4 = math.inf
         K = (2.0 / math.pi) * wc4 * rma2
-        mode_roots = tuple(tuple(_mode_roots(coeffs)) for coeffs in polys)
+        mode_roots = tuple(tuple(_mode_roots(coeffs, p)) for coeffs in polys)
         f12 = (polys, rma2, K, 2.0 * wc4 * rma2 * h2, mode_roots)
         nodes = _residue_nodes(p, polys, mode_roots, 2.0 * p.R * p.M / A)
         if not all(cmath.isfinite(K * weight) for _, weight in nodes):
@@ -722,7 +722,8 @@ def _residue_nodes(p: CircuitParams, polys, mode_roots, delta: float) -> tuple[t
 
     def node(s: complex, scale: complex) -> tuple[complex, complex]:
         # s * s * s: the same bits as s**3, which raises OverflowError where it is inf
-        return s, scale * (s * s * s) / (horner(polys[0], -s)[0] * horner(polys[1], -s)[0])
+        d = horner(polys[0], -s)[0] * horner(polys[1], -s)[0]
+        return s, _quotient(scale * (s * s * s), d, p, "u_plus(-s) u_minus(-s)", s)
 
     def residue(k: int) -> complex:
         # D'(s) = sign delta u'(s)(s + omega_c), where s + omega_c cancels at the
@@ -734,7 +735,7 @@ def _residue_nodes(p: CircuitParams, polys, mode_roots, delta: float) -> tuple[t
         # (s + omega_c) u(-s) = -2 omega_c^2 s at a root of the cubic
         # u = (s + omega_c)(RC s^2 + omega_pm) + omega_c s
         slope = sign * delta * horner(coeffs, s)[1] * (-2.0 * wc2)
-        return s * s / (slope * horner(other, -s)[0])
+        return _quotient(s * s, slope * horner(other, -s)[0], p, "D'(s) u(-s)", s)
 
     roots, owners = [], []
     for sign, coeffs, other, u_roots in zip((1.0, -1.0), polys, polys[::-1], mode_roots):
@@ -767,8 +768,17 @@ def _residue_nodes(p: CircuitParams, polys, mode_roots, delta: float) -> tuple[t
         for j in range(n):
             offset = radius * cmath.exp(2j * math.pi * j / n)
             s = centre + offset
-            nodes.append(node(s, offset / (n * horner(polys[0], s)[0] * horner(polys[1], s)[0])))
+            d = n * horner(polys[0], s)[0] * horner(polys[1], s)[0]
+            nodes.append(node(s, _quotient(offset, d, p, "u_plus(s) u_minus(s)", s)))
     return tuple(nodes)
+
+
+def _quotient(x, y, p: CircuitParams, what: str, s: complex):
+    """x/y, or where the float y has underflowed to 0, an ArithmeticError
+    naming it, the point s where it is formed and the circuit p."""
+    if y == 0.0:
+        raise ArithmeticError(f"{what} underflows to 0 at s = {s!r} for {p!r}")
+    return x / y
 
 
 def quantum_integral(

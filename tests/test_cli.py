@@ -149,6 +149,21 @@ class TestEval:
         err = capsys.readouterr().err
         assert "numerical failure: mode polynomials vanish at omega = 0: omega_plus omega_c" in err
 
+    def test_underflowing_rc_exits_1_naming_it(self, capsys):
+        # gamma = 1/(R C) raised ZeroDivisionError: "numerical failure", exit 2
+        args = ["eval", "--R", "1e-200", "--L", "1", "--C", "1e-200", "--M", "0.5",
+                "--omega-c", "1", "--T1", "2", "--T2", "1"]
+        assert main(args) == 1
+        assert "error: R*C must be positive and finite, got 0.0" in capsys.readouterr().err
+
+    def test_overflowing_low_temp_law_exits_2(self, capsys):
+        # the T^4 law read inf here: it printed q_total=inf with exit 0
+        args = ["eval", "--R", "1e-160", "--L", "1", "--C", "1", "--M", "0.5",
+                "--omega-c", "1", "--T1", "2", "--T2", "1", "--method", "LowTempAsymptotic"]
+        assert main(args) == 2
+        assert "numerical failure: the T^4 law overflows at omega_d = 1e-160" in (
+            capsys.readouterr().err)
+
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["eval", "--R", "2"]) == 1
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -195,6 +196,22 @@ class TestHeatLowTemp:
             heat_low_temp(circuit, b)
         with pytest.raises(OverflowError, match=rf"at {name} = "):
             assemble_report(circuit, b, Method.LOW_TEMP_ASYMPTOTIC)
+
+    @pytest.mark.parametrize("fields, named", [
+        # omega_d^2 underflows to 0: a bare ZeroDivisionError
+        (dict(R=1e-170), "omega_d = 1e-170, hbar = 1.0"),
+        # k_b^4/omega_d^2 overflows: inf, which `heat eval` printed with exit 0
+        (dict(R=1e-160), "omega_d = 1e-160, hbar = 1.0"),
+        # (pi/hbar)^3 overflows: OverflowError(34, 'Numerical result out of range')
+        (dict(R=1.0, hbar=1e-110), "omega_d = 1.0, hbar = 1e-110"),
+    ], ids=["omega_d_squared_underflows", "value_overflows", "hbar_cubed_overflows"])
+    def test_overflow_names_omega_d_and_hbar(self, fields, named):
+        p = CircuitParams(**{**dict(L=1.0, C=1.0, M=0.5, omega_c=1.0), **fields})
+        b = at_temperatures(2.0, 1.0)
+        with pytest.raises(OverflowError, match=re.escape(f"the T^4 law overflows at {named}")):
+            heat_low_temp(p, b)
+        with pytest.raises(OverflowError, match=re.escape(named)):
+            assemble_report(p, b, Method.LOW_TEMP_ASYMPTOTIC)
 
 
 class TestHeatQuantumHighTemp:

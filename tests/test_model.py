@@ -36,6 +36,21 @@ class TestCircuitParams:
             with pytest.raises(ValueError, match=field):
                 CircuitParams(**kwargs)
 
+    @pytest.mark.parametrize("fields, message", [
+        # gamma = 1/(R C) divided by 0: a bare ZeroDivisionError
+        (dict(R=1e-200, L=1.0, C=1e-200, M=0.5), "R*C must be positive and finite, got 0.0"),
+        # omega_0 = 1/sqrt(L C) likewise
+        (dict(R=1.0, L=1e-200, C=1e-200, M=5e-201), "L*C must be positive and finite, got 0.0"),
+        # gamma = 0.0 was accepted, and every reader of the circuit's record
+        # raised "cannot convert Infinity to integer ratio"
+        (dict(R=1e200, L=1.0, C=1e200, M=0.5), "R*C must be positive and finite, got inf"),
+        # omega_0 = 0.0 was accepted
+        (dict(R=1.0, L=1e200, C=1e200, M=0.5), "L*C must be positive and finite, got inf"),
+    ], ids=["RC_underflows", "LC_underflows", "RC_overflows", "LC_overflows"])
+    def test_rejects_products_past_the_float_range(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CircuitParams(omega_c=1.0, **fields)
+
     def test_accepts_m_zero(self):
         CircuitParams(R=1.0, L=2.0, C=1.0, M=0.0, omega_c=5.0)
 

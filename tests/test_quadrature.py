@@ -27,6 +27,7 @@ from overheat import (
     digamma,
     heat_classical,
     heat_exact,
+    heat_low_temp,
     heat_quantum,
     preset_specs,
     quantum_integral,
@@ -1094,6 +1095,83 @@ def test_underflowing_mode_term_is_a_typed_error(fields, modes, message):
             with pytest.raises(ArithmeticError, match=re.escape(message)) as info:
                 call()
             assert type(info.value) is ArithmeticError
+
+
+@pytest.mark.parametrize("fields, mode, message, every_reader", [
+    # RC x = 2.4e-226 * -1.4e-155 at the cubic's real root x: "float division
+    # by zero" from every reader of the record
+    (dict(R=5.81e-155, L=2.9, C=4.21e-72, M=1.16, omega_c=1.91e-6), CUBIC,
+     "RC s at the cubic's real root s underflows to 0 at s = -1.43", True),
+    # the contour of the cluster near -omega_c: "complex division by zero"
+    (dict(R=1.73e-21, L=0.0326, C=7.66e-75, M=0.0114, omega_c=2.84e-170), CUBIC,
+     "u_plus(s) u_minus(s) underflows to 0 at s = (-2.485e-170+0j)", False),
+    # the residue of a cubic's real root
+    (dict(R=4.5e-136, L=144.0, C=4.9e-33, M=56.0, omega_c=5.4e-14), CUBIC,
+     "D'(s) u(-s) underflows to 0 at s = (-2.2499999999999997e-138+0j)", False),
+    # the residue of the linear u_plus
+    (dict(R=1e-160, L=1.0, C=1e-160, M=0.5, omega_c=1e-10), LINEAR,
+     "u_plus(-s) u_minus(-s) underflows to 0 at s = (-6.666666666666667e-161+0j)", False),
+], ids=["cubic_real_root", "cluster_contour", "cubic_residue", "linear_residue"])
+def test_underflowing_record_division_is_a_typed_error(fields, mode, message, every_reader):
+    # a plain ArithmeticError naming the quantity and the circuit, not a bare
+    # ZeroDivisionError; where only the residue sum fails, the classical integral is finite
+    p, b = CircuitParams(**fields), BathPair.from_temperatures(2.0, 1.0)
+    readers = [lambda: classical_integral(p, mode), lambda: heat_exact(p, b, mode)]
+    for call in [lambda: quantum_integral(p, b, mode)] + readers * every_reader:
+        with pytest.raises(ArithmeticError, match=re.escape(message)) as info:
+            call()
+        assert type(info.value) is ArithmeticError
+        assert f"R={fields['R']!r}, L={fields['L']!r}" in str(info.value)
+    if not every_reader:
+        assert math.isfinite(classical_integral(p, mode))
+
+
+def test_batch_keeps_each_failed_record_to_its_point(circuit):
+    # records that fail before their residue step (a lost constant term, the
+    # classical integral past the largest float) fail their own points only
+    warm = BathPair.from_temperatures(2.0, 1.0)
+    points = [(circuit, warm),
+              (CircuitParams(R=1e-200, L=1.0, C=1.0, M=0.5, omega_c=1e-200), warm),
+              (CircuitParams(R=1.5e-160, L=1.0, C=1.0, M=0.5, omega_c=1e-160), warm),
+              (circuit, BathPair.from_temperatures(3.0, 1.0))]
+    for (p, b), values in zip(points, quadrature._quantum_integrals(points, (CUBIC, LINEAR))):
+        for mode, value in zip((CUBIC, LINEAR), values):
+            try:
+                expected = quantum_integral(p, b, mode)
+            except ArithmeticError as error:
+                assert (type(value), value.args) == (type(error), error.args)
+            else:
+                assert value.hex() == expected.hex()
+
+
+def test_tiny_and_huge_constants_give_finite_values_or_typed_errors():
+    # 1000 seeded circuits with R, C and omega_c from 1e-200 to 1e5: every
+    # value is finite, or its error is an ArithmeticError that names its cause
+    # (before: of these, 70 constructors raised a bare ZeroDivisionError, 930
+    # circuits were built, and 62 ExactCubic and 105 OverdampedLinear residue
+    # sums, 16 ExactCubic classical integrals and 150 T^4 laws raised bare
+    # errors, and 24 T^4 laws returned inf)
+    rng = np.random.default_rng(31)
+    b = BathPair.from_temperatures(2.0, 1.0)
+    bare = ("division by zero", "Numerical result out of range", "cannot convert Infinity")
+    built = 0
+    for _ in range(1000):
+        # Python floats: numpy's warn where they overflow, where floats raise
+        R, C, omega_c = (10.0 ** rng.uniform(-200.0, 5.0, 3)).tolist()
+        L = 10.0 ** float(rng.uniform(-3.0, 3.0))
+        try:
+            p = CircuitParams(R=R, L=L, C=C, M=L * float(rng.uniform(0.01, 0.99)), omega_c=omega_c)
+        except (ValueError, OverflowError):
+            continue
+        built += 1
+        calls = [lambda m=m: quantum_integral(p, b, m) for m in (CUBIC, LINEAR)]
+        calls += [lambda m=m: classical_integral(p, m) for m in (CUBIC, LINEAR)]
+        for call in calls + [lambda: heat_low_temp(p, b)]:
+            try:
+                assert math.isfinite(call()), p
+            except ArithmeticError as error:
+                assert not any(text in str(error) for text in bare), (p, error)
+    assert built > 900
 
 
 def linear_classical_formula(mp, p):
