@@ -846,8 +846,8 @@ def _residue_prologue(p: CircuitParams, b: BathPair, modes) -> tuple[tuple, list
         solve = _circuit_solve(p, mode)
         if max(c1, c2) * solve.reach == math.inf:  # reach is 0 on a failed record
             name = "T2" if c2 > c1 else "T1"
-            error = f"the residue sum overflows at {name} = {min(b.T1, b.T2)!r}"
-            records.append(OverflowError(error))
+            text = f"the residue sum overflows at {name} = {min(b.T1, b.T2)!r}"
+            records.append(OverflowError(text))
         else:
             records.append(solve if solve.failure is None else solve.error())
     return (c2, c1, log_ratio(c2, c1)), records
